@@ -24,10 +24,7 @@ from .extension import (
     TreeExtension,
     canonicalize,
     default_extension,
-    scan_cut,
     update_extension,
-    validate_extension,
-    width,
 )
 from .formats import (
     parse_edgelist,

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = yes, 1 = no, 64 = usage error, 65 = parse error,
-66 = semantic error (including oracle caps), 70 = internal error.
+66 = semantic error (including oracle caps), 70 = internal error (including
+any unexpected exception).
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def _solve_one(paths):
         return name, "YES" if result.displayed else "NO"
     except STCError as exc:
         return name, f"ERROR {exc}"
+    except Exception as exc:  # one crashing instance must not end the batch
+        return name, f"ERROR internal: {type(exc).__name__}: {exc}"
 
 
 @cli.command("solve")
@@ -316,6 +319,11 @@ def main(argv=None) -> int:
     except STCError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_SEMANTIC
+    except Exception:  # a crash must never read as a verdict
+        import traceback  # only on this path, to keep start-up lean
+
+        click.echo(f"internal error: {traceback.format_exc()}", err=True, nl=False)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

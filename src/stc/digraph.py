@@ -388,10 +388,9 @@ def reaches(d: Digraph, a, b) -> bool:
     through its head: (w, x) reaches whatever x weakly reaches, and a
     vertex reaches an arc if it weakly reaches the arc's tail.
     """
-    arcset = set(d.arcs)
     for x in (a, b):
         if _is_arc(x):
-            if x not in arcset:
+            if not d.has_arc(*x):
                 raise InputError(f"unknown arc {x!r}")
         else:
             if x not in d:
@@ -408,24 +407,39 @@ def reaches(d: Digraph, a, b) -> bool:
 # -- leaf-respecting tree isomorphism --------------------------------------
 
 
-def _canonical_subtree(t: Digraph, v: str):
-    if not t.children(v):
-        taxon = t.label_of(v)
-        if taxon is None:
-            raise InputError(f"leaf {v!r} has no taxon label")
-        return ("L", taxon)
-    return ("I", tuple(sorted(_canonical_subtree(t, c) for c in t.children(v))))
-
-
-def canonical_tree_form(t: Digraph):
+def canonical_tree_form(t: Digraph) -> tuple[str, ...]:
     """A hashable canonical encoding of a leaf-labeled out-tree.
 
     Two out-trees admit a leaf-respecting isomorphism iff their encodings
-    are equal.
+    are equal.  The encoding is a flat token tuple: a leaf is "L" followed
+    by its taxon, an internal vertex is "(", its children's encodings in
+    sorted order, then ")".  It is built bottom-up without recursion, and
+    being flat it compares and hashes without recursion too, whatever the
+    depth of the tree.
     """
     if any(t.in_degree(v) > 1 for v in t.vertices):
         raise InputError("not an out-tree: vertex with in-degree > 1")
-    return _canonical_subtree(t, t.root())
+    root = t.root()
+    form: dict[str, tuple[str, ...]] = {}
+    stack = [(root, False)]
+    while stack:
+        v, done = stack.pop()
+        children = t.children(v)
+        if not children:
+            taxon = t.label_of(v)
+            if taxon is None:
+                raise InputError(f"leaf {v!r} has no taxon label")
+            form[v] = ("L" + taxon,)
+        elif done:
+            tokens = ["("]
+            for part in sorted(form.pop(c) for c in children):
+                tokens.extend(part)
+            tokens.append(")")
+            form[v] = tuple(tokens)
+        else:
+            stack.append((v, True))
+            stack.extend((c, False) for c in children)
+    return form[root]
 
 
 def tree_leaf_isomorphic(t1: Digraph, t2: Digraph) -> bool:

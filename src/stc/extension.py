@@ -9,6 +9,7 @@ there; the maximum cut size is the width driving the dynamic program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .digraph import Arc, Digraph
 from .errors import InputError, InternalError
@@ -17,8 +18,46 @@ CUT_ABOVE = "above"
 CUT_BELOW = "below"
 
 
+class _TreeIndex:
+    """Pre-order numbers of an out-tree: `v` lies in the subtree of `t`
+    iff pre[t] <= pre[v] < end[t]."""
+
+    def __init__(self, gamma: Digraph):
+        root = gamma.root()
+        order: list[str] = []
+        pre: dict[str, int] = {}
+        end: dict[str, int] = {}
+        parent: dict[str, str] = {}
+        stack = [(root, False)]
+        while stack:
+            v, done = stack.pop()
+            if done:
+                end[v] = len(order)
+                continue
+            pre[v] = len(order)
+            order.append(v)
+            stack.append((v, True))
+            for c in reversed(gamma.children(v)):
+                parent[c] = v
+                stack.append((c, False))
+        self.order = tuple(order)
+        self.pre = pre
+        self.end = end
+        self.parent = parent
+
+    def in_subtree(self, t: str, v: str) -> bool:
+        return self.pre[t] <= self.pre[v] < self.end[t]
+
+    def strictly_below(self, t: str, v: str) -> bool:
+        return self.pre[t] < self.pre[v] < self.end[t]
+
+
 class TreeExtension:
-    """An out-tree `gamma` over the vertices of a host DAG."""
+    """An out-tree `gamma` over the vertices of a host DAG.
+
+    Both graphs are immutable, so everything derived from them (validity,
+    the pre-order index, the cut sizes) is computed once and cached.
+    """
 
     def __init__(self, host: Digraph, gamma: Digraph):
         self.host = host
@@ -32,8 +71,8 @@ class TreeExtension:
     def __repr__(self):
         return f"TreeExtension({len(self.gamma)} vertices)"
 
-    def violations(self) -> list[str]:
-        """Every violated extension clause, each with a witness."""
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
         out = []
         hv, gv = set(self.host.vertices), set(self.gamma.vertices)
         if hv != gv:
@@ -52,52 +91,104 @@ class TreeExtension:
             elif not self.gamma.is_acyclic():
                 out.append("not an out-tree: cyclic")
         if out:
-            return out
+            return tuple(out)
+        index = self._index
         for (u, v) in self.host.arcs:
-            if v not in self.gamma.descendants(u):
+            if not index.strictly_below(u, v):
                 out.append(f"arc ({u}, {v}) not inside the strict ancestor relation")
-        return out
+        return tuple(out)
+
+    @cached_property
+    def _index(self) -> _TreeIndex:
+        # Only built once `gamma` is known to be an out-tree.
+        return _TreeIndex(self.gamma)
+
+    def violations(self) -> list[str]:
+        """Every violated extension clause, each with a witness."""
+        return list(self._violations)
 
     def is_valid(self) -> bool:
-        return not self.violations()
+        return not self._violations
 
     def require_valid(self) -> None:
-        problems = self.violations()
+        problems = self._violations
         if problems:
             raise InputError("invalid tree extension: " + "; ".join(problems))
+
+    def _valid_index(self) -> _TreeIndex:
+        self.require_valid()
+        return self._index
 
     # -- scan cuts ---------------------------------------------------------
 
     def scan_cut(self, t: str, kind: str = CUT_ABOVE) -> tuple[Arc, ...]:
-        """The host arcs crossing just above (or just below) `t`."""
+        """The host arcs crossing just above (or just below) `t`.
+
+        Every host arc points down the extension, so the cut above `t` is
+        the arcs entering the subtree of `t`, and the cut below `t` is the
+        arcs entering that subtree with `t` itself left out.
+        """
         if t not in self.gamma:
             raise InputError(f"unknown vertex {t!r}")
         if kind not in (CUT_ABOVE, CUT_BELOW):
             raise InputError(f"unknown cut kind {kind!r}")
-        desc = self.gamma.descendants(t)
-        cut = []
-        for (u, v) in self.host.arcs:
-            if kind == CUT_ABOVE:
-                if t in self.gamma.descendants(u) and (v == t or v in desc):
-                    cut.append((u, v))
-            else:
-                if (u == t or t in self.gamma.descendants(u)) and v in desc:
-                    cut.append((u, v))
-        return tuple(cut)
+        index = self._valid_index()
+        inside = index.in_subtree if kind == CUT_ABOVE else index.strictly_below
+        return tuple((u, v) for (u, v) in self.host.arcs
+                     if inside(t, v) and not inside(t, u))
+
+    @cached_property
+    def _cut_sizes(self) -> dict[str, tuple[int, int]]:
+        index = self._valid_index()
+        host = self.host
+        # The cut above t counts the arcs entering the subtree of t: the
+        # in-arcs of its vertices minus the arcs inside it, which are
+        # exactly their out-arcs.
+        above = {v: host.in_degree(v) - host.out_degree(v) for v in index.order}
+        for v in reversed(index.order[1:]):
+            above[index.parent[v]] += above[v]
+        return {v: (a, a - host.in_degree(v) + host.out_degree(v))
+                for v, a in above.items()}
+
+    def cut_sizes(self) -> dict[str, tuple[int, int]]:
+        """(size of the cut above, size of the cut below) for every vertex."""
+        return dict(self._cut_sizes)
 
     def width(self) -> int:
         """Maximum size of a cut just above any vertex."""
-        return max(len(self.scan_cut(t, CUT_ABOVE)) for t in self.gamma.vertices)
+        return max(above for above, _ in self._cut_sizes.values())
 
     # -- canonicality ------------------------------------------------------
 
     def canonicality_violations(self) -> list[str]:
-        """Check the four canonical-extension clauses (assumes validity)."""
-        out = []
-        for t in self.gamma.vertices:
-            below = set(self.gamma.descendants(t)) | {t}
-            if not _weakly_connected(self.host, below):
-                out.append(f"host below {t} is not weakly connected")
+        """Check the four canonical-extension clauses (requires validity)."""
+        index = self._valid_index()
+        host = self.host
+        # The host arcs inside the subtree of t are the out-arcs of its
+        # vertices, so a bottom-up union-find over out-arcs sees each
+        # subtree's weak components when its top vertex is done.
+        link: dict[str, str] = {}
+
+        def find(v: str) -> str:
+            root = v
+            while link[root] != root:
+                root = link[root]
+            while link[v] != root:
+                link[v], v = root, link[v]
+            return root
+
+        components: dict[str, int] = {}
+        for t in reversed(index.order):
+            link[t] = t
+            count = 1 + sum(components[c] for c in self.gamma.children(t))
+            for w in host.children(t):
+                a, b = find(t), find(w)
+                if a != b:
+                    link[b] = a
+                    count -= 1
+            components[t] = count
+        out = [f"host below {t} is not weakly connected"
+               for t in self.gamma.vertices if components[t] != 1]
         if set(self.gamma.leaves) != set(self.host.leaves):
             out.append("leaf sets of extension and host differ")
         for v in self.gamma.vertices:
@@ -107,37 +198,6 @@ class TreeExtension:
 
     def is_canonical(self) -> bool:
         return self.is_valid() and not self.canonicality_violations()
-
-
-def _weakly_connected(d: Digraph, among: set[str]) -> bool:
-    if not among:
-        return True
-    adj = {v: [] for v in among}
-    for (u, v) in d.arcs:
-        if u in among and v in among:
-            adj[u].append(v)
-            adj[v].append(u)
-    start = next(iter(among))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(among)
-
-
-def validate_extension(ext: TreeExtension) -> list[str]:
-    return ext.violations()
-
-
-def scan_cut(ext: TreeExtension, t: str, kind: str = CUT_ABOVE) -> tuple[Arc, ...]:
-    return ext.scan_cut(t, kind)
-
-
-def width(ext: TreeExtension) -> int:
-    return ext.width()
 
 
 # -- canonicalization ------------------------------------------------------

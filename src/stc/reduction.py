@@ -268,7 +268,10 @@ class ReductionTrace:
 @dataclass
 class AugmentedInstance:
     """A solver-ready instance: binary network and tree, both with degree-1
-    roots, plus a canonical tree extension of the network."""
+    roots, plus a canonical tree extension of the network.
+
+    Built by `preprocess`, which runs `check` once; `solve` relies on it.
+    """
 
     network: Digraph
     tree: Digraph
@@ -313,20 +316,18 @@ def replay_trace(n: Digraph, trace: ReductionTrace) -> Digraph:
     return work
 
 
-def _carry(ext: TreeExtension, step, trace: ReductionTrace, *, audit: bool,
+def _carry(ext: TreeExtension, step, trace: ReductionTrace, *,
            kind: str, vertex=None, degree=0) -> TreeExtension:
-    before = ext.width() if audit else -1
+    # `ext` caches its width, so "before" is the previous step's "after".
+    before = ext.width()
     ext = update_extension(ext, step)
     trace.steps.append(step)
-    if audit:
-        trace.width_audits.append(
-            WidthAudit(kind, vertex, degree, before, ext.width()))
+    trace.width_audits.append(WidthAudit(kind, vertex, degree, before, ext.width()))
     return ext
 
 
 def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
-                   taxa=None, audit: bool = True
-                   ) -> tuple[TreeExtension, ReductionTrace, str]:
+                   taxa=None) -> tuple[TreeExtension, ReductionTrace, str]:
     """Run the network side of the pipeline; returns the carried extension
     (over the augmented network), the trace, and the fresh root id."""
     if ext is None:
@@ -337,12 +338,12 @@ def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
     trace = ReductionTrace()
     if taxa is not None and set(taxa) != n.taxa:
         pruned, step = prune_to_leafset(n, taxa)
-        ext = _carry(ext, step, trace, audit=audit, kind="prune")
+        ext = _carry(ext, step, trace, kind="prune")
     for v in sorted(ext.host.vertices):
         if ext.host.out_degree(v) >= 3:
             degree = ext.host.out_degree(v)
             gadget = _make_gadget(ext.host, v)
-            ext = _carry(ext, StretchStep(v, gadget), trace, audit=audit,
+            ext = _carry(ext, StretchStep(v, gadget), trace,
                          kind="stretch", vertex=v, degree=degree)
     while True:
         host = ext.host
@@ -352,17 +353,19 @@ def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
         p1, p2 = sorted(host.parents(target))[:2]
         new_id = host.fresh_ids(1)[0]
         ext = _carry(ext, InSplitStep(target, (p1, p2), new_id), trace,
-                     audit=audit, kind="insplit", vertex=target,
-                     degree=host.in_degree(target))
+                     kind="insplit", vertex=target, degree=host.in_degree(target))
     rho_n = ext.host.fresh_ids(1)[0]
-    ext = _carry(ext, AttachRootStep(rho_n), trace, audit=audit, kind="attach_root")
+    ext = _carry(ext, AttachRootStep(rho_n), trace, kind="attach_root")
     ext = canonicalize(ext)
     return ext, trace, rho_n
 
 
-def preprocess(n: Digraph, t: Digraph, ext: TreeExtension | None = None, *,
-               audit: bool = True) -> AugmentedInstance:
-    """Produce a solver-ready instance from a network, tree, and extension."""
+def preprocess(n: Digraph, t: Digraph,
+               ext: TreeExtension | None = None) -> AugmentedInstance:
+    """Produce a solver-ready instance from a network, tree, and extension.
+
+    The returned instance has passed `AugmentedInstance.check`.
+    """
     n_class = classify(n)
     if n_class.kind not in (PhyloKind.NETWORK, PhyloKind.TREE):
         raise SemanticError(f"not a phylogenetic network: {n_class.reason}")
@@ -372,7 +375,7 @@ def preprocess(n: Digraph, t: Digraph, ext: TreeExtension | None = None, *,
     if not t.taxa <= n.taxa:
         raise SemanticError(
             f"tree taxa missing from the network: {sorted(t.taxa - n.taxa)}")
-    ext, trace, rho_n = reduce_network(n, ext, taxa=t.taxa, audit=audit)
+    ext, trace, rho_n = reduce_network(n, ext, taxa=t.taxa)
     rho_t = t.fresh_ids(1)[0]
     t_aug = Digraph(list(t.arcs) + [(rho_t, t.root())], t.labels)
     inst = AugmentedInstance(ext.host, t_aug, ext, trace, rho_n, rho_t)

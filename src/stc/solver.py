@@ -150,16 +150,14 @@ def _post_order(gamma: Digraph) -> list[str]:
     return out
 
 
-def solve(inst: AugmentedInstance, *, keep_tables: bool = True,
-          collect_stats: bool = True) -> SolveResult:
-    """Decide soft display on a reduced instance.
+def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
+    """Decide soft display on a reduced instance built by `preprocess`.
 
     With `keep_tables` the full signature tables and provenance tags are
     retained for witness reconstruction; without it, child tables are freed
     as soon as they have been combined, which bounds memory by the tables
-    along one root-to-leaf slice.
+    along one root-to-leaf slice.  Per-vertex stats are always collected.
     """
-    inst.check()
     n, t, gamma = inst.network, inst.tree, inst.extension.gamma
     rho_n, rho_t = inst.network_root, inst.tree_root
     if gamma.root() != rho_n:
@@ -170,6 +168,7 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True,
     above: dict[str, dict] = {}
     below: dict[str, dict] = {}
     stats: list[VertexStats] = []
+    cuts = inst.extension.cut_sizes()
     order = _post_order(gamma)
 
     for v in order:
@@ -239,23 +238,22 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True,
             above[v] = above_v
             below[v] = below_v
 
-        if collect_stats:
-            max_bundle = 0
-            for table in (above[v], below[v]):
-                for (_, psi) in table:
-                    counts: dict = {}
-                    for _, b in psi:
-                        counts[b] = counts.get(b, 0) + 1
-                    if counts:
-                        max_bundle = max(max_bundle, max(counts.values()))
-            stats.append(VertexStats(
-                vertex=v,
-                cut_above=len(inst.extension.scan_cut(v, "above")),
-                cut_below=len(inst.extension.scan_cut(v, "below")),
-                cells_above=len(above[v]),
-                cells_below=len(below[v]),
-                max_bundle=max_bundle,
-            ))
+        max_bundle = 0
+        for table in (above[v], below[v]):
+            for (_, psi) in table:
+                counts: dict = {}
+                for _, b in psi:
+                    counts[b] = counts.get(b, 0) + 1
+                if counts:
+                    max_bundle = max(max_bundle, max(counts.values()))
+        stats.append(VertexStats(
+            vertex=v,
+            cut_above=cuts[v][0],
+            cut_below=cuts[v][1],
+            cells_above=len(above[v]),
+            cells_below=len(below[v]),
+            max_bundle=max_bundle,
+        ))
 
         if not keep_tables:
             for q in qs:

@@ -53,8 +53,7 @@ def test_criterion_2_oracle_equivalence(suite, capsys):
     mismatches = []
     for name, n, t, ext in suite:
         want = soft_display(n, t)
-        got = solve(preprocess(n, t, ext), keep_tables=False,
-                    collect_stats=False).displayed
+        got = solve(preprocess(n, t, ext), keep_tables=False).displayed
         if want != got:
             mismatches.append(name)
     elapsed = time.perf_counter() - start
@@ -199,7 +198,7 @@ def test_criterion_8_scaling_sanity(capsys):
     times = []
     for blocks in (17, 34, 67, 134):
         network, tree = _scaling_instance(blocks)
-        inst = preprocess(network, tree, audit=False)
+        inst = preprocess(network, tree)
         assert inst.extension.width() <= 3
         assert inst.network.max_out_degree <= 3
         assert inst.tree.max_out_degree <= 3
@@ -217,6 +216,6 @@ def test_criterion_8_scaling_sanity(capsys):
 
 def _timed_solve(inst):
     start = time.perf_counter()
-    result = solve(inst, keep_tables=False, collect_stats=False)
+    result = solve(inst, keep_tables=False)
     assert result.displayed
     return time.perf_counter() - start

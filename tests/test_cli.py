@@ -2,7 +2,7 @@
 
 import pytest
 
-from stc import check_embedding, parse_edgelist, serialize_edgelist
+from stc import check_embedding, parse_edgelist, serialize_edgelist, solve
 from stc.cli import main
 
 NET_A = """\
@@ -172,3 +172,44 @@ def test_batch_mode(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2
     assert all(line.split()[1] in ("YES", "NO") for line in out)
+
+
+def test_unexpected_exception_exits_internal(files, monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("stc.cli.solve", crash)
+    assert main(["solve", "-n", files["net_a"], "-t", files["tree_d"]]) == 70
+    assert "RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_deep_enewick_never_reads_as_a_verdict(tmp_path, capsys):
+    # 1500 nested levels: deeper than the interpreter's recursion limit.
+    text = "a"
+    for i in range(1500):
+        text = f"({text},b{i})"
+    nwk = tmp_path / "deep.nwk"
+    nwk.write_text(text + ";\n")
+    assert main(["import", "enewick", str(nwk)]) in (0, 70)
+
+
+def test_batch_isolates_a_crashing_instance(tmp_path, monkeypatch, capsys):
+    for seed in (1, 2, 3):
+        main(["gen", "--leaves", "4", "--reticulations", "1",
+              "--seed", str(seed), "-o", str(tmp_path / f"i{seed}")])
+    capsys.readouterr()
+    calls = []
+
+    def flaky(inst, **kwargs):
+        calls.append(inst)
+        if len(calls) == 2:
+            raise RuntimeError("boom")
+        return solve(inst, **kwargs)
+
+    monkeypatch.setattr("stc.cli.solve", flaky)
+    assert main(["solve", "--batch", str(tmp_path)]) == 66
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out] == ["i1", "i2", "i3"]
+    assert out[1] == "i2 ERROR internal: RuntimeError: boom"
+    assert out[0].split()[1] in ("YES", "NO")
+    assert out[2].split()[1] in ("YES", "NO")

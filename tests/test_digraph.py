@@ -136,3 +136,32 @@ def test_isomorphism_respects_leaves():
     assert not tree_leaf_isomorphic(t1, t3)
     t4 = Digraph([("r", "a"), ("r", "b")], {"a": "a", "b": "z"})
     assert not tree_leaf_isomorphic(t1, t4)
+
+
+def _caterpillar(taxa, prefix):
+    """A caterpillar whose spine hangs the taxa in order, deepest last."""
+    arcs, labels = [], {}
+    for i, taxon in enumerate(taxa[:-1]):
+        spine, leaf = f"{prefix}s{i}", f"{prefix}l{i}"
+        arcs.append((spine, leaf))
+        labels[leaf] = taxon
+        nxt = f"{prefix}s{i + 1}" if i + 2 < len(taxa) else f"{prefix}l{i + 1}"
+        arcs.append((spine, nxt))
+    labels[f"{prefix}l{len(taxa) - 1}"] = taxa[-1]
+    return Digraph(arcs, labels)
+
+
+def test_canonical_form_of_a_deep_caterpillar():
+    taxa = [f"t{i}" for i in range(2000)]
+    t1 = _caterpillar(taxa, "a")
+    t2 = _caterpillar(taxa, "b")
+    assert len(t1.leaves) == 2000
+    assert canonical_tree_form(t1) == canonical_tree_form(t2)
+    assert hash(canonical_tree_form(t1)) == hash(canonical_tree_form(t2))
+    assert tree_leaf_isomorphic(t1, t2)
+    swapped = taxa[:]
+    swapped[0], swapped[1000] = swapped[1000], swapped[0]
+    assert not tree_leaf_isomorphic(t1, _caterpillar(swapped, "c"))
+    # the two deepest leaves form a cherry, so swapping them changes nothing
+    cherry = taxa[:-2] + [taxa[-1], taxa[-2]]
+    assert tree_leaf_isomorphic(t1, _caterpillar(cherry, "d"))

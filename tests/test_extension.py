@@ -1,15 +1,19 @@
 """Tree extensions: validity, scan cuts, canonical form, and maintenance."""
 
+import random
+
 import pytest
 
 from stc import (
     CUT_ABOVE,
     CUT_BELOW,
     Digraph,
+    GeneratorParams,
     InputError,
     TreeExtension,
     canonicalize,
     default_extension,
+    generate,
     update_extension,
 )
 from stc.extension import AttachRootStep, InSplitStep, RestrictStep
@@ -126,3 +130,113 @@ def test_restrict_step(net_a):
     assert out.host == pruned
     assert out.is_valid()
     assert set(out.gamma.vertices) == set(pruned.vertices)
+
+
+def test_cut_sizes_need_a_valid_extension(net_a):
+    gamma = Digraph([("rho", "r"), ("r", "c"), ("rho", "t"), ("t", "d"),
+                     ("t", "s"), ("s", "p"), ("p", "a"), ("p", "b")])
+    bad = TreeExtension(net_a, gamma)
+    for query in (bad.cut_sizes, bad.width, bad.canonicality_violations,
+                  lambda: bad.scan_cut("r")):
+        with pytest.raises(InputError):
+            query()
+
+
+# -- brute-force reference ---------------------------------------------------
+#
+# The per-vertex definitions the pre-order index and the one-sweep cut sizes
+# replace: descendant sets of gamma, one pass over the host arcs per vertex,
+# and one connectivity search per subtree.
+
+
+def _reference_scan_cut(ext, t, kind):
+    desc = ext.gamma.descendants
+    below = desc(t)
+    cut = []
+    for (u, v) in ext.host.arcs:
+        if kind == CUT_ABOVE:
+            if t in desc(u) and (v == t or v in below):
+                cut.append((u, v))
+        elif (u == t or t in desc(u)) and v in below:
+            cut.append((u, v))
+    return tuple(cut)
+
+
+def _reference_weakly_connected(d, among):
+    adj = {v: [] for v in among}
+    for (u, v) in d.arcs:
+        if u in among and v in among:
+            adj[u].append(v)
+            adj[v].append(u)
+    start = next(iter(among))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(among)
+
+
+def _reference_canonicality_violations(ext):
+    out = []
+    for t in ext.gamma.vertices:
+        below = set(ext.gamma.descendants(t)) | {t}
+        if not _reference_weakly_connected(ext.host, below):
+            out.append(f"host below {t} is not weakly connected")
+    if set(ext.gamma.leaves) != set(ext.host.leaves):
+        out.append("leaf sets of extension and host differ")
+    for v in ext.gamma.vertices:
+        if ext.gamma.out_degree(v) > ext.host.out_degree(v):
+            out.append(f"extension out-degree exceeds host out-degree at {v}")
+    return out
+
+
+def _chain_extension(host, rng):
+    """A random linear extension of the host, used as a chain extension."""
+    indeg = {v: host.in_degree(v) for v in host.vertices}
+    ready = sorted(v for v in host.vertices if indeg[v] == 0)
+    order = []
+    while ready:
+        v = ready.pop(rng.randrange(len(ready)))
+        order.append(v)
+        for w in host.children(v):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return TreeExtension(host, Digraph(list(zip(order, order[1:]))))
+
+
+def _generated_extensions():
+    rng = random.Random(7)
+    for seed in range(50):
+        for leaves, retics, rate in ((4, 1, 0.0), (6, 2, 0.3), (8, 3, 0.5)):
+            host = generate(GeneratorParams(leaves, retics, rate, seed)).network
+            chain = _chain_extension(host, rng)
+            yield f"s{seed}-l{leaves}-default", default_extension(host)
+            yield f"s{seed}-l{leaves}-chain", chain
+            yield f"s{seed}-l{leaves}-canonicalized", canonicalize(chain)
+
+
+def test_extension_machinery_matches_the_reference():
+    kinds = {"canonical": 0, "non-canonical": 0}
+    widths = set()
+    for name, ext in _generated_extensions():
+        assert ext.is_valid(), name
+        ref_cuts = {v: (len(_reference_scan_cut(ext, v, CUT_ABOVE)),
+                        len(_reference_scan_cut(ext, v, CUT_BELOW)))
+                    for v in ext.gamma.vertices}
+        assert ext.cut_sizes() == ref_cuts, name
+        assert ext.width() == max(above for above, _ in ref_cuts.values()), name
+        for v in ext.gamma.vertices:
+            for kind in (CUT_ABOVE, CUT_BELOW):
+                assert ext.scan_cut(v, kind) == _reference_scan_cut(ext, v, kind), \
+                    (name, v, kind)
+        problems = ext.canonicality_violations()
+        assert problems == _reference_canonicality_violations(ext), name
+        kinds["non-canonical" if problems else "canonical"] += 1
+        widths.add(ext.width())
+    assert sum(kinds.values()) == 450
+    assert min(kinds.values()) >= 100
+    assert max(widths) >= 5
