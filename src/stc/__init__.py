@@ -44,14 +44,9 @@ from .oracle import (
 from .reduction import (
     AugmentedInstance,
     ReductionTrace,
-    StretchGadget,
-    make_binary_in,
     preprocess,
     prune_to_leafset,
     reduce_network,
-    replay_trace,
-    stretch_network,
-    stretch_vertex,
 )
 from .solver import (
     SoftEmbedding,

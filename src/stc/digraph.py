@@ -223,9 +223,6 @@ class Digraph:
         start = self._fresh_counter
         return tuple(f"g{start + i}" for i in range(count))
 
-    def _replace(self, arcs, labels, vertices=()) -> "Digraph":
-        return Digraph(arcs, labels, vertices)
-
     def subdivide(self, arc, new_id) -> "Digraph":
         (u, v) = arc
         if not self.has_arc(u, v):
@@ -234,7 +231,7 @@ class Digraph:
             raise RewriteError(f"subdivision vertex {new_id!r} already exists")
         arcs = [a for a in self._arcs if a != (u, v)]
         arcs += [(u, new_id), (new_id, v)]
-        return self._replace(arcs, self._labels)
+        return Digraph(arcs, self._labels)
 
     def suppress(self, v) -> "Digraph":
         self._require(v)
@@ -246,7 +243,7 @@ class Digraph:
         if u != w:
             arcs.append((u, w))
         labels = {x: t for x, t in self._labels.items() if x != v}
-        return self._replace(arcs, labels)
+        return Digraph(arcs, labels)
 
     def contract(self, arc) -> "Digraph":
         """Contract (u, v): v's neighbors move to u, v disappears.
@@ -266,20 +263,7 @@ class Digraph:
                 arcs.append((a2, b2))
         labels = {x: t for x, t in self._labels.items() if x != v}
         vertices = [x for x in self._vertices if x != v]
-        return self._replace(arcs, labels, vertices)
-
-    def out_split(self, v, pair, new_id) -> "Digraph":
-        """Move two children of a high-out-degree vertex below a fresh vertex."""
-        c1, c2 = pair
-        if self.out_degree(v) < 3:
-            raise RewriteError(f"out-split needs out-degree >= 3 at {v!r}")
-        if c1 == c2 or c1 not in self.children(v) or c2 not in self.children(v):
-            raise RewriteError(f"out-split needs two distinct children of {v!r}")
-        if new_id in self:
-            raise RewriteError(f"split vertex {new_id!r} already exists")
-        arcs = [a for a in self._arcs if a not in ((v, c1), (v, c2))]
-        arcs += [(v, new_id), (new_id, c1), (new_id, c2)]
-        return self._replace(arcs, self._labels)
+        return Digraph(arcs, labels, vertices)
 
     def in_split(self, v, pair, new_id) -> "Digraph":
         """Move two parents of a high-in-degree vertex above a fresh vertex."""
@@ -292,22 +276,7 @@ class Digraph:
             raise RewriteError(f"split vertex {new_id!r} already exists")
         arcs = [a for a in self._arcs if a not in ((p1, v), (p2, v))]
         arcs += [(p1, new_id), (p2, new_id), (new_id, v)]
-        return self._replace(arcs, self._labels)
-
-    def without_arcs(self, drop) -> "Digraph":
-        drop = set(drop)
-        arcs = [a for a in self._arcs if a not in drop]
-        return self._replace(arcs, self._labels, self._vertices)
-
-    def without_vertices(self, drop) -> "Digraph":
-        drop = set(drop)
-        arcs = [(u, v) for (u, v) in self._arcs if u not in drop and v not in drop]
-        labels = {v: t for v, t in self._labels.items() if v not in drop}
-        vertices = [v for v in self._vertices if v not in drop]
-        return self._replace(arcs, labels, vertices)
-
-    def with_arcs(self, extra) -> "Digraph":
-        return self._replace(list(self._arcs) + list(extra), self._labels, self._vertices)
+        return Digraph(arcs, self._labels)
 
 
 # -- classification --------------------------------------------------------

@@ -260,12 +260,20 @@ def default_extension(host: Digraph) -> TreeExtension:
 
 
 # -- maintenance under pipeline rewrites ------------------------------------
+#
+# Each step of the reduction owns its host rewrite (`step.apply(host)`);
+# `update_extension` carries the extension tree across it.
 
 
 @dataclass(frozen=True)
 class AttachRootStep:
     """A fresh degree-1 root was attached above the host root."""
     new_root: str
+
+    def apply(self, host: Digraph) -> Digraph:
+        if self.new_root in host:
+            raise InputError(f"root id {self.new_root!r} already present")
+        return Digraph(list(host.arcs) + [(self.new_root, host.root())], host.labels)
 
 
 @dataclass(frozen=True)
@@ -275,12 +283,22 @@ class InSplitStep:
     parents: tuple[str, str]
     new_vertex: str
 
+    def apply(self, host: Digraph) -> Digraph:
+        return host.in_split(self.vertex, self.parents, self.new_vertex)
+
 
 @dataclass(frozen=True)
 class StretchStep:
-    """`vertex` was stretched; `gadget` carries the inserted structure."""
+    """The fan-out of `vertex` was replaced by a gadget: `arcs` run from
+    `vertex` down to its old children, through the new vertices `path`
+    (listed in the order they are chained below `vertex` in the extension)."""
     vertex: str
-    gadget: object  # reduction.StretchGadget
+    path: tuple[str, ...]
+    arcs: tuple[Arc, ...]
+
+    def apply(self, host: Digraph) -> Digraph:
+        arcs = [a for a in host.arcs if a[0] != self.vertex]
+        return Digraph(arcs + list(self.arcs), host.labels, host.vertices)
 
 
 @dataclass(frozen=True)
@@ -289,67 +307,59 @@ class RestrictStep:
     new_host: Digraph
     removed: frozenset[str] = field(default_factory=frozenset)
 
+    def apply(self, host: Digraph) -> Digraph:
+        # `prune_to_leafset` computed the pruned host from this same `host`.
+        return self.new_host
+
 
 def update_extension(ext: TreeExtension, step) -> TreeExtension:
     """Carry a valid extension across one pipeline rewrite of its host."""
-    host, gamma = ext.host, ext.gamma
-
-    if isinstance(step, AttachRootStep):
-        rho = step.new_root
-        if rho in host:
-            raise InputError(f"root id {rho!r} already present")
-        new_host = Digraph(list(host.arcs) + [(rho, host.root())], host.labels)
-        new_gamma = Digraph(list(gamma.arcs) + [(rho, gamma.root())],
-                            vertices=new_host.vertices)
-        return TreeExtension(new_host, new_gamma)
-
+    if not isinstance(step, (AttachRootStep, InSplitStep, StretchStep, RestrictStep)):
+        raise InternalError(f"unknown extension update step: {step!r}")
+    host = step.apply(ext.host)
+    gamma = ext.gamma
     if isinstance(step, InSplitStep):
-        new_host = host.in_split(step.vertex, step.parents, step.new_vertex)
         parents = gamma.parents(step.vertex)
         if len(parents) != 1:
             raise InputError(f"{step.vertex!r} has no extension parent to subdivide at")
-        new_gamma = gamma.subdivide((parents[0], step.vertex), step.new_vertex)
-        return TreeExtension(new_host, new_gamma)
-
-    if isinstance(step, StretchStep):
-        new_host = step.gadget.apply(host)
-        path = step.gadget.path_order()
-        v = step.vertex
-        old_children = gamma.children(v)
-        arcs = [a for a in gamma.arcs if a[0] != v]
-        chain = [v, *path]
+        return TreeExtension(host, gamma.subdivide((parents[0], step.vertex),
+                                                   step.new_vertex))
+    if isinstance(step, AttachRootStep):
+        arcs = list(gamma.arcs) + [(step.new_root, gamma.root())]
+    elif isinstance(step, StretchStep):
+        # The old children of `vertex` hang below the end of the new chain.
+        chain = [step.vertex, *step.path]
+        arcs = [a for a in gamma.arcs if a[0] != step.vertex]
         arcs += list(zip(chain, chain[1:]))
-        arcs += [(chain[-1], c) for c in old_children]
-        new_gamma = Digraph(arcs, vertices=new_host.vertices)
-        return TreeExtension(new_host, new_gamma)
+        arcs += [(chain[-1], c) for c in gamma.children(step.vertex)]
+    else:
+        arcs = _restricted_arcs(gamma, host)
+    return TreeExtension(host, Digraph(arcs, vertices=host.vertices))
 
-    if isinstance(step, RestrictStep):
-        surviving = set(step.new_host.vertices)
-        unknown = surviving - set(gamma.vertices)
-        if unknown:
-            raise InputError(f"restricted host has unknown vertices: {sorted(unknown)}")
-        # Splice every removed vertex's children onto its nearest surviving
-        # ancestor; stray component roots hang under the main component.
-        parent = {}
-        for (p, c) in gamma.arcs:
-            parent[c] = p
-        new_parent = {}
-        for v in sorted(surviving):
-            p = parent.get(v)
-            while p is not None and p not in surviving:
-                p = parent.get(p)
-            if p is not None:
-                new_parent[v] = p
-        component_roots = sorted(v for v in surviving if v not in new_parent)
-        host_root = step.new_host.root()
-        anchor = host_root
-        while anchor in new_parent:
-            anchor = new_parent[anchor]
-        for r in component_roots:
-            if r != anchor:
-                new_parent[r] = anchor
-        arcs = [(p, c) for c, p in new_parent.items()]
-        new_gamma = Digraph(arcs, vertices=step.new_host.vertices)
-        return TreeExtension(step.new_host, new_gamma)
 
-    raise InternalError(f"unknown extension update step: {step!r}")
+def _restricted_arcs(gamma: Digraph, host: Digraph) -> list[Arc]:
+    """`gamma` restricted to the vertices of the pruned `host`."""
+    surviving = set(host.vertices)
+    unknown = surviving - set(gamma.vertices)
+    if unknown:
+        raise InputError(f"restricted host has unknown vertices: {sorted(unknown)}")
+    # Splice every removed vertex's children onto its nearest surviving
+    # ancestor; stray component roots hang under the main component.
+    parent = {}
+    for (p, c) in gamma.arcs:
+        parent[c] = p
+    new_parent = {}
+    for v in sorted(surviving):
+        p = parent.get(v)
+        while p is not None and p not in surviving:
+            p = parent.get(p)
+        if p is not None:
+            new_parent[v] = p
+    component_roots = sorted(v for v in surviving if v not in new_parent)
+    anchor = host.root()
+    while anchor in new_parent:
+        anchor = new_parent[anchor]
+    for r in component_roots:
+        if r != anchor:
+            new_parent[r] = anchor
+    return [(p, c) for c, p in new_parent.items()]

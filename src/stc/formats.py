@@ -148,10 +148,11 @@ _HYBRID_RE = re.compile(r"#[A-Za-z]*[0-9]+")
 
 
 class _Newick:
-    """Recursive-descent parser; vertex ids are n0, n1, ... in parse order.
+    """Parser with explicit stacks; vertex ids are n0, n1, ... in parse order.
 
     Parsing is two-phase: first the text becomes a node tree, then a
-    pre-order walk assigns ids and merges hybrid occurrences.
+    pre-order walk assigns ids and merges hybrid occurrences.  Neither phase
+    recurses, so nesting depth is bounded by memory only.
     """
 
     def __init__(self, text):
@@ -190,7 +191,7 @@ class _Newick:
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("trailing characters after ';'")
-        root = self.assign(tree, None)
+        root = self.assign(tree)
         labels = {v: t for v, t in self.labels.items()
                   if v not in self.has_children}
         seen = set()
@@ -201,40 +202,61 @@ class _Newick:
         return Digraph(self.arcs, labels, (root,))
 
     def subtree(self) -> dict:
-        children = []
-        start = self.pos
-        if self.peek() == "(":
-            self.pos += 1
-            children.append(self.subtree())
-            while self.peek() == ",":
+        # `open_nodes` holds the children read so far and the start of every
+        # subtree whose closing parenthesis is still ahead.
+        open_nodes: list = []
+        while True:
+            start = self.pos
+            if self.peek() == "(":
                 self.pos += 1
-                children.append(self.subtree())
-            self.expect(")")
+                open_nodes.append(([], start))
+                continue
+            node = self.node([], start)
+            while open_nodes:
+                children, start = open_nodes[-1]
+                children.append(node)
+                if self.peek() == ",":
+                    self.pos += 1
+                    break
+                self.expect(")")
+                open_nodes.pop()
+                node = self.node(children, start)
+            else:
+                return node
+
+    def node(self, children, start) -> dict:
         name, tag = self.decoration()
         if tag is None and name is None and not children:
             self.error("expected a subtree")
         return {"children": children, "name": name, "tag": tag, "pos": start}
 
-    def assign(self, node, parent) -> str:
-        tag = node["tag"]
-        if tag is not None:
-            known = tag in self.hybrids
-            vid = self.hybrids.setdefault(tag, self.fresh())
-            if node["children"] and vid in self.has_children:
-                raise ParseError(f"hybrid {tag!r} given two child sets",
-                                 1, node["pos"] + 1)
-            if not known and node["name"] is not None:
-                self.labels[vid] = node["name"]
-        else:
-            vid = self.fresh()
-            if node["name"] is not None:
-                self.labels[vid] = node["name"]
-        if parent is not None:
-            self.arcs.append((parent, vid))
-        for child in node["children"]:
-            self.has_children.add(vid)
-            self.assign(child, vid)
-        return vid
+    def assign(self, root) -> str:
+        """Give ids in pre-order; returns the root's id."""
+        root_id = None
+        stack = [(root, None)]
+        while stack:
+            node, parent = stack.pop()
+            tag = node["tag"]
+            if tag is not None:
+                known = tag in self.hybrids
+                vid = self.hybrids.setdefault(tag, self.fresh())
+                if node["children"] and vid in self.has_children:
+                    raise ParseError(f"hybrid {tag!r} given two child sets",
+                                     1, node["pos"] + 1)
+                if not known and node["name"] is not None:
+                    self.labels[vid] = node["name"]
+            else:
+                vid = self.fresh()
+                if node["name"] is not None:
+                    self.labels[vid] = node["name"]
+            if parent is None:
+                root_id = vid
+            else:
+                self.arcs.append((parent, vid))
+            if node["children"]:
+                self.has_children.add(vid)
+                stack += [(child, vid) for child in reversed(node["children"])]
+        return root_id
 
     def decoration(self):
         name = tag = None

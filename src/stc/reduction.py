@@ -27,150 +27,64 @@ from .extension import (
 # -- the stretch gadget -----------------------------------------------------
 
 
-@dataclass
-class StretchGadget:
-    """The structure inserted below a stretched out-degree-d vertex.
+def stretch_step(host: Digraph, v: str) -> StretchStep:
+    """The step replacing the fan-out of an out-degree-d vertex by a gadget.
 
     A triangular splitter (every binary fan-out over d exits embeds in it)
     feeds a (d-1) x (d-1) grid of comparator blocks that undo the leaf order
-    the splitter forces.  Each comparator block has two entry vertices and
-    two reticulated exits.
+    the splitter forces.  The splitter has vertices u(i, j) in rows i = 2..d-1
+    at positions j = 1..i, pass-through vertices p(i, j) inside the triangle
+    and row-d collectors x(j); each comparator block w(i, j, 1..4) has two
+    entry vertices and two reticulated exits.
     """
-
-    center: str
-    degree: int
-    children: tuple[str, ...]
-    splitter: dict[tuple[int, int], str]        # rows 2..d-1, position 1..i
-    splitter_pass: dict[tuple[int, int], str]   # pass-through vertices inside the triangle
-    splitter_exit: dict[int, str]               # row-d collectors, position 2..d-1
-    sorter: dict[tuple[int, int, int], str]     # comparator blocks, k in 1..4
-
-    def path_order(self) -> tuple[str, ...]:
-        """All new vertices in the order they are chained below the center."""
-        d = self.degree
-        out = []
-        for i in range(2, d):
-            for j in range(1, i + 1):
-                out.append(self.splitter[(i, j)])
-            for j in range(2, i):
-                out.append(self.splitter_pass[(i, j)])
-        for j in range(2, d):
-            out.append(self.splitter_exit[j])
-        for i in range(1, d):
-            for j in range(1, d):
-                for k in range(1, 5):
-                    out.append(self.sorter[(i, j, k)])
-        return tuple(out)
-
-    def new_arcs(self) -> tuple[tuple[str, str], ...]:
-        d = self.degree
-        v = self.center
-        u, up, ux, w = self.splitter, self.splitter_pass, self.splitter_exit, self.sorter
-        c = self.children
-        arcs = [(v, u[(2, 1)]), (v, u[(2, 2)])]
-        for i in range(2, d - 1):
-            arcs += [(u[(i, 1)], u[(i + 1, 1)]), (u[(i, 1)], u[(i + 1, 2)])]
-            arcs += [(u[(i, i)], u[(i + 1, i)]), (u[(i, i)], u[(i + 1, i + 1)])]
-        for i in range(3, d):
-            for j in range(2, i):
-                arcs.append((u[(i, j)], up[(i, j)]))
-                right = ux[j] if i + 1 == d else u[(i + 1, j)]
-                down = ux[j + 1] if i + 1 == d else u[(i + 1, j + 1)]
-                arcs += [(up[(i, j)], right), (up[(i, j)], down)]
-        arcs += [(u[(d - 1, 1)], w[(1, 1, 1)]), (u[(d - 1, 1)], ux[2])]
-        arcs += [(u[(d - 1, d - 1)], ux[d - 1]), (u[(d - 1, d - 1)], w[(1, d - 1, 2)])]
-        for j in range(2, d):
-            arcs.append((ux[j], w[(1, j - 1, 2)]))
-        for i in range(1, d):
-            for j in range(1, d):
-                arcs += [(w[(i, j, 1)], w[(i, j, 3)]), (w[(i, j, 1)], w[(i, j, 4)])]
-                arcs += [(w[(i, j, 2)], w[(i, j, 3)]), (w[(i, j, 2)], w[(i, j, 4)])]
-        for i in range(1, d):
-            for j in range(1, d - 1):
-                arcs.append((w[(i, j, 4)], w[(i, j + 1, 1)]))
-        for i in range(1, d - 1):
-            arcs.append((w[(i, 1, 3)], w[(i + 1, 1, 1)]))
-            arcs.append((w[(i, d - 1, 4)], w[(i + 1, d - 1, 2)]))
-            for j in range(2, d):
-                arcs.append((w[(i, j, 3)], w[(i + 1, j - 1, 2)]))
-        for j in range(1, d):
-            arcs.append((w[(d - 1, j, 3)], c[j - 1]))
-        arcs.append((w[(d - 1, d - 1, 4)], c[d - 1]))
-        return tuple(arcs)
-
-    def apply(self, host: Digraph) -> Digraph:
-        dropped = set(host.out_arcs(self.center))
-        arcs = [a for a in host.arcs if a not in dropped]
-        arcs += list(self.new_arcs())
-        return Digraph(arcs, host.labels, host.vertices)
-
-
-def _make_gadget(host: Digraph, v: str) -> StretchGadget:
+    if v not in host:
+        raise InputError(f"unknown vertex {v!r}")
     d = host.out_degree(v)
-    children = tuple(sorted(host.children(v)))
-    splitter, splitter_pass, splitter_exit, sorter = {}, {}, {}, {}
+    if d < 3:
+        raise RewriteError(f"stretch needs out-degree >= 3 at {v!r}")
+    # Every gadget vertex, in the order it is chained below `v`.
     slots = []
     for i in range(2, d):
-        for j in range(1, i + 1):
-            slots.append((splitter, (i, j)))
+        slots += [("u", i, j) for j in range(1, i + 1)]
+        slots += [("p", i, j) for j in range(2, i)]
+    slots += [("x", j) for j in range(2, d)]
+    slots += [("w", i, j, k) for i in range(1, d) for j in range(1, d) for k in range(1, 5)]
+    name = dict(zip(slots, host.fresh_ids(len(slots))))
+
+    def u(i, j):
+        return name["u", i, j]
+
+    def x(j):
+        return name["x", j]
+
+    def w(i, j, k):
+        return name["w", i, j, k]
+
+    arcs = [(v, u(2, 1)), (v, u(2, 2))]
+    for i in range(2, d - 1):
+        arcs += [(u(i, 1), u(i + 1, 1)), (u(i, 1), u(i + 1, 2))]
+        arcs += [(u(i, i), u(i + 1, i)), (u(i, i), u(i + 1, i + 1))]
+    for i in range(3, d):
         for j in range(2, i):
-            slots.append((splitter_pass, (i, j)))
-    for j in range(2, d):
-        slots.append((splitter_exit, j))
+            p = name["p", i, j]
+            right = x(j) if i + 1 == d else u(i + 1, j)
+            down = x(j + 1) if i + 1 == d else u(i + 1, j + 1)
+            arcs += [(u(i, j), p), (p, right), (p, down)]
+    arcs += [(u(d - 1, 1), w(1, 1, 1)), (u(d - 1, 1), x(2))]
+    arcs += [(u(d - 1, d - 1), x(d - 1)), (u(d - 1, d - 1), w(1, d - 1, 2))]
+    arcs += [(x(j), w(1, j - 1, 2)) for j in range(2, d)]
     for i in range(1, d):
         for j in range(1, d):
-            for k in range(1, 5):
-                slots.append((sorter, (i, j, k)))
-    ids = host.fresh_ids(len(slots))
-    for (family, key), vid in zip(slots, ids):
-        family[key] = vid
-    return StretchGadget(v, d, children, splitter, splitter_pass, splitter_exit, sorter)
-
-
-def stretch_vertex(n: Digraph, v: str) -> tuple[Digraph, StretchGadget]:
-    """Replace the fan-out of a single out-degree-3+ vertex by a gadget."""
-    if v not in n:
-        raise InputError(f"unknown vertex {v!r}")
-    if n.out_degree(v) < 3:
-        raise RewriteError(f"stretch needs out-degree >= 3 at {v!r}")
-    gadget = _make_gadget(n, v)
-    return gadget.apply(n), gadget
-
-
-def stretch_network(n: Digraph) -> tuple[Digraph, list[StretchStep]]:
-    """Stretch every out-degree-3+ vertex; binary fan-outs stay untouched."""
-    if not classify(n):
-        raise InputError("stretch needs a valid network")
-    steps = []
-    work = n
-    for v in sorted(n.vertices):
-        if n.out_degree(v) >= 3:
-            work, gadget = stretch_vertex(work, v)
-            steps.append(StretchStep(v, gadget))
-    return work, steps
-
-
-# -- in-splitting -----------------------------------------------------------
-
-
-def make_binary_in(n: Digraph) -> tuple[Digraph, list[InSplitStep]]:
-    """Resolve every in-degree-3+ vertex by caterpillar in-splitting.
-
-    Always splits the two sorted-smallest parents, so the resolution shape
-    is deterministic.
-    """
-    if n.max_out_degree > 2:
-        raise InputError("in-resolution needs maximum out-degree <= 2")
-    steps = []
-    work = n
-    while True:
-        target = next((v for v in work.vertices if work.in_degree(v) >= 3), None)
-        if target is None:
-            return work, steps
-        p1, p2 = sorted(work.parents(target))[:2]
-        new_id = work.fresh_ids(1)[0]
-        work = work.in_split(target, (p1, p2), new_id)
-        steps.append(InSplitStep(target, (p1, p2), new_id))
+            arcs += [(w(i, j, entry), w(i, j, exit)) for entry in (1, 2) for exit in (3, 4)]
+        arcs += [(w(i, j, 4), w(i, j + 1, 1)) for j in range(1, d - 1)]
+    for i in range(1, d - 1):
+        arcs.append((w(i, 1, 3), w(i + 1, 1, 1)))
+        arcs.append((w(i, d - 1, 4), w(i + 1, d - 1, 2)))
+        arcs += [(w(i, j, 3), w(i + 1, j - 1, 2)) for j in range(2, d)]
+    children = host.children(v)
+    arcs += [(w(d - 1, j, 3), children[j - 1]) for j in range(1, d)]
+    arcs.append((w(d - 1, d - 1, 4), children[d - 1]))
+    return StretchStep(v, tuple(name.values()), tuple(arcs))
 
 
 # -- pruning ----------------------------------------------------------------
@@ -299,23 +213,6 @@ class AugmentedInstance:
             raise InternalError("extension is not canonical: " + "; ".join(problems))
 
 
-def replay_trace(n: Digraph, trace: ReductionTrace) -> Digraph:
-    """Re-apply the recorded network-side steps; returns the reduced network."""
-    work = n
-    for step in trace.steps:
-        if isinstance(step, RestrictStep):
-            work = step.new_host
-        elif isinstance(step, StretchStep):
-            work = step.gadget.apply(work)
-        elif isinstance(step, InSplitStep):
-            work = work.in_split(step.vertex, step.parents, step.new_vertex)
-        elif isinstance(step, AttachRootStep):
-            work = Digraph(list(work.arcs) + [(step.new_root, work.root())], work.labels)
-        else:
-            raise InternalError(f"unknown trace step {step!r}")
-    return work
-
-
 def _carry(ext: TreeExtension, step, trace: ReductionTrace, *,
            kind: str, vertex=None, degree=0) -> TreeExtension:
     # `ext` caches its width, so "before" is the previous step's "after".
@@ -337,23 +234,23 @@ def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
     ext.require_valid()
     trace = ReductionTrace()
     if taxa is not None and set(taxa) != n.taxa:
-        pruned, step = prune_to_leafset(n, taxa)
+        _, step = prune_to_leafset(n, taxa)
         ext = _carry(ext, step, trace, kind="prune")
-    for v in sorted(ext.host.vertices):
-        if ext.host.out_degree(v) >= 3:
-            degree = ext.host.out_degree(v)
-            gadget = _make_gadget(ext.host, v)
-            ext = _carry(ext, StretchStep(v, gadget), trace,
+    for v in ext.host.vertices:
+        degree = ext.host.out_degree(v)
+        if degree >= 3:
+            ext = _carry(ext, stretch_step(ext.host, v), trace,
                          kind="stretch", vertex=v, degree=degree)
-    while True:
-        host = ext.host
-        target = next((v for v in host.vertices if host.in_degree(v) >= 3), None)
-        if target is None:
-            break
-        p1, p2 = sorted(host.parents(target))[:2]
-        new_id = host.fresh_ids(1)[0]
-        ext = _carry(ext, InSplitStep(target, (p1, p2), new_id), trace,
-                     kind="insplit", vertex=target, degree=host.in_degree(target))
+    # An in-split lowers only its target's in-degree, and the new vertex has
+    # in-degree 2, so one sorted pass meets the targets in the same order as
+    # a rescan for the first in-degree-3+ vertex before every split would.
+    high = [v for v in ext.host.vertices if ext.host.in_degree(v) >= 3]
+    for v in high:
+        while ext.host.in_degree(v) >= 3:
+            host = ext.host
+            step = InSplitStep(v, host.parents(v)[:2], host.fresh_ids(1)[0])
+            ext = _carry(ext, step, trace, kind="insplit", vertex=v,
+                         degree=host.in_degree(v))
     rho_n = ext.host.fresh_ids(1)[0]
     ext = _carry(ext, AttachRootStep(rho_n), trace, kind="attach_root")
     ext = canonicalize(ext)

@@ -11,7 +11,6 @@ the tree's root arc alone.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 from .digraph import Arc, Digraph, reaches
@@ -65,7 +64,7 @@ class SoftEmbedding:
 
 
 def check_embedding(phi: dict[Arc, tuple[str, ...]], tree: Digraph,
-                    network: Digraph, forest_arcs=None) -> bool:
+                    network: Digraph) -> bool:
     """Verify the four soft-pseudo-embedding conditions of `phi`.
 
     `phi` maps each arc of a downward-closed subforest of the tree to a
@@ -75,8 +74,6 @@ def check_embedding(phi: dict[Arc, tuple[str, ...]], tree: Digraph,
     arc-disjoint, and each leaf arc ends at the network leaf carrying the
     same taxon.
     """
-    if forest_arcs is not None and set(forest_arcs) != set(phi):
-        raise InputError("embedding domain differs from the given forest")
     tree_arcs = set(tree.arcs)
     for a in phi:
         if a not in tree_arcs:
@@ -290,13 +287,7 @@ def reconstruct_witness(result: SolveResult) -> SoftEmbedding:
         raise InputError("no witness: the solver ran in decision-only mode")
     above, below = result.tables["above"], result.tables["below"]
     inst = result.instance
-    limit = 4 * len(inst.network.vertices) + 1000
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, limit))
-    try:
-        phi = _expand_above(above, below, result.final_vertex, result.accepting_key)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    phi = _replay(above, below, result.final_vertex, result.accepting_key)
     top_arc = (inst.tree_root, inst.tree.children(inst.tree_root)[0])
     if phi[top_arc][0] != inst.network_root:
         raise InternalError("witness does not start at the network root")
@@ -305,40 +296,50 @@ def reconstruct_witness(result: SolveResult) -> SoftEmbedding:
     return SoftEmbedding(phi)
 
 
-def _expand_above(above, below, v, key):
-    tag = above[v][key]
-    if tag[0] == "leaf":
-        (_, psi) = key
-        ((a, b),) = tuple(psi)
-        return {a: b}
-    if tag[0] == "up":
-        return dict(_expand_below(above, below, v, tag[1]))
-    if tag[0] == "extend":
-        _, inner, bundle, u = tag
-        phi = dict(_expand_below(above, below, v, inner))
-        for a in bundle:
-            phi[a] = (u,) + phi[a]
-        return phi
-    if tag[0] == "grow":
-        # The bundled arcs stay embedded; they merely stop being topmost.
-        _, inner, bundle, new_arc, u = tag
-        phi = dict(_expand_below(above, below, v, inner))
-        phi[new_arc] = (u, v)
-        return phi
-    raise InternalError(f"unknown provenance tag {tag!r}")
+def _replay(above, below, v, key) -> dict[Arc, tuple[str, ...]]:
+    """Unfold the provenance tags under an accepting cell into paths.
 
+    The walk runs top-down with an explicit stack, so its depth is not bound
+    by the interpreter's.  An "extend" tag prepends a vertex to the paths of
+    its bundle, and it is met before the "leaf" or "grow" tag that starts
+    those paths, so every path is built by appending.
+    """
+    paths: dict[Arc, list[str]] = {}
+    started: set[Arc] = set()
+    overlap: set[Arc] = set()
 
-def _expand_below(above, below, v, key):
-    tag = below[v][key]
-    if tag[0] == "copy":
-        return _expand_above(above, below, tag[1], tag[2])
-    if tag[0] == "join":
-        _, q1, k1, q2, k2 = tag
-        phi = dict(_expand_above(above, below, q1, k1))
-        other = _expand_above(above, below, q2, k2)
-        overlap = set(phi) & set(other)
-        if overlap:
-            raise InternalError(f"joined embeddings overlap on {sorted(overlap)}")
-        phi.update(other)
-        return phi
-    raise InternalError(f"unknown provenance tag {tag!r}")
+    def start(arc, first_arc):
+        if arc in started:
+            overlap.add(arc)
+        started.add(arc)
+        paths.setdefault(arc, []).extend(first_arc)
+
+    stack = [(above, v, key)]
+    while stack:
+        table, v, key = stack.pop()
+        tag = table[v][key]
+        if tag[0] == "leaf":
+            ((a, b),) = tuple(key[1])
+            start(a, b)
+        elif tag[0] == "up":
+            stack.append((below, v, tag[1]))
+        elif tag[0] == "extend":
+            _, inner, bundle, u = tag
+            for a in bundle:
+                paths.setdefault(a, []).append(u)
+            stack.append((below, v, inner))
+        elif tag[0] == "grow":
+            # The bundled arcs stay embedded; they merely stop being topmost.
+            _, inner, bundle, new_arc, u = tag
+            start(new_arc, (u, v))
+            stack.append((below, v, inner))
+        elif tag[0] == "copy":
+            stack.append((above, tag[1], tag[2]))
+        elif tag[0] == "join":
+            _, q1, k1, q2, k2 = tag
+            stack += [(above, q2, k2), (above, q1, k1)]
+        else:
+            raise InternalError(f"unknown provenance tag {tag!r}")
+    if overlap:
+        raise InternalError(f"joined embeddings overlap on {sorted(overlap)}")
+    return {a: tuple(path) for a, path in paths.items()}

@@ -15,13 +15,13 @@ from stc import (
     canonicalize,
     check_embedding,
     firm_display,
-    make_binary_in,
     preprocess,
     reconstruct_witness,
+    reduce_network,
     soft_display,
     solve,
-    stretch_network,
 )
+from stc.extension import InSplitStep, StretchStep
 from stc.reduction import tidy
 
 
@@ -63,15 +63,23 @@ def test_criterion_2_oracle_equivalence(suite, capsys):
             f"{elapsed:.1f}s")
 
 
+def _fold(host, steps, kind):
+    for step in steps:
+        if isinstance(step, kind):
+            host = step.apply(host)
+    return host
+
+
 def test_criterion_3_reduction_preservation(suite, capsys):
     bad = []
     for name, n, t, _ in suite:
         base = soft_display(n, t)
-        stretched, _ = stretch_network(n)
+        _, trace, _ = reduce_network(n)
+        stretched = _fold(n, trace.steps, StretchStep)
         if soft_display(stretched, t) != base:
             bad.append(name + ":stretch")
             continue
-        resolved, _ = make_binary_in(stretched)
+        resolved = _fold(stretched, trace.steps, InSplitStep)
         if soft_display(resolved, t) != base:
             bad.append(name + ":insplit")
     _report(capsys, 3, "stretch and in-split preserve soft display", not bad,

@@ -1,8 +1,18 @@
 """End-to-end CLI behaviour including exit codes and witness output."""
 
+import hashlib
+
 import pytest
 
-from stc import check_embedding, parse_edgelist, serialize_edgelist, solve
+from stc import (
+    GeneratorParams,
+    check_embedding,
+    generate,
+    parse_edgelist,
+    prune_to_leafset,
+    serialize_edgelist,
+    solve,
+)
 from stc.cli import main
 
 NET_A = """\
@@ -122,6 +132,43 @@ def test_reduce_writes_files(files, tmp_path, capsys):
     assert (tmp_path / "out.extension").read_text().startswith("E ")
 
 
+# sha256 of PREFIX.network, PREFIX.extension and stdout of `stc reduce`.
+# Seed 1 stretches a degree-4 vertex, all three in-split, and seed 4 runs
+# against a tree without its last three taxa, so it starts with a prune.
+_REDUCE_GOLDEN = {
+    (1, 0): ("d3896ccb7c2b337418382a142fa0d9ab7ba85f7ce15a54e0aab9b183ad352e09",
+             "93dca6b50128dea2e60fbb4a769cf3a52a231de33bd7130d968f518751b26fa7",
+             "2c626847f1d516212c1e5cc4d73e00925736416c621c86e6384ce47b249c732b"),
+    (3, 0): ("c5234090da5c8b85465f87f0e817c5e368cbc62f2d0de61a6c34b503a47cfff6",
+             "84b13915caddcb6dbfe05b43d4a6e7886fd8edd087ee38019f8a39151abd2f5e",
+             "9aff12518a3f65e441863c4a9ac51b3ba341ab7b48454c6a7b0a96ad411dd5db"),
+    (4, 3): ("9f44bf98e5e78a0ece04ab170e21b9ecbc36b084776db0ea77ded15ed440dbf1",
+             "7fda5cc9de8e701687e8f6b59c0445c1a7e14ad52be643e0853f5c78aed202e2",
+             "7ac0838c36add220d405774c3d84ab9b39d19d939182d120e8d85cc7a7a732e6"),
+}
+
+
+@pytest.mark.parametrize("seed, dropped", sorted(_REDUCE_GOLDEN))
+def test_reduce_output_is_pinned(seed, dropped, tmp_path, capsys):
+    inst = generate(GeneratorParams(10, 3, 0.4, seed, "yes-biased"))
+    tree = inst.tree
+    if dropped:
+        tree, _ = prune_to_leafset(tree, sorted(tree.taxa)[:-dropped])
+    (tmp_path / "net").write_text(inst.network_doc)
+    (tmp_path / "tree").write_text(serialize_edgelist(tree))
+    prefix = tmp_path / "out"
+    assert main(["reduce", "-n", str(tmp_path / "net"), "-t", str(tmp_path / "tree"),
+                 "-o", str(prefix)]) == 0
+    stdout = capsys.readouterr().out
+    kinds = [line.split()[1] for line in stdout.splitlines()]
+    assert "stretch" in kinds and "insplit" in kinds
+    assert ("prune" in kinds) == bool(dropped)
+    outputs = ((tmp_path / "out.network").read_text(),
+               (tmp_path / "out.extension").read_text(), stdout)
+    assert tuple(hashlib.sha256(text.encode()).hexdigest()
+                 for text in outputs) == _REDUCE_GOLDEN[seed, dropped]
+
+
 def test_extension_commands(files, tmp_path, capsys):
     assert main(["extension", "default", "-n", files["net_a"]]) == 0
     ext_text = capsys.readouterr().out
@@ -190,7 +237,10 @@ def test_deep_enewick_never_reads_as_a_verdict(tmp_path, capsys):
         text = f"({text},b{i})"
     nwk = tmp_path / "deep.nwk"
     nwk.write_text(text + ";\n")
-    assert main(["import", "enewick", str(nwk)]) in (0, 70)
+    assert main(["import", "enewick", str(nwk)]) == 0
+    graph = parse_edgelist(capsys.readouterr().out)
+    assert len(graph.leaves) == 1501
+    assert graph.taxa == {"a"} | {f"b{i}" for i in range(1500)}
 
 
 def test_batch_isolates_a_crashing_instance(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """Stretch gadget, in-splitting, pruning, and the full preprocessing pipeline."""
 
+from functools import reduce
+
 import pytest
 
 from stc import (
@@ -10,21 +12,27 @@ from stc import (
     SemanticError,
     classify,
     default_extension,
-    make_binary_in,
     preprocess,
     prune_to_leafset,
-    replay_trace,
+    reduce_network,
     soft_display,
-    stretch_network,
-    stretch_vertex,
     update_extension,
 )
-from stc.extension import StretchStep
+from stc.extension import InSplitStep, StretchStep
+from stc.reduction import stretch_step
 
 
 def star(n):
     taxa = [chr(ord("a") + i) for i in range(n)]
     return Digraph([("r", x) for x in taxa], {x: x for x in taxa})
+
+
+def replay(host, steps):
+    return reduce(lambda h, step: step.apply(h), steps, host)
+
+
+def steps_of(trace, kind):
+    return [s for s in trace.steps if isinstance(s, kind)]
 
 
 # -- stretching --------------------------------------------------------------
@@ -33,13 +41,15 @@ def star(n):
 @pytest.mark.parametrize("degree", [3, 4, 5, 6])
 def test_stretch_counts_and_degrees(degree):
     n = star(degree)
-    out, gadget = stretch_vertex(n, "r")
+    step = stretch_step(n, "r")
+    out = step.apply(n)
     d = degree
     # triangle rows 2..d-1 plus pass-throughs, row-d collectors, 4-vertex blocks
     expected_new = (sum(i for i in range(2, d)) + sum(i - 2 for i in range(3, d))
                     + (d - 2) + 4 * (d - 1) * (d - 1))
     assert len(out) == len(n) + expected_new
-    assert set(gadget.path_order()) == set(out.vertices) - set(n.vertices)
+    assert len(step.path) == expected_new
+    assert set(step.path) == set(out.vertices) - set(n.vertices)
     assert out.out_degree("r") == 2
     assert classify(out).kind is PhyloKind.NETWORK
     assert out.is_binary()
@@ -50,52 +60,64 @@ def test_stretch_counts_and_degrees(degree):
 
 def test_stretch_requires_polytomy(net_a):
     with pytest.raises(RewriteError):
-        stretch_vertex(net_a, "p")
+        stretch_step(net_a, "p")
     with pytest.raises(InputError):
-        stretch_vertex(net_a, "nope")
+        stretch_step(net_a, "nope")
 
 
 def test_stretch_network_touches_only_polytomies(net_a, tree_d):
-    out, steps = stretch_network(net_a)
-    assert out == net_a and steps == []
-    stretched, steps = stretch_network(tree_d)
+    _, trace, _ = reduce_network(net_a)
+    assert steps_of(trace, StretchStep) == []
+    _, trace, _ = reduce_network(tree_d)
+    steps = steps_of(trace, StretchStep)
     assert [s.vertex for s in steps] == ["y"]
-    assert stretched.max_out_degree == 2
+    assert replay(tree_d, steps).max_out_degree == 2
 
 
 def test_stretch_preserves_soft_display(tree_d, tree_b, tree_c):
     n = star(4)
-    stretched, _ = stretch_network(n)
+    stretched = stretch_step(n, "r").apply(n)
     for t, want in [(tree_b, True), (tree_c, True), (tree_d, True)]:
         assert soft_display(n, t) == soft_display(stretched, t) == want
 
 
 def test_stretch_keeps_extension_valid(tree_d):
     ext = default_extension(tree_d)
-    n = ext.host
-    gadget_host, gadget = stretch_vertex(n, "y")
-    out = update_extension(ext, StretchStep("y", gadget))
-    assert out.host == gadget_host
+    step = stretch_step(ext.host, "y")
+    out = update_extension(ext, step)
+    assert out.host == step.apply(ext.host)
     assert out.is_valid()
 
 
 # -- in-splitting ------------------------------------------------------------
 
 
-def test_make_binary_in_resolves_all_heads():
+def test_in_splits_resolve_all_heads():
     n = Digraph([("r", "a"), ("r", "b"), ("a", "c"), ("a", "v"), ("b", "v"),
                  ("b", "y"), ("c", "v"), ("v", "x")],
                 {"x": "x", "y": "y"})
-    out, steps = make_binary_in(n)
-    assert out.max_in_degree == 2
+    ext, trace, _ = reduce_network(n)
+    steps = steps_of(trace, InSplitStep)
     assert len(steps) == 1
     assert steps[0].parents == ("a", "b")
+    out = replay(n, steps)
+    assert out.max_in_degree == 2
     assert out.is_binary()
+    assert ext.host.is_binary()
 
 
-def test_make_binary_in_rejects_out_polytomies():
-    with pytest.raises(InputError):
-        make_binary_in(star(3))
+def test_in_splits_walk_targets_in_sorted_order():
+    # Two in-degree-4 vertices: each is split down to in-degree 2 before
+    # the next one, always above its two sorted-smallest parents.
+    arcs = [("r", "s"), ("r", "t"), ("s", "a"), ("s", "b"), ("t", "c"), ("t", "d")]
+    arcs += [(p, "v") for p in "abcd"] + [(p, "w") for p in "abcd"]
+    arcs += [("v", "x"), ("w", "y")]
+    n = Digraph(arcs, {"x": "x", "y": "y"})
+    _, trace, _ = reduce_network(n)
+    steps = steps_of(trace, InSplitStep)
+    assert [(s.vertex, s.parents) for s in steps] == [
+        ("v", ("a", "b")), ("v", ("c", "d")), ("w", ("a", "b")), ("w", ("c", "d"))]
+    assert [s.new_vertex for s in steps] == ["g0", "g1", "g2", "g3"]
 
 
 # -- pruning -----------------------------------------------------------------
@@ -151,4 +173,4 @@ def test_preprocess_rejects_bad_inputs(net_a, tree_d):
 def test_replay_reproduces_reduced_network(suite):
     for _, n, t, ext in suite[:40]:
         inst = preprocess(n, t, ext)
-        assert replay_trace(n, inst.trace) == inst.network
+        assert replay(n, inst.trace.steps) == inst.network

@@ -1,5 +1,7 @@
 """Dynamic program, embedding checker, and witness reconstruction."""
 
+import sys
+
 import pytest
 
 from stc import (
@@ -103,6 +105,45 @@ def test_witness_is_checkable_and_anchored(net_a, tree_b, tree_d):
         assert emb.paths[top][0] == inst.network_root
         assert emb.endpoint(inst.tree.children(inst.tree_root)[0]) == \
             emb.paths[top][-1]
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_deep_witness_replay_leaves_the_recursion_limit_alone(monkeypatch):
+    # A caterpillar of 300 leaves displays itself; its extension is a path
+    # of about 600 vertices, far deeper than the headroom left below.
+    arcs = [(f"s{i}", f"s{i + 1}") for i in range(299)]
+    arcs += [(f"s{i}", f"p{i}") for i in range(299)]
+    labels = {f"p{i}": f"t{i}" for i in range(299)}
+    labels["s299"] = "t299"
+    caterpillar = Digraph(arcs, labels)
+    inst = preprocess(caterpillar, caterpillar)
+    result = solve(inst)
+    headroom = 100
+    gamma = inst.extension.gamma
+    depth = {gamma.root(): 0}
+    for v in gamma.topological_order():
+        for c in gamma.children(v):
+            depth[c] = depth[v] + 1
+    assert max(depth.values()) > 2 * headroom
+
+    def refuse(limit):
+        raise AssertionError("the recursion limit is process-global")
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + headroom)
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    try:
+        emb = reconstruct_witness(result)
+    finally:
+        monkeypatch.undo()
+        sys.setrecursionlimit(old_limit)
+    assert set(emb.paths) == set(inst.tree.arcs)
 
 
 def test_no_witness_for_no_instances(net_a, tree_c):
