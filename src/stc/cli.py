@@ -81,8 +81,8 @@ def _solve_one(paths):
               help="free tables eagerly; excludes --witness")
 @click.option("--batch", "batch_dir", type=click.Path(),
               help="solve every NAME.network/NAME.tree pair in a directory")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="worker processes for --batch")
+@click.option("--jobs", type=click.IntRange(min=1), default=1,
+              show_default=True, help="worker processes for --batch")
 def solve_cmd(network_path, tree_path, extension_path, witness, decision_only,
               batch_dir, jobs):
     """Decide soft display; exits 0 on yes and 1 on no."""

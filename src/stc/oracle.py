@@ -32,23 +32,29 @@ def _arc_cap(cap):
 
 
 def _suppressed_canon(root, childmap, label_of):
-    """Canonical form of a tree given as a child map, suppressing chains."""
-    kids = sorted(childmap.get(root, ()))
-    while len(kids) == 1:
-        root = kids[0]
-        kids = sorted(childmap.get(root, ()))
-    if not kids:
-        taxon = label_of(root)
-        if taxon is None:
-            return None
-        return ("L", taxon)
-    parts = []
-    for c in kids:
-        sub = _suppressed_canon(c, childmap, label_of)
-        if sub is None:
-            return None
-        parts.append(sub)
-    return ("I", tuple(sorted(parts)))
+    """Canonical form of a tree given as a child map, suppressing chains.
+
+    A flat token tuple as `canonical_tree_form` builds, made and compared
+    without recursion; None if some leaf has no taxon.
+    """
+    form: dict = {}
+    stack = [(root, False)]
+    while stack:
+        v, done = stack.pop()
+        kids = childmap.get(v, ())
+        if not kids:
+            taxon = label_of(v)
+            if taxon is None:
+                return None
+            form[v] = ("L" + taxon,)
+        elif not done:
+            stack.append((v, True))
+            stack.extend((c, False) for c in kids)
+        else:
+            parts = sorted(form.pop(c) for c in kids)
+            form[v] = parts[0] if len(parts) == 1 else (
+                "(", *itertools.chain(*parts), ")")
+    return form[root]
 
 
 def _tree_target(t: Digraph):

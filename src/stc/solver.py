@@ -1,12 +1,13 @@
 """Signature dynamic program deciding soft display on a reduced instance.
 
 The program sweeps a canonical tree extension of the binary network bottom-up.
-For each extension vertex it keeps a table of signatures; a signature is a
-downward-closed forest of the tree (represented by its topmost arcs) together
-with a map sending each topmost tree arc to the network arc of the scan cut
-its image path currently crosses.  The instance is a yes-instance iff the
-table at the child of the network root contains the signature consisting of
-the tree's root arc alone.
+For each scan cut it keeps a table of signatures.  A signature is a map
+sending each topmost arc of an embedded, downward-closed tree forest to the
+network arc of the cut that its image path currently crosses; the map's
+domain is the forest, given by its topmost arcs.  A signature is stored as
+the sorted tuple of its (tree arc, network arc) pairs.  The instance is a
+yes-instance iff the table at the child of the network root contains a
+signature whose domain is the tree's root arc alone.
 """
 
 from __future__ import annotations
@@ -123,27 +124,34 @@ class SolveResult:
     displayed: bool
     instance: AugmentedInstance
     stats: list[VertexStats] = field(default_factory=list)
-    tables: dict | None = None        # vertex -> {signature: provenance}
+    tables: dict | None = None  # "above"/"below" -> vertex -> {signature: tag}
     accepting_key: tuple | None = None
     final_vertex: str | None = None
 
 
-def _cell_key(cell):
-    s, psi = cell
-    return (tuple(sorted(s)), tuple(sorted(psi)))
+def _signature_order(key):
+    """Sort a signature by its domain first, then by the pairs themselves."""
+    return (tuple(a for a, _ in key), key)
 
 
 def _post_order(gamma: Digraph) -> list[str]:
-    out = []
-    stack = [(gamma.root(), False)]
+    """The extension's vertices in post-order, children in sorted order."""
+    out, stack = [], [gamma.root()]
     while stack:
-        v, done = stack.pop()
-        if done:
-            out.append(v)
-        else:
-            stack.append((v, True))
-            for c in sorted(gamma.children(v), reverse=True):
-                stack.append((c, False))
+        v = stack.pop()
+        out.append(v)
+        stack.extend(sorted(gamma.children(v)))
+    return out[::-1]
+
+
+def _max_bundle(table) -> int:
+    """The most tree arcs any one signature of `table` sends to a single arc."""
+    out = 0
+    for key in table:
+        counts: dict = {}
+        for _, b in key:
+            counts[b] = counts.get(b, 0) + 1
+        out = max(out, max(counts.values(), default=0))
     return out
 
 
@@ -154,6 +162,7 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     retained for witness reconstruction; without it, child tables are freed
     as soon as they have been combined, which bounds memory by the tables
     along one root-to-leaf slice.  Per-vertex stats are always collected.
+    A vertex with one extension child `q` uses `q`'s above table as its below.
     """
     n, t, gamma = inst.network, inst.tree, inst.extension.gamma
     rho_n, rho_t = inst.network_root, inst.tree_root
@@ -166,13 +175,11 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     below: dict[str, dict] = {}
     stats: list[VertexStats] = []
     cuts = inst.extension.cut_sizes()
-    order = _post_order(gamma)
 
-    for v in order:
+    for v in _post_order(gamma):
         if v == rho_n:
             continue
         qs = sorted(gamma.children(v))
-        out_v = set(n.out_arcs(v))
         in_parents = sorted(n.parents(v))
 
         if not qs:
@@ -182,74 +189,57 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
             tl = t_leaf_of[taxon]
             (tp,) = t.parents(tl)
             (u,) = in_parents
-            key = (frozenset({(tp, tl)}), frozenset({((tp, tl), (u, v))}))
-            above[v] = {key: ("leaf",)}
+            above[v] = {(((tp, tl), (u, v)),): ("leaf",)}
             below[v] = {}
         else:
             if len(qs) == 1:
-                q = qs[0]
-                below_v = {k: ("copy", q, k) for k in above[q]}
+                below_v = above[qs[0]]
             elif len(qs) == 2:
                 q1, q2 = qs
+                arcs1 = {a for k1 in above[q1] for a, _ in k1}
+                if any(a in arcs1 for k2 in above[q2] for a, _ in k2):
+                    raise InternalError(
+                        "sibling signatures share a tree arc; "
+                        "the extension cannot be canonical")
+                keys2 = sorted(above[q2], key=_signature_order)
                 below_v = {}
-                for k1 in sorted(above[q1], key=_cell_key):
-                    s1, psi1 = k1
-                    for k2 in sorted(above[q2], key=_cell_key):
-                        s2, psi2 = k2
-                        if s1 & s2:
-                            raise InternalError(
-                                "sibling signatures share a tree arc; "
-                                "the extension cannot be canonical")
-                        key = (s1 | s2, psi1 | psi2)
-                        below_v.setdefault(key, ("join", q1, k1, q2, k2))
+                for k1 in sorted(above[q1], key=_signature_order):
+                    for k2 in keys2:
+                        below_v.setdefault(tuple(sorted(k1 + k2)),
+                                           ("join", q1, k1, q2, k2))
             else:
                 raise InternalError(
                     "extension vertex with more than two children over a binary host")
 
             above_v: dict = {}
-            for key in sorted(below_v, key=_cell_key):
-                s, psi = key
-                psi_map = dict(psi)
-                bundle = frozenset(a for a, b in psi_map.items() if b in out_v)
+            for key in sorted(below_v, key=_signature_order):
+                bundle = tuple(a for a, b in key if b[0] == v)
                 if not bundle:
-                    above_v.setdefault(key, ("up", key))
+                    above_v.setdefault(key, ("up", v, key))
                     continue
-                tails = {a[0] for a in bundle}
-                if len(tails) != 1:
+                y, *others = {a[0] for a in bundle}
+                if others:
                     continue
-                (y,) = tails
                 for u in in_parents:
-                    psi2 = frozenset(
-                        (a, (u, v) if a in bundle else b)
-                        for a, b in psi_map.items())
-                    above_v.setdefault((s, psi2), ("extend", key, bundle, u))
+                    extended = tuple((a, (u, v) if a in bundle else b)
+                                     for a, b in key)
+                    above_v.setdefault(extended, ("extend", v, key, bundle, u))
                 if y != rho_t and len(bundle) == t.out_degree(y):
                     (x,) = t.parents(y)
-                    s2 = (s - bundle) | {(x, y)}
+                    rest = [p for p in key if p[0] not in bundle]
                     for u in in_parents:
-                        grown = {a: b for a, b in psi_map.items() if a not in bundle}
-                        grown[(x, y)] = (u, v)
-                        above_v.setdefault(
-                            (s2, frozenset(grown.items())),
-                            ("grow", key, bundle, (x, y), u))
+                        grown = tuple(sorted(rest + [((x, y), (u, v))]))
+                        above_v.setdefault(grown, ("grow", v, key, (x, y), u))
             above[v] = above_v
             below[v] = below_v
 
-        max_bundle = 0
-        for table in (above[v], below[v]):
-            for (_, psi) in table:
-                counts: dict = {}
-                for _, b in psi:
-                    counts[b] = counts.get(b, 0) + 1
-                if counts:
-                    max_bundle = max(max_bundle, max(counts.values()))
         stats.append(VertexStats(
             vertex=v,
             cut_above=cuts[v][0],
             cut_below=cuts[v][1],
             cells_above=len(above[v]),
             cells_below=len(below[v]),
-            max_bundle=max_bundle,
+            max_bundle=max(_max_bundle(above[v]), _max_bundle(below[v])),
         ))
 
         if not keep_tables:
@@ -258,18 +248,15 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
                 below.pop(q, None)
 
     final = n.children(rho_n)[0]
-    accepting = sorted(
-        (k for k in above.get(final, {}) if k[0] == frozenset({top_arc})),
-        key=_cell_key)
-    result = SolveResult(
+    accepting = [k for k in above.get(final, {}) if len(k) == 1 and k[0][0] == top_arc]
+    return SolveResult(
         displayed=bool(accepting),
         instance=inst,
         stats=stats,
         tables={"above": above, "below": below} if keep_tables else None,
-        accepting_key=accepting[0] if accepting else None,
+        accepting_key=min(accepting) if accepting else None,
         final_vertex=final,
     )
-    return result
 
 
 # -- witness reconstruction --------------------------------------------------
@@ -287,7 +274,7 @@ def reconstruct_witness(result: SolveResult) -> SoftEmbedding:
         raise InputError("no witness: the solver ran in decision-only mode")
     above, below = result.tables["above"], result.tables["below"]
     inst = result.instance
-    phi = _replay(above, below, result.final_vertex, result.accepting_key)
+    phi = _replay(above, below, above[result.final_vertex], result.accepting_key)
     top_arc = (inst.tree_root, inst.tree.children(inst.tree_root)[0])
     if phi[top_arc][0] != inst.network_root:
         raise InternalError("witness does not start at the network root")
@@ -296,13 +283,15 @@ def reconstruct_witness(result: SolveResult) -> SoftEmbedding:
     return SoftEmbedding(phi)
 
 
-def _replay(above, below, v, key) -> dict[Arc, tuple[str, ...]]:
+def _replay(above, below, table, key) -> dict[Arc, tuple[str, ...]]:
     """Unfold the provenance tags under an accepting cell into paths.
 
     The walk runs top-down with an explicit stack, so its depth is not bound
-    by the interpreter's.  An "extend" tag prepends a vertex to the paths of
-    its bundle, and it is met before the "leaf" or "grow" tag that starts
-    those paths, so every path is built by appending.
+    by the interpreter's.  The "up", "extend" and "grow" tags name the vertex
+    they were made at, since one table may be both above a vertex and below
+    its parent.  An "extend" tag prepends a vertex to the paths of its bundle,
+    and it is met before the "leaf" or "grow" tag that starts those paths,
+    so every path is built by appending.
     """
     paths: dict[Arc, list[str]] = {}
     started: set[Arc] = set()
@@ -314,30 +303,29 @@ def _replay(above, below, v, key) -> dict[Arc, tuple[str, ...]]:
         started.add(arc)
         paths.setdefault(arc, []).extend(first_arc)
 
-    stack = [(above, v, key)]
+    stack = [(table, key)]
     while stack:
-        table, v, key = stack.pop()
-        tag = table[v][key]
+        table, key = stack.pop()
+        tag = table[key]
         if tag[0] == "leaf":
-            ((a, b),) = tuple(key[1])
+            ((a, b),) = key
             start(a, b)
         elif tag[0] == "up":
-            stack.append((below, v, tag[1]))
+            _, v, inner = tag
+            stack.append((below[v], inner))
         elif tag[0] == "extend":
-            _, inner, bundle, u = tag
+            _, v, inner, bundle, u = tag
             for a in bundle:
                 paths.setdefault(a, []).append(u)
-            stack.append((below, v, inner))
+            stack.append((below[v], inner))
         elif tag[0] == "grow":
             # The bundled arcs stay embedded; they merely stop being topmost.
-            _, inner, bundle, new_arc, u = tag
+            _, v, inner, new_arc, u = tag
             start(new_arc, (u, v))
-            stack.append((below, v, inner))
-        elif tag[0] == "copy":
-            stack.append((above, tag[1], tag[2]))
+            stack.append((below[v], inner))
         elif tag[0] == "join":
             _, q1, k1, q2, k2 = tag
-            stack += [(above, q2, k2), (above, q1, k1)]
+            stack += [(above[q2], k2), (above[q1], k1)]
         else:
             raise InternalError(f"unknown provenance tag {tag!r}")
     if overlap:

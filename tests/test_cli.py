@@ -1,9 +1,13 @@
 """End-to-end CLI behaviour including exit codes and witness output."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import stc
 from stc import (
     GeneratorParams,
     check_embedding,
@@ -148,14 +152,18 @@ _REDUCE_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("seed, dropped", sorted(_REDUCE_GOLDEN))
-def test_reduce_output_is_pinned(seed, dropped, tmp_path, capsys):
+def _write_golden_instance(seed, dropped, tmp_path):
     inst = generate(GeneratorParams(10, 3, 0.4, seed, "yes-biased"))
     tree = inst.tree
     if dropped:
         tree, _ = prune_to_leafset(tree, sorted(tree.taxa)[:-dropped])
     (tmp_path / "net").write_text(inst.network_doc)
     (tmp_path / "tree").write_text(serialize_edgelist(tree))
+
+
+@pytest.mark.parametrize("seed, dropped", sorted(_REDUCE_GOLDEN))
+def test_reduce_output_is_pinned(seed, dropped, tmp_path, capsys):
+    _write_golden_instance(seed, dropped, tmp_path)
     prefix = tmp_path / "out"
     assert main(["reduce", "-n", str(tmp_path / "net"), "-t", str(tmp_path / "tree"),
                  "-o", str(prefix)]) == 0
@@ -167,6 +175,28 @@ def test_reduce_output_is_pinned(seed, dropped, tmp_path, capsys):
                (tmp_path / "out.extension").read_text(), stdout)
     assert tuple(hashlib.sha256(text.encode()).hexdigest()
                  for text in outputs) == _REDUCE_GOLDEN[seed, dropped]
+
+
+# sha256 of `stc solve --witness` stdout on two of the instances above.
+_WITNESS_GOLDEN = {
+    (1, 0): "1c0c671d86a50089ca5f267dd4da10a5136b3b1b751fc7726682edf255dceff9",
+    (3, 0): "5518851e55279632bf21ab73803cb9ab80b9aea414d30d6caa8224b137b2a03a",
+}
+
+
+@pytest.mark.parametrize("seed, dropped", sorted(_WITNESS_GOLDEN))
+def test_witness_output_is_pinned_across_hash_seeds(seed, dropped, tmp_path):
+    _write_golden_instance(seed, dropped, tmp_path)
+    src = os.path.dirname(os.path.dirname(stc.__file__))
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-m", "stc.cli", "solve", "-n", str(tmp_path / "net"),
+             "-t", str(tmp_path / "tree"), "--witness"],
+            env=env, capture_output=True, check=True).stdout
+        assert hashlib.sha256(out).hexdigest() == _WITNESS_GOLDEN[seed, dropped]
 
 
 def test_extension_commands(files, tmp_path, capsys):
@@ -241,6 +271,31 @@ def test_deep_enewick_never_reads_as_a_verdict(tmp_path, capsys):
     graph = parse_edgelist(capsys.readouterr().out)
     assert len(graph.leaves) == 1501
     assert graph.taxa == {"a"} | {f"b{i}" for i in range(1500)}
+
+
+def test_deep_caterpillar_oracle_answers(tmp_path, capsys):
+    # 1500 leaves: a tree deeper than the interpreter's recursion limit.
+    lines = [f"A s{i} s{i + 1}\nA s{i} p{i}\nL p{i} t{i}" for i in range(1499)]
+    cat = tmp_path / "cat.txt"
+    cat.write_text("\n".join(lines + ["L s1499 t1499"]) + "\n")
+    assert main(["oracle", "soft", "-n", str(cat), "-t", str(cat)]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
+def test_jobs_below_one_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    main(["gen", "--leaves", "4", "--reticulations", "1", "--seed", "1",
+          "-o", str(tmp_path / "i1")])
+    capsys.readouterr()
+
+    def no_workers(*args, **kwargs):
+        raise AssertionError("no worker may start")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_workers)
+    for jobs in ("0", "-2"):
+        assert main(["solve", "--batch", str(tmp_path), "--jobs", jobs]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--jobs" in captured.err
 
 
 def test_batch_isolates_a_crashing_instance(tmp_path, monkeypatch, capsys):
