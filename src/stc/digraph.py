@@ -373,6 +373,51 @@ def reaches(d: Digraph, a, b) -> bool:
     return a != b and d.reachable(a, b)
 
 
+# -- subtree tests on out-trees --------------------------------------------
+
+
+class TreeIndex:
+    """Pre-order numbers of an out-tree: `v` lies in the subtree of `t`
+    iff pre[t] <= pre[v] < end[t].
+
+    Built with an explicit stack, so deep trees are fine.  Raises
+    `InputError` unless `tree` is an out-tree.
+    """
+
+    def __init__(self, tree: Digraph):
+        if tree.max_in_degree > 1:
+            raise InputError("not an out-tree: a vertex has two parents")
+        root = tree.root()
+        order: list[str] = []
+        pre: dict[str, int] = {}
+        end: dict[str, int] = {}
+        parent: dict[str, str] = {}
+        stack = [(root, False)]
+        while stack:
+            v, done = stack.pop()
+            if done:
+                end[v] = len(order)
+                continue
+            pre[v] = len(order)
+            order.append(v)
+            stack.append((v, True))
+            for c in reversed(tree.children(v)):
+                parent[c] = v
+                stack.append((c, False))
+        if len(order) != len(tree):
+            raise InputError("not an out-tree: cyclic")
+        self.order = tuple(order)
+        self.pre = pre
+        self.end = end
+        self.parent = parent
+
+    def in_subtree(self, t: str, v: str) -> bool:
+        return self.pre[t] <= self.pre[v] < self.end[t]
+
+    def strictly_below(self, t: str, v: str) -> bool:
+        return self.pre[t] < self.pre[v] < self.end[t]
+
+
 # -- leaf-respecting tree isomorphism --------------------------------------
 
 

@@ -11,45 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .digraph import Arc, Digraph
+from .digraph import Arc, Digraph, TreeIndex
 from .errors import InputError, InternalError
 
 CUT_ABOVE = "above"
 CUT_BELOW = "below"
-
-
-class _TreeIndex:
-    """Pre-order numbers of an out-tree: `v` lies in the subtree of `t`
-    iff pre[t] <= pre[v] < end[t]."""
-
-    def __init__(self, gamma: Digraph):
-        root = gamma.root()
-        order: list[str] = []
-        pre: dict[str, int] = {}
-        end: dict[str, int] = {}
-        parent: dict[str, str] = {}
-        stack = [(root, False)]
-        while stack:
-            v, done = stack.pop()
-            if done:
-                end[v] = len(order)
-                continue
-            pre[v] = len(order)
-            order.append(v)
-            stack.append((v, True))
-            for c in reversed(gamma.children(v)):
-                parent[c] = v
-                stack.append((c, False))
-        self.order = tuple(order)
-        self.pre = pre
-        self.end = end
-        self.parent = parent
-
-    def in_subtree(self, t: str, v: str) -> bool:
-        return self.pre[t] <= self.pre[v] < self.end[t]
-
-    def strictly_below(self, t: str, v: str) -> bool:
-        return self.pre[t] < self.pre[v] < self.end[t]
 
 
 class TreeExtension:
@@ -99,9 +65,9 @@ class TreeExtension:
         return tuple(out)
 
     @cached_property
-    def _index(self) -> _TreeIndex:
+    def _index(self) -> TreeIndex:
         # Only built once `gamma` is known to be an out-tree.
-        return _TreeIndex(self.gamma)
+        return TreeIndex(self.gamma)
 
     def violations(self) -> list[str]:
         """Every violated extension clause, each with a witness."""
@@ -115,7 +81,7 @@ class TreeExtension:
         if problems:
             raise InputError("invalid tree extension: " + "; ".join(problems))
 
-    def _valid_index(self) -> _TreeIndex:
+    def _valid_index(self) -> TreeIndex:
         self.require_valid()
         return self._index
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .digraph import Arc, Digraph, reaches
+from .digraph import Arc, Digraph, TreeIndex
 from .errors import InputError, InternalError
 from .reduction import AugmentedInstance
 
@@ -30,6 +30,11 @@ def eventually_arc_disjoint(d: Digraph, p: tuple[str, ...], q: tuple[str, ...]) 
     """
     _require_path(d, p)
     _require_path(d, q)
+    return _only_a_common_prefix(p, q)
+
+
+def _only_a_common_prefix(p: tuple[str, ...], q: tuple[str, ...]) -> bool:
+    """`eventually_arc_disjoint` on two paths already known to be paths."""
     i = 0
     while (i + 1 < len(p) and i + 1 < len(q)
            and p[i] == q[i] and p[i + 1] == q[i + 1]):
@@ -68,12 +73,17 @@ def check_embedding(phi: dict[Arc, tuple[str, ...]], tree: Digraph,
                     network: Digraph) -> bool:
     """Verify the four soft-pseudo-embedding conditions of `phi`.
 
-    `phi` maps each arc of a downward-closed subforest of the tree to a
-    directed network path.  Checks: paths exist in the network, paths of
-    sibling arcs start where the parent arc's path ends and are pairwise
-    eventually arc-disjoint, paths of arcs with unrelated tails are fully
-    arc-disjoint, and each leaf arc ends at the network leaf carrying the
-    same taxon.
+    `phi` maps each arc of a downward-closed subforest of the out-tree
+    `tree` to a directed network path.  Checks: paths exist in the network,
+    paths of sibling arcs start where the parent arc's path ends and are
+    pairwise eventually arc-disjoint, paths of arcs with unrelated tails are
+    fully arc-disjoint, and each leaf arc ends at the network leaf carrying
+    the same taxon.
+
+    Two paths that share no network arc meet both pair conditions, so only
+    pairs sharing an arc are compared, each once.  The cost is linear in the
+    total path length and the size of `tree`, plus the pairs that share an
+    arc; valid embeddings share arcs only between siblings.
     """
     tree_arcs = set(tree.arcs)
     for a in phi:
@@ -92,17 +102,25 @@ def check_embedding(phi: dict[Arc, tuple[str, ...]], tree: Digraph,
         for out in tree.out_arcs(y):
             if phi[out][0] != path[-1]:
                 return False
-    items = sorted(phi.items())
-    for i, (a1, p1) in enumerate(items):
-        for a2, p2 in items[i + 1:]:
-            arcs1 = set(zip(p1, p1[1:]))
-            arcs2 = set(zip(p2, p2[1:]))
-            if a1[0] == a2[0]:
-                if not eventually_arc_disjoint(network, p1, p2):
-                    return False
-            elif not reaches(tree, a1, a2) and not reaches(tree, a2, a1):
-                if arcs1 & arcs2:
-                    return False
+    users: dict[Arc, list[Arc]] = {}
+    for a, path in phi.items():
+        for net_arc in zip(path, path[1:]):
+            users.setdefault(net_arc, []).append(a)
+    index = TreeIndex(tree)
+    compared: set[tuple[Arc, Arc]] = set()
+    for sharing in users.values():
+        for i, a1 in enumerate(sharing):
+            for a2 in sharing[i + 1:]:
+                # a1 == a2 when a path repeats an arc, in a cyclic network
+                if a1 == a2 or (a1, a2) in compared:
+                    continue
+                compared.add((a1, a2))
+                if a1[0] == a2[0]:
+                    if not _only_a_common_prefix(phi[a1], phi[a2]):
+                        return False
+                elif not (index.in_subtree(a1[1], a2[0])
+                          or index.in_subtree(a2[1], a1[0])):
+                    return False  # unrelated tails, and the paths share an arc
     return True
 
 
@@ -173,6 +191,7 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
 
     above: dict[str, dict] = {}
     below: dict[str, dict] = {}
+    bundle_above: dict[str, int] = {}  # _max_bundle(above[v]), counted once
     stats: list[VertexStats] = []
     cuts = inst.extension.cut_sizes()
 
@@ -191,9 +210,11 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
             (u,) = in_parents
             above[v] = {(((tp, tl), (u, v)),): ("leaf",)}
             below[v] = {}
+            bundle_below = 0
         else:
             if len(qs) == 1:
                 below_v = above[qs[0]]
+                bundle_below = bundle_above[qs[0]]
             elif len(qs) == 2:
                 q1, q2 = qs
                 arcs1 = {a for k1 in above[q1] for a, _ in k1}
@@ -207,6 +228,10 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
                     for k2 in keys2:
                         below_v.setdefault(tuple(sorted(k1 + k2)),
                                            ("join", q1, k1, q2, k2))
+                # The cut arcs above q1 and above q2 head into disjoint
+                # subtrees of gamma, so no network arc bundles arcs of both.
+                bundle_below = (max(bundle_above[q1], bundle_above[q2])
+                                if below_v else 0)
             else:
                 raise InternalError(
                     "extension vertex with more than two children over a binary host")
@@ -233,13 +258,14 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
             above[v] = above_v
             below[v] = below_v
 
+        bundle_above[v] = _max_bundle(above[v])
         stats.append(VertexStats(
             vertex=v,
             cut_above=cuts[v][0],
             cut_below=cuts[v][1],
             cells_above=len(above[v]),
             cells_below=len(below[v]),
-            max_bundle=max(_max_bundle(above[v]), _max_bundle(below[v])),
+            max_bundle=max(bundle_above[v], bundle_below),
         ))
 
         if not keep_tables:

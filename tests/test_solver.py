@@ -1,19 +1,28 @@
 """Dynamic program, embedding checker, and witness reconstruction."""
 
+import random
 import sys
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
 from stc import (
+    CUT_ABOVE,
+    CUT_BELOW,
     Digraph,
+    GeneratorParams,
     InputError,
     check_embedding,
     eventually_arc_disjoint,
+    generate,
     preprocess,
+    reaches,
     reconstruct_witness,
     soft_display,
     solve,
 )
+from stc.solver import VertexStats, _require_path
 
 
 def test_eventually_arc_disjoint_prefix_then_split(net_a):
@@ -77,6 +86,171 @@ def test_check_embedding_requires_downward_closed_domain(net_a, tree_b):
         check_embedding({("no", "pe"): ("rho", "s")}, tree_b, net_a)
 
 
+# The two pair conditions, on a network of their own.  Tree: x -> y -> {a, b}
+# and x -> z -> {c, d}.  Network: rho -> {s, t}; two routes s-u1-m and
+# s-u2-m meet again at m; then m -> w -> {la, lb}.  Taxa c and d hang below
+# k, which t reaches directly and w reaches too; t also reaches m.  So paths
+# starting at s and at t can share the arcs (m, w) and (w, k).
+_PAIR_NET = Digraph(
+    [("rho", "s"), ("rho", "t"), ("s", "u1"), ("s", "u2"), ("u1", "m"),
+     ("u2", "m"), ("t", "m"), ("m", "w"), ("w", "la"), ("w", "lb"),
+     ("w", "k"), ("t", "k"), ("k", "lc"), ("k", "ld")],
+    {"la": "a", "lb": "b", "lc": "c", "ld": "d"})
+_PAIR_TREE = Digraph(
+    [("x", "y"), ("x", "z"), ("y", "a"), ("y", "b"), ("z", "c"), ("z", "d")],
+    {"a": "a", "b": "b", "c": "c", "d": "d"})
+
+
+def _pair_phi(**paths):
+    phi = {
+        ("x", "y"): ("rho", "s"),
+        ("x", "z"): ("rho", "t", "k"),
+        ("y", "a"): ("s", "u1", "m", "w", "la"),
+        ("y", "b"): ("s", "u1", "m", "w", "lb"),
+        ("z", "c"): ("k", "lc"),
+        ("z", "d"): ("k", "ld"),
+    }
+    for arc, path in paths.items():
+        phi[tuple(arc.split("_"))] = path
+    return phi
+
+
+def test_check_embedding_accepts_siblings_sharing_a_long_prefix():
+    # (y, a) and (y, b) share s-u1-m-w, three arcs, and then split at w.
+    assert check_embedding(_pair_phi(), _PAIR_TREE, _PAIR_NET)
+
+
+def test_check_embedding_rejects_siblings_that_split_and_rejoin():
+    # (y, a) and (y, b) split at s and meet again on the arc (m, w).
+    phi = _pair_phi(y_b=("s", "u2", "m", "w", "lb"))
+    assert not check_embedding(phi, _PAIR_TREE, _PAIR_NET)
+    assert check_embedding(_pair_phi(y_a=("s", "u2", "m", "w", "la"),
+                                     y_b=("s", "u2", "m", "w", "lb")),
+                           _PAIR_TREE, _PAIR_NET)
+
+
+@pytest.mark.parametrize("paths", [
+    # cousins: (x, z)'s path ends at m, so (z, c) and (y, a) both use (m, w)
+    {"x_z": ("rho", "t", "m"), "z_c": ("m", "w", "k", "lc"),
+     "z_d": ("m", "w", "k", "ld")},
+    # uncle and nephew: (x, z) runs s-u2-m-w-k and (y, a) m-w-la; the tail
+    # of (x, z) is an ancestor of (y, a), yet neither arc's head reaches
+    # the other arc's tail.
+    {"x_z": ("rho", "s", "u2", "m", "w", "k"), "x_y": ("rho", "t", "m"),
+     "y_a": ("m", "w", "la"), "y_b": ("m", "w", "lb")},
+], ids=["cousins", "uncle"])
+def test_check_embedding_rejects_unrelated_tails_sharing_an_arc(paths):
+    phi = _pair_phi(**paths)
+    assert not check_embedding(phi, _PAIR_TREE, _PAIR_NET)
+
+
+def test_check_embedding_requires_an_out_tree():
+    # Unrelated tails are told apart by pre-order numbers of `tree`.
+    two_parents = Digraph(list(_PAIR_TREE.arcs) + [("y", "c")], {"c": "c"})
+    phi = _pair_phi(y_c=("s", "u1", "m", "w", "k", "lc"))
+    with pytest.raises(InputError, match="out-tree"):
+        check_embedding(phi, two_parents, _PAIR_NET)
+
+
+def _all_pairs_check_embedding(phi, tree, network):
+    """The all-pairs checker that `check_embedding` replaced, kept as it was
+    for reference: per-arc checks, then every pair of tree arcs, with one
+    `reaches` test in each direction for arcs whose tails differ."""
+    tree_arcs = set(tree.arcs)
+    for a in phi:
+        if a not in tree_arcs:
+            raise InputError(f"embedded arc {a!r} is not a tree arc")
+    for (x, y), path in phi.items():
+        _require_path(network, path)
+        for out in tree.out_arcs(y):
+            if out not in phi:
+                raise InputError(f"domain not downward closed: missing {out!r}")
+    for (x, y), path in phi.items():
+        taxon = tree.label_of(y)
+        if taxon is not None:
+            if network.label_of(path[-1]) != taxon:
+                return False
+        for out in tree.out_arcs(y):
+            if phi[out][0] != path[-1]:
+                return False
+    items = sorted(phi.items())
+    for i, (a1, p1) in enumerate(items):
+        for a2, p2 in items[i + 1:]:
+            arcs1 = set(zip(p1, p1[1:]))
+            arcs2 = set(zip(p2, p2[1:]))
+            if a1[0] == a2[0]:
+                if not eventually_arc_disjoint(network, p1, p2):
+                    return False
+            elif not reaches(tree, a1, a2) and not reaches(tree, a2, a1):
+                if arcs1 & arcs2:
+                    return False
+    return True
+
+
+def _outcome(check, phi, tree, network):
+    try:
+        return check(phi, tree, network)
+    except Exception as exc:  # compared by type against the reference
+        return type(exc)
+
+
+def _random_path(network, start, end, rng):
+    """A uniformly chosen next hop at each step of a path from start to end."""
+    path = [start]
+    while path[-1] != end:
+        path.append(rng.choice([w for w in network.children(path[-1])
+                                if network.reachable(w, end)]))
+    return tuple(path)
+
+
+def _mutations(phi, network, rng):
+    """Corrupted copies of a valid embedding `phi`: a path swapped with a
+    sibling's, paths rerouted between the same ends or off to a leaf, paths
+    cut short by one vertex, and a path run backwards (not a path)."""
+    arcs = sorted(phi)
+    siblings: dict = {}
+    for a in arcs:
+        siblings.setdefault(a[0], []).append(a)
+    out = []
+    for group in siblings.values():
+        if len(group) > 1:
+            a, b = rng.sample(group, 2)
+            out.append({**phi, a: phi[b], b: phi[a]})
+    for a in arcs:
+        out.append({**phi, a: _random_path(network, phi[a][0], phi[a][-1], rng)})
+    for _ in range(3):
+        out.append({a: _random_path(network, p[0], p[-1], rng) if rng.random() < 0.5
+                    else p for a, p in phi.items()})
+    for a in rng.sample(arcs, min(3, len(arcs))):
+        leaf = rng.choice([v for v in network.leaves if network.reachable(phi[a][0], v)])
+        out.append({**phi, a: _random_path(network, phi[a][0], leaf, rng)})
+        out.append({**phi, a: phi[a][:-1] or phi[a]})
+    out.append({**phi, arcs[0]: phi[arcs[0]][::-1]})
+    return out
+
+
+def test_check_embedding_matches_the_all_pairs_reference(suite):
+    rng = random.Random(5)
+    cases = [(n, t, ext) for _, n, t, ext in suite]
+    cases += [(g.network, g.tree, None) for g in (
+        generate(GeneratorParams(8, 2, 0.4, seed, "yes-biased")) for seed in range(12))]
+    checked = rejected = raised = 0
+    for n, t, ext in cases:
+        inst = preprocess(n, t, ext)
+        result = solve(inst)
+        if not result.displayed:
+            continue
+        phi = reconstruct_witness(result).paths
+        for mutant in [phi] + _mutations(phi, inst.network, rng):
+            want = _outcome(_all_pairs_check_embedding, mutant, inst.tree, inst.network)
+            got = _outcome(check_embedding, mutant, inst.tree, inst.network)
+            assert got == want, (mutant, want, got)
+            checked += 1
+            rejected += want is False
+            raised += want is InputError
+    assert checked > 3000 and rejected > 1000 and raised > 100
+
+
 def test_solver_matches_hand_answers(net_a, tree_b, tree_c, tree_d):
     answers = {}
     for name, t in [("b", tree_b), ("c", tree_c), ("d", tree_d)]:
@@ -114,14 +288,36 @@ def _stack_depth():
     return depth
 
 
+def _caterpillar(leaves):
+    arcs = [(f"s{i}", f"s{i + 1}") for i in range(leaves - 1)]
+    arcs += [(f"s{i}", f"p{i}") for i in range(leaves - 1)]
+    labels = {f"p{i}": f"t{i}" for i in range(leaves - 1)}
+    labels[f"s{leaves - 1}"] = f"t{leaves - 1}"
+    return Digraph(arcs, labels)
+
+
+@contextmanager
+def _shallow_stack(monkeypatch, headroom):
+    """Leave `headroom` frames above the caller and refuse any change to the
+    limit: it is process-global."""
+
+    def refuse(limit):
+        raise AssertionError("the recursion limit is process-global")
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + headroom)
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    try:
+        yield
+    finally:
+        monkeypatch.undo()
+        sys.setrecursionlimit(old_limit)
+
+
 def test_deep_witness_replay_leaves_the_recursion_limit_alone(monkeypatch):
     # A caterpillar of 300 leaves displays itself; its extension is a path
     # of about 600 vertices, far deeper than the headroom left below.
-    arcs = [(f"s{i}", f"s{i + 1}") for i in range(299)]
-    arcs += [(f"s{i}", f"p{i}") for i in range(299)]
-    labels = {f"p{i}": f"t{i}" for i in range(299)}
-    labels["s299"] = "t299"
-    caterpillar = Digraph(arcs, labels)
+    caterpillar = _caterpillar(300)
     inst = preprocess(caterpillar, caterpillar)
     result = solve(inst)
     headroom = 100
@@ -131,19 +327,21 @@ def test_deep_witness_replay_leaves_the_recursion_limit_alone(monkeypatch):
         for c in gamma.children(v):
             depth[c] = depth[v] + 1
     assert max(depth.values()) > 2 * headroom
-
-    def refuse(limit):
-        raise AssertionError("the recursion limit is process-global")
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + headroom)
-    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-    try:
+    with _shallow_stack(monkeypatch, headroom):
         emb = reconstruct_witness(result)
-    finally:
-        monkeypatch.undo()
-        sys.setrecursionlimit(old_limit)
     assert set(emb.paths) == set(inst.tree.arcs)
+
+
+def test_deep_certificate_is_checked_without_recursion(monkeypatch):
+    # The reduced tree of a 2000-leaf caterpillar is 2000 levels deep, so the
+    # tree index and the pair pass of `check_embedding` must not recurse.
+    caterpillar = _caterpillar(2000)
+    inst = preprocess(caterpillar, caterpillar)
+    result = solve(inst)
+    with _shallow_stack(monkeypatch, 100):
+        emb = reconstruct_witness(result)
+        accepted = check_embedding(emb.paths, inst.tree, inst.network)
+    assert accepted and set(emb.paths) == set(inst.tree.arcs)
 
 
 def test_no_witness_for_no_instances(net_a, tree_c):
@@ -166,3 +364,25 @@ def test_stats_are_collected(net_a, tree_b):
     for s in result.stats:
         assert s.cells_above >= 1
         assert s.cut_above >= 1
+
+
+def _largest_bundle(table):
+    return max((max(Counter(b for _, b in key).values()) for key in table),
+               default=0)
+
+
+def test_stats_equal_a_recount_of_the_tables(suite):
+    for _, n, t, ext in suite:
+        inst = preprocess(n, t, ext)
+        result = solve(inst)
+        above, below = result.tables["above"], result.tables["below"]
+        for s in result.stats:
+            v = s.vertex
+            assert s == VertexStats(
+                vertex=v,
+                cut_above=len(inst.extension.scan_cut(v, CUT_ABOVE)),
+                cut_below=len(inst.extension.scan_cut(v, CUT_BELOW)),
+                cells_above=len(above[v]),
+                cells_below=len(below[v]),
+                max_bundle=max(_largest_bundle(above[v]), _largest_bundle(below[v])),
+            )
