@@ -113,8 +113,37 @@ def solve_cmd(network_path, tree_path, extension_path, witness, decision_only,
     return EXIT_YES
 
 
+def _solve_in_pools(tasks, jobs):
+    """`_solve_one` over `tasks` in `jobs` worker processes, in order.
+
+    A worker that dies outright breaks its pool and every result still
+    pending in it.  The first instance left without a result then runs alone
+    in a fresh process: if that one dies too, the instance gets an internal
+    error; the instances after it go on in a fresh pool.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    results = []
+    while len(results) < len(tasks):
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(_solve_one, t) for t in tasks[len(results):]]
+            try:
+                for future in futures:
+                    results.append(future.result())
+            except BrokenProcessPool:
+                pass
+        if len(results) < len(tasks):
+            task = tasks[len(results)]
+            with ProcessPoolExecutor(max_workers=1) as alone:
+                try:
+                    results.append(alone.submit(_solve_one, task).result())
+                except BrokenProcessPool:
+                    results.append((task[0], "ERROR internal: worker died"))
+    return results
+
+
 def _solve_batch(batch_dir, jobs):
-    import concurrent.futures
     import os
 
     try:
@@ -135,8 +164,7 @@ def _solve_batch(batch_dir, jobs):
     if not tasks:
         raise SemanticError(f"no NAME.network/NAME.tree pairs in {batch_dir}")
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_solve_one, tasks))
+        results = _solve_in_pools(tasks, jobs)
     else:
         results = [_solve_one(t) for t in tasks]
     failed = False

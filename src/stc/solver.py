@@ -5,7 +5,8 @@ For each scan cut it keeps a table of signatures.  A signature is a map
 sending each topmost arc of an embedded, downward-closed tree forest to the
 network arc of the cut that its image path currently crosses; the map's
 domain is the forest, given by its topmost arcs.  A signature is stored as
-the sorted tuple of its (tree arc, network arc) pairs.  The instance is a
+the sorted tuple of its (tree arc, network arc) pairs, each packed into one
+int (`SolveResult.signature` decodes a key).  The instance is a
 yes-instance iff the table at the child of the network root contains a
 signature whose domain is the tree's root arc alone.
 """
@@ -143,13 +144,20 @@ class SolveResult:
     instance: AugmentedInstance
     stats: list[VertexStats] = field(default_factory=list)
     tables: dict | None = None  # "above"/"below" -> vertex -> {signature: tag}
-    accepting_key: tuple | None = None
+    accepting_key: tuple[int, ...] | None = None
     final_vertex: str | None = None
 
+    def signature(self, key: tuple[int, ...]) -> tuple[tuple[Arc, Arc], ...]:
+        """The sorted (tree arc, network arc) pairs of a table key."""
+        t_arcs, n_arcs = self.instance.tree.arcs, self.instance.network.arcs
+        shift, mask = _pair_bits(self.instance.network)
+        return tuple((t_arcs[p >> shift], n_arcs[p & mask]) for p in key)
 
-def _signature_order(key):
-    """Sort a signature by its domain first, then by the pairs themselves."""
-    return (tuple(a for a, _ in key), key)
+
+def _pair_bits(network: Digraph) -> tuple[int, int]:
+    """The shift and the mask of the network arc's index in a packed pair."""
+    shift = len(network.arcs).bit_length()
+    return shift, (1 << shift) - 1
 
 
 def _post_order(gamma: Digraph) -> list[str]:
@@ -162,17 +170,6 @@ def _post_order(gamma: Digraph) -> list[str]:
     return out[::-1]
 
 
-def _max_bundle(table) -> int:
-    """The most tree arcs any one signature of `table` sends to a single arc."""
-    out = 0
-    for key in table:
-        counts: dict = {}
-        for _, b in key:
-            counts[b] = counts.get(b, 0) + 1
-        out = max(out, max(counts.values(), default=0))
-    return out
-
-
 def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     """Decide soft display on a reduced instance built by `preprocess`.
 
@@ -181,17 +178,32 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     as soon as they have been combined, which bounds memory by the tables
     along one root-to-leaf slice.  Per-vertex stats are always collected.
     A vertex with one extension child `q` uses `q`'s above table as its below.
+
+    Arcs are numbered by their index in the sorted `arcs` of their graph, and
+    a pair is the int `tree_index << shift | network_index`, so a signature is
+    a sorted tuple of ints in the order of its pairs.  Tables keep insertion
+    order.  Each tag holds its kind, then its signature's largest preimage of
+    a single network arc, which the steps below carry from cell to cell.
     """
     n, t, gamma = inst.network, inst.tree, inst.extension.gamma
     rho_n, rho_t = inst.network_root, inst.tree_root
     if gamma.root() != rho_n:
         raise InternalError("extension root differs from the network root")
     t_leaf_of = t.leaf_by_taxon
-    top_arc = (rho_t, t.children(rho_t)[0])
+    shift, mask = _pair_bits(n)
+    tree_id = {a: i for i, a in enumerate(t.arcs)}
+    t_tail = [x for x, _ in t.arcs]
+    t_fanout = {y: t.out_degree(y) for y in t.vertices}
+    t_parent_pair = {y: i << shift for (_, y), i in tree_id.items()}
+    n_outs: dict[str, set[int]] = {}
+    n_ins: dict[str, list[int]] = {}  # in sorted(parents) order, as arcs are
+    for i, (u, v) in enumerate(n.arcs):
+        n_outs.setdefault(u, set()).add(i)
+        n_ins.setdefault(v, []).append(i)
 
     above: dict[str, dict] = {}
     below: dict[str, dict] = {}
-    bundle_above: dict[str, int] = {}  # _max_bundle(above[v]), counted once
+    bundle_above: dict[str, int] = {}  # the largest multiplicity in above[v]
     stats: list[VertexStats] = []
     cuts = inst.extension.cut_sizes()
 
@@ -199,7 +211,7 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
         if v == rho_n:
             continue
         qs = sorted(gamma.children(v))
-        in_parents = sorted(n.parents(v))
+        ins = n_ins[v]
 
         if not qs:
             taxon = n.label_of(v)
@@ -207,9 +219,10 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
                 raise InternalError(f"network leaf {v!r} has no matching tree leaf")
             tl = t_leaf_of[taxon]
             (tp,) = t.parents(tl)
-            (u,) = in_parents
-            above[v] = {(((tp, tl), (u, v)),): ("leaf",)}
+            (a,) = ins
+            above[v] = {(tree_id[tp, tl] << shift | a,): ("leaf", 1)}
             below[v] = {}
+            bundle_above[v] = 1
             bundle_below = 0
         else:
             if len(qs) == 1:
@@ -217,48 +230,63 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
                 bundle_below = bundle_above[qs[0]]
             elif len(qs) == 2:
                 q1, q2 = qs
-                arcs1 = {a for k1 in above[q1] for a, _ in k1}
-                if any(a in arcs1 for k2 in above[q2] for a, _ in k2):
+                arcs1 = {p >> shift for k1 in above[q1] for p in k1}
+                if any(p >> shift in arcs1 for k2 in above[q2] for p in k2):
                     raise InternalError(
                         "sibling signatures share a tree arc; "
                         "the extension cannot be canonical")
-                keys2 = sorted(above[q2], key=_signature_order)
-                below_v = {}
-                for k1 in sorted(above[q1], key=_signature_order):
-                    for k2 in keys2:
-                        below_v.setdefault(tuple(sorted(k1 + k2)),
-                                           ("join", q1, k1, q2, k2))
                 # The cut arcs above q1 and above q2 head into disjoint
-                # subtrees of gamma, so no network arc bundles arcs of both.
+                # subtrees of gamma, so no network arc bundles arcs of both,
+                # and a joined signature's largest multiplicity is the
+                # larger of its halves'.
+                cells2 = [(k2, tag2[1]) for k2, tag2 in above[q2].items()]
+                below_v = {}
+                for k1, tag1 in above[q1].items():
+                    m1 = tag1[1]
+                    for k2, m2 in cells2:
+                        below_v.setdefault(tuple(sorted(k1 + k2)), (
+                            "join", m1 if m1 > m2 else m2, q1, k1, q2, k2))
                 bundle_below = (max(bundle_above[q1], bundle_above[q2])
                                 if below_v else 0)
             else:
                 raise InternalError(
                     "extension vertex with more than two children over a binary host")
 
+            outs = n_outs.get(v, ())
             above_v: dict = {}
-            for key in sorted(below_v, key=_signature_order):
-                bundle = tuple(a for a, b in key if b[0] == v)
+            for key, tag in below_v.items():
+                m = tag[1]
+                bundle = [p for p in key if p & mask in outs]
                 if not bundle:
-                    above_v.setdefault(key, ("up", v, key))
+                    above_v.setdefault(key, ("up", m, v))
                     continue
-                y, *others = {a[0] for a in bundle}
-                if others:
+                if len(bundle) > 1 and len({t_tail[p >> shift] for p in bundle}) > 1:
                     continue
-                for u in in_parents:
-                    extended = tuple((a, (u, v) if a in bundle else b)
-                                     for a, b in key)
-                    above_v.setdefault(extended, ("extend", v, key, bundle, u))
-                if y != rho_t and len(bundle) == t.out_degree(y):
-                    (x,) = t.parents(y)
-                    rest = [p for p in key if p[0] not in bundle]
-                    for u in in_parents:
-                        grown = tuple(sorted(rest + [((x, y), (u, v))]))
-                        above_v.setdefault(grown, ("grow", v, key, (x, y), u))
+                # Extend: the bundle's arcs all cross one in-arc of v now.
+                extended_m = m if m > len(bundle) else len(bundle)
+                for a in ins:
+                    extended = tuple([p >> shift << shift | a if p & mask in outs
+                                      else p for p in key])
+                    above_v.setdefault(extended, ("extend", extended_m, v, key, a))
+                y = t_tail[bundle[0] >> shift]
+                if y != rho_t and len(bundle) == t_fanout[y]:
+                    # Grow: the bundle is every out-arc of y, so y's parent
+                    # arc replaces it; the bundle's count leaves the key.
+                    rest, counts = [], {}
+                    for p in key:
+                        b = p & mask
+                        if b not in outs:
+                            rest.append(p)
+                            counts[b] = counts.get(b, 0) + 1
+                    grown_m = max(counts.values(), default=1)
+                    parent = t_parent_pair[y]
+                    for a in ins:
+                        grown = tuple(sorted(rest + [parent | a]))
+                        above_v.setdefault(grown, ("grow", grown_m, v, key, parent | a))
             above[v] = above_v
             below[v] = below_v
+            bundle_above[v] = max((tag[1] for tag in above_v.values()), default=0)
 
-        bundle_above[v] = _max_bundle(above[v])
         stats.append(VertexStats(
             vertex=v,
             cut_above=cuts[v][0],
@@ -274,7 +302,8 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
                 below.pop(q, None)
 
     final = n.children(rho_n)[0]
-    accepting = [k for k in above.get(final, {}) if len(k) == 1 and k[0][0] == top_arc]
+    top = tree_id[rho_t, t.children(rho_t)[0]]
+    accepting = [k for k in above.get(final, {}) if len(k) == 1 and k[0] >> shift == top]
     return SolveResult(
         displayed=bool(accepting),
         instance=inst,
@@ -298,9 +327,8 @@ def reconstruct_witness(result: SolveResult) -> SoftEmbedding:
         raise InputError("no witness: the instance is a no-instance")
     if result.tables is None:
         raise InputError("no witness: the solver ran in decision-only mode")
-    above, below = result.tables["above"], result.tables["below"]
     inst = result.instance
-    phi = _replay(above, below, above[result.final_vertex], result.accepting_key)
+    phi = _replay(result)
     top_arc = (inst.tree_root, inst.tree.children(inst.tree_root)[0])
     if phi[top_arc][0] != inst.network_root:
         raise InternalError("witness does not start at the network root")
@@ -309,48 +337,55 @@ def reconstruct_witness(result: SolveResult) -> SoftEmbedding:
     return SoftEmbedding(phi)
 
 
-def _replay(above, below, table, key) -> dict[Arc, tuple[str, ...]]:
-    """Unfold the provenance tags under an accepting cell into paths.
+def _replay(result: SolveResult) -> dict[Arc, tuple[str, ...]]:
+    """Unfold the provenance tags under the accepting cell into paths.
 
     The walk runs top-down with an explicit stack, so its depth is not bound
     by the interpreter's.  The "up", "extend" and "grow" tags name the vertex
     they were made at, since one table may be both above a vertex and below
-    its parent.  An "extend" tag prepends a vertex to the paths of its bundle,
+    its parent.  An "extend" tag prepends the tail of its in-arc to the paths
+    of the tree arcs that its inner signature maps to out-arcs of its vertex,
     and it is met before the "leaf" or "grow" tag that starts those paths,
-    so every path is built by appending.
+    so every path is built by appending.  Packed ids are decoded here.
     """
+    above, below = result.tables["above"], result.tables["below"]
+    t_arcs, n_arcs = result.instance.tree.arcs, result.instance.network.arcs
+    shift, mask = _pair_bits(result.instance.network)
     paths: dict[Arc, list[str]] = {}
     started: set[Arc] = set()
     overlap: set[Arc] = set()
 
-    def start(arc, first_arc):
+    def start(p):
+        arc = t_arcs[p >> shift]
         if arc in started:
             overlap.add(arc)
         started.add(arc)
-        paths.setdefault(arc, []).extend(first_arc)
+        paths.setdefault(arc, []).extend(n_arcs[p & mask])
 
-    stack = [(table, key)]
+    stack = [(above[result.final_vertex], result.accepting_key)]
     while stack:
         table, key = stack.pop()
         tag = table[key]
         if tag[0] == "leaf":
-            ((a, b),) = key
-            start(a, b)
+            (p,) = key
+            start(p)
         elif tag[0] == "up":
-            _, v, inner = tag
-            stack.append((below[v], inner))
+            _, _, v = tag
+            stack.append((below[v], key))
         elif tag[0] == "extend":
-            _, v, inner, bundle, u = tag
-            for a in bundle:
-                paths.setdefault(a, []).append(u)
+            _, _, v, inner, a = tag
+            u = n_arcs[a][0]
+            for p in inner:
+                if n_arcs[p & mask][0] == v:
+                    paths.setdefault(t_arcs[p >> shift], []).append(u)
             stack.append((below[v], inner))
         elif tag[0] == "grow":
             # The bundled arcs stay embedded; they merely stop being topmost.
-            _, v, inner, new_arc, u = tag
-            start(new_arc, (u, v))
+            _, _, v, inner, p = tag
+            start(p)
             stack.append((below[v], inner))
         elif tag[0] == "join":
-            _, q1, k1, q2, k2 = tag
+            _, _, q1, k1, q2, k2 = tag
             stack += [(above[q2], k2), (above[q1], k1)]
         else:
             raise InternalError(f"unknown provenance tag {tag!r}")

@@ -177,10 +177,11 @@ def test_reduce_output_is_pinned(seed, dropped, tmp_path, capsys):
                  for text in outputs) == _REDUCE_GOLDEN[seed, dropped]
 
 
-# sha256 of `stc solve --witness` stdout on two of the instances above.
+# sha256 of `stc solve --witness` stdout on two of the instances above.  The
+# witness is the run that the solver's tables record first, in insertion order.
 _WITNESS_GOLDEN = {
-    (1, 0): "1c0c671d86a50089ca5f267dd4da10a5136b3b1b751fc7726682edf255dceff9",
-    (3, 0): "5518851e55279632bf21ab73803cb9ab80b9aea414d30d6caa8224b137b2a03a",
+    (1, 0): "ca96a4db180001828d6b897d4d187d42b2e347c31d02aac694041a9b46435783",
+    (3, 0): "2c4900184e94e171639767da8498ce9334995b2a066e8c23b98e6c4e8c619140",
 }
 
 
@@ -318,3 +319,23 @@ def test_batch_isolates_a_crashing_instance(tmp_path, monkeypatch, capsys):
     assert out[1] == "i2 ERROR internal: RuntimeError: boom"
     assert out[0].split()[1] in ("YES", "NO")
     assert out[2].split()[1] in ("YES", "NO")
+
+
+def test_batch_survives_a_dead_worker(tmp_path, monkeypatch, capsys):
+    for seed in (1, 2, 3, 4):
+        main(["gen", "--leaves", "4", "--reticulations", "1",
+              "--seed", str(seed), "-o", str(tmp_path / f"i{seed}")])
+    capsys.readouterr()
+    load = stc.cli._load_network
+
+    def dies_on_i2(path):
+        if path.endswith("i2.network"):
+            os._exit(3)  # the worker process ends without a word
+        return load(path)
+
+    monkeypatch.setattr("stc.cli._load_network", dies_on_i2)
+    assert main(["solve", "--batch", str(tmp_path), "--jobs", "2"]) == 66
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out] == ["i1", "i2", "i3", "i4"]
+    assert out[1] == "i2 ERROR internal: worker died"
+    assert all(out[i].split()[1] in ("YES", "NO") for i in (0, 2, 3))

@@ -13,6 +13,7 @@ from stc import (
     Digraph,
     GeneratorParams,
     InputError,
+    InternalError,
     check_embedding,
     eventually_arc_disjoint,
     generate,
@@ -22,7 +23,7 @@ from stc import (
     soft_display,
     solve,
 )
-from stc.solver import VertexStats, _require_path
+from stc.solver import VertexStats, _post_order, _require_path
 
 
 def test_eventually_arc_disjoint_prefix_then_split(net_a):
@@ -366,8 +367,8 @@ def test_stats_are_collected(net_a, tree_b):
         assert s.cut_above >= 1
 
 
-def _largest_bundle(table):
-    return max((max(Counter(b for _, b in key).values()) for key in table),
+def _largest_bundle(signatures):
+    return max((max(Counter(b for _, b in sig).values()) for sig in signatures),
                default=0)
 
 
@@ -384,5 +385,167 @@ def test_stats_equal_a_recount_of_the_tables(suite):
                 cut_below=len(inst.extension.scan_cut(v, CUT_BELOW)),
                 cells_above=len(above[v]),
                 cells_below=len(below[v]),
-                max_bundle=max(_largest_bundle(above[v]), _largest_bundle(below[v])),
+                max_bundle=max(_largest_bundle(map(result.signature, above[v])),
+                               _largest_bundle(map(result.signature, below[v]))),
             )
+
+
+# -- the string-keyed kernel, kept as the reference ---------------------------
+
+
+def _signature_order(key):
+    """Sort a signature by its domain first, then by the pairs themselves."""
+    return (tuple(a for a, _ in key), key)
+
+
+def _max_bundle(table) -> int:
+    """The most tree arcs any one signature of `table` sends to a single arc."""
+    out = 0
+    for key in table:
+        counts: dict = {}
+        for _, b in key:
+            counts[b] = counts.get(b, 0) + 1
+        out = max(out, max(counts.values(), default=0))
+    return out
+
+
+def _reference_solve(inst):
+    """`solve` as it was before signatures became int tuples, kept as it was
+    for reference: signatures are sorted tuples of (tree arc, network arc)
+    pairs, tables are sorted by `_signature_order`, and `_max_bundle`
+    recounts each above table.  Returns the verdict, the stats and the above
+    tables."""
+    n, t, gamma = inst.network, inst.tree, inst.extension.gamma
+    rho_n, rho_t = inst.network_root, inst.tree_root
+    if gamma.root() != rho_n:
+        raise InternalError("extension root differs from the network root")
+    t_leaf_of = t.leaf_by_taxon
+    top_arc = (rho_t, t.children(rho_t)[0])
+
+    above: dict[str, dict] = {}
+    below: dict[str, dict] = {}
+    bundle_above: dict[str, int] = {}  # _max_bundle(above[v]), counted once
+    stats: list[VertexStats] = []
+    cuts = inst.extension.cut_sizes()
+
+    for v in _post_order(gamma):
+        if v == rho_n:
+            continue
+        qs = sorted(gamma.children(v))
+        in_parents = sorted(n.parents(v))
+
+        if not qs:
+            taxon = n.label_of(v)
+            if taxon is None or taxon not in t_leaf_of:
+                raise InternalError(f"network leaf {v!r} has no matching tree leaf")
+            tl = t_leaf_of[taxon]
+            (tp,) = t.parents(tl)
+            (u,) = in_parents
+            above[v] = {(((tp, tl), (u, v)),): ("leaf",)}
+            below[v] = {}
+            bundle_below = 0
+        else:
+            if len(qs) == 1:
+                below_v = above[qs[0]]
+                bundle_below = bundle_above[qs[0]]
+            elif len(qs) == 2:
+                q1, q2 = qs
+                arcs1 = {a for k1 in above[q1] for a, _ in k1}
+                if any(a in arcs1 for k2 in above[q2] for a, _ in k2):
+                    raise InternalError(
+                        "sibling signatures share a tree arc; "
+                        "the extension cannot be canonical")
+                keys2 = sorted(above[q2], key=_signature_order)
+                below_v = {}
+                for k1 in sorted(above[q1], key=_signature_order):
+                    for k2 in keys2:
+                        below_v.setdefault(tuple(sorted(k1 + k2)),
+                                           ("join", q1, k1, q2, k2))
+                # The cut arcs above q1 and above q2 head into disjoint
+                # subtrees of gamma, so no network arc bundles arcs of both.
+                bundle_below = (max(bundle_above[q1], bundle_above[q2])
+                                if below_v else 0)
+            else:
+                raise InternalError(
+                    "extension vertex with more than two children over a binary host")
+
+            above_v: dict = {}
+            for key in sorted(below_v, key=_signature_order):
+                bundle = tuple(a for a, b in key if b[0] == v)
+                if not bundle:
+                    above_v.setdefault(key, ("up", v, key))
+                    continue
+                y, *others = {a[0] for a in bundle}
+                if others:
+                    continue
+                for u in in_parents:
+                    extended = tuple((a, (u, v) if a in bundle else b)
+                                     for a, b in key)
+                    above_v.setdefault(extended, ("extend", v, key, bundle, u))
+                if y != rho_t and len(bundle) == t.out_degree(y):
+                    (x,) = t.parents(y)
+                    rest = [p for p in key if p[0] not in bundle]
+                    for u in in_parents:
+                        grown = tuple(sorted(rest + [((x, y), (u, v))]))
+                        above_v.setdefault(grown, ("grow", v, key, (x, y), u))
+            above[v] = above_v
+            below[v] = below_v
+
+        bundle_above[v] = _max_bundle(above[v])
+        stats.append(VertexStats(
+            vertex=v,
+            cut_above=cuts[v][0],
+            cut_below=cuts[v][1],
+            cells_above=len(above[v]),
+            cells_below=len(below[v]),
+            max_bundle=max(bundle_above[v], bundle_below),
+        ))
+
+    final = n.children(rho_n)[0]
+    accepting = [k for k in above.get(final, {}) if len(k) == 1 and k[0][0] == top_arc]
+    return bool(accepting), stats, above
+
+
+# (leaves, polytomy rate, seed, raw out-degree) of `GeneratorParams(leaves, 2,
+# rate, seed, "yes-biased")`: reduced widths 6-8, beyond the suite's 12 arcs.
+# On (8, 0.4, 9, 3), a grow whose new cell counts 1 for its largest
+# multiplicity, where the rest of its signature holds 2, changes the stats.
+_POLYTOMY_CASES = (
+    (8, 0.4, 9, 3),
+    (9, 0.5, 1, 5), (9, 0.5, 2, 4), (9, 0.5, 3, 3), (9, 0.5, 6, 4),
+    (9, 0.5, 12, 3), (9, 0.5, 13, 4), (9, 0.5, 16, 4), (9, 0.5, 22, 4),
+    (9, 0.5, 31, 4), (9, 0.5, 38, 3), (11, 0.6, 6, 4), (11, 0.6, 12, 4),
+    (11, 0.6, 18, 5),
+)
+
+
+def _polytomy_cases():
+    """Each generated instance with its own tree, and with the taxa of two
+    leaves swapped, which usually makes a no-instance."""
+    out = []
+    for leaves, rate, seed, degree in _POLYTOMY_CASES:
+        g = generate(GeneratorParams(leaves, 2, rate, seed, "yes-biased"))
+        assert g.network.max_out_degree == degree
+        (x, a), (y, b) = sorted(g.tree.labels.items())[:2]
+        swapped = Digraph(g.tree.arcs, {**g.tree.labels, x: b, y: a})
+        out += [(g.network, g.tree, None), (g.network, swapped, None)]
+    return out
+
+
+def test_kernel_matches_the_string_keyed_reference(suite):
+    cases = [(n, t, ext) for _, n, t, ext in suite] + _polytomy_cases()
+    verdicts = Counter()
+    for n, t, ext in cases:
+        inst = preprocess(n, t, ext)
+        result = solve(inst)
+        displayed, stats, above = _reference_solve(inst)
+        assert (result.displayed, result.stats) == (displayed, stats)
+        for v, table in result.tables["above"].items():
+            assert set(map(result.signature, table)) == set(above[v])
+        verdicts[result.displayed] += 1
+        if result.displayed:
+            accepting = result.signature(result.accepting_key)
+            assert len(accepting) == 1 and accepting in above[result.final_vertex]
+            phi = reconstruct_witness(result).paths
+            assert check_embedding(phi, inst.tree, inst.network)
+    assert verdicts[True] > 200 and verdicts[False] > 100
