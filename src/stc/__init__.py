@@ -49,7 +49,6 @@ from .reduction import (
     reduce_network,
 )
 from .solver import (
-    SoftEmbedding,
     SolveResult,
     check_embedding,
     eventually_arc_disjoint,

@@ -13,13 +13,7 @@ import click
 
 from . import formats, oracle
 from .digraph import classify
-from .errors import (
-    InternalError,
-    OracleTooLargeError,
-    ParseError,
-    SemanticError,
-    STCError,
-)
+from .errors import InternalError, ParseError, SemanticError, STCError
 from .extension import canonicalize, default_extension
 from .generator import GeneratorParams, generate
 from .reduction import preprocess, reduce_network
@@ -39,6 +33,14 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise SemanticError(f"cannot read {path}: {exc.strerror}")
+
+
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SemanticError(f"cannot write {path}: {exc.strerror}")
 
 
 def _load_network(path):
@@ -107,8 +109,8 @@ def solve_cmd(network_path, tree_path, extension_path, witness, decision_only,
         embedding = reconstruct_witness(result)
         click.echo("REDUCED-INSTANCE")
         click.echo(formats.serialize_edgelist(inst.network), nl=False)
-        for (x, y) in sorted(embedding.paths):
-            path = " ".join(embedding.paths[(x, y)])
+        for (x, y) in sorted(embedding):
+            path = " ".join(embedding[(x, y)])
             click.echo(f"EMBED {x} {y} : {path}")
     return EXIT_YES
 
@@ -189,14 +191,12 @@ def reduce_cmd(network_path, extension_path, tree_path, prefix):
     taxa = None
     if tree_path:
         taxa = _load_network(tree_path).taxa
-    ext, trace, _ = reduce_network(n, ext, taxa=taxa)
-    with open(f"{prefix}.network", "w", encoding="utf-8") as fh:
-        fh.write(formats.serialize_edgelist(ext.host))
-    with open(f"{prefix}.extension", "w", encoding="utf-8") as fh:
-        fh.write(formats.serialize_extension(ext))
-    for audit in trace.width_audits:
-        click.echo(f"step {audit.kind} {audit.vertex or '-'}: "
-                   f"width {audit.width_before} -> {audit.width_after}")
+    ext, trace = reduce_network(n, ext, taxa=taxa)
+    _write(f"{prefix}.network", formats.serialize_edgelist(ext.host))
+    _write(f"{prefix}.extension", formats.serialize_extension(ext))
+    for step, before, after in zip(trace.steps, trace.widths, trace.widths[1:]):
+        click.echo(f"step {step.kind} {getattr(step, 'vertex', None) or '-'}: "
+                   f"width {before} -> {after}")
     return EXIT_YES
 
 
@@ -301,8 +301,7 @@ def gen_cmd(leaves, reticulations, polytomy_rate, seed, yes_biased, prefix):
         for suffix, doc in (("network", inst.network_doc),
                             ("tree", inst.tree_doc),
                             ("extension", inst.extension_doc)):
-            with open(f"{prefix}.{suffix}", "w", encoding="utf-8") as fh:
-                fh.write(doc)
+            _write(f"{prefix}.{suffix}", doc)
     else:
         click.echo(inst.network_doc, nl=False)
         click.echo(inst.tree_doc, nl=False)
@@ -327,9 +326,6 @@ def main(argv=None) -> int:
     try:
         rv = cli.main(args=argv, standalone_mode=False)
         return int(rv or 0)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return EXIT_USAGE
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return EXIT_USAGE
@@ -338,9 +334,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_PARSE
-    except (SemanticError, OracleTooLargeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_SEMANTIC
     except InternalError as exc:
         click.echo(f"internal error: {exc}", err=True)
         return EXIT_INTERNAL

@@ -8,7 +8,7 @@ there; the maximum cut size is the width driving the dynamic program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .digraph import Arc, Digraph, TreeIndex
@@ -228,12 +228,14 @@ def default_extension(host: Digraph) -> TreeExtension:
 # -- maintenance under pipeline rewrites ------------------------------------
 #
 # Each step of the reduction owns its host rewrite (`step.apply(host)`);
-# `update_extension` carries the extension tree across it.
+# `update_extension` carries the extension tree across it.  A step's `kind`
+# names it in the output of `stc reduce`.
 
 
 @dataclass(frozen=True)
 class AttachRootStep:
     """A fresh degree-1 root was attached above the host root."""
+    kind = "attach_root"
     new_root: str
 
     def apply(self, host: Digraph) -> Digraph:
@@ -245,6 +247,7 @@ class AttachRootStep:
 @dataclass(frozen=True)
 class InSplitStep:
     """Two parents of `vertex` were moved above the fresh `new_vertex`."""
+    kind = "insplit"
     vertex: str
     parents: tuple[str, str]
     new_vertex: str
@@ -258,6 +261,7 @@ class StretchStep:
     """The fan-out of `vertex` was replaced by a gadget: `arcs` run from
     `vertex` down to its old children, through the new vertices `path`
     (listed in the order they are chained below `vertex` in the extension)."""
+    kind = "stretch"
     vertex: str
     path: tuple[str, ...]
     arcs: tuple[Arc, ...]
@@ -270,8 +274,8 @@ class StretchStep:
 @dataclass(frozen=True)
 class RestrictStep:
     """The host was pruned down to `new_host`; removed vertices contract away."""
+    kind = "prune"
     new_host: Digraph
-    removed: frozenset[str] = field(default_factory=frozenset)
 
     def apply(self, host: Digraph) -> Digraph:
         # `prune_to_leafset` computed the pruned host from this same `host`.

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 
 from .digraph import Digraph
-from .errors import InputError, ParseError
+from .errors import ParseError
 from .extension import TreeExtension
 
 _TOKEN_RE = re.compile(r"\S+")

@@ -64,24 +64,6 @@ def _random_binary_tree(rng, leaves, counter):
     return arcs
 
 
-def _valid_shape(g: Digraph) -> bool:
-    """Network degree conditions, ignoring labels."""
-    if len(g.roots) != 1 or not g.is_acyclic():
-        return False
-    root = g.roots[0]
-    if g.out_degree(root) < 2:
-        return False
-    for v in g.vertices:
-        if v == root:
-            continue
-        din, dout = g.in_degree(v), g.out_degree(v)
-        if din == 1 and dout == 1:
-            return False
-        if din >= 2 and dout != 1:
-            return False
-    return True
-
-
 def _add_reticulation(rng, arcs, counter) -> list | None:
     """One attempt at adding a cross arc; None when the result is invalid."""
     pool = sorted(arcs)
@@ -108,7 +90,10 @@ def _add_reticulation(rng, arcs, counter) -> list | None:
         trial.remove((a, b))
         trial.remove((c, d))
         trial += [(a, x), (x, b), (c, y), (y, d), (x, y)]
-    if not _valid_shape(Digraph(trial)):
+    # Each leaf is labelled by its own id, so only the shape is judged.
+    tails = {u for u, _ in trial}
+    labels = {v: v for _, v in trial if v not in tails}
+    if classify(Digraph(trial, labels)).kind not in (PhyloKind.NETWORK, PhyloKind.TREE):
         return None
     return trial
 

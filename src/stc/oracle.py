@@ -9,26 +9,12 @@ double existential over binary resolutions of both sides.
 from __future__ import annotations
 
 import itertools
-import os
 
-from .digraph import Digraph, canonical_tree_form
+from .digraph import Digraph
 from .errors import InputError, OracleTooLargeError
 
 DEFAULT_ARC_CAP = 16
 DEFAULT_RESOLUTION_CAP = 20000
-_CAP_ENV = "STC_ORACLE_CAP"
-
-
-def _arc_cap(cap):
-    if cap is not None:
-        return cap
-    env = os.environ.get(_CAP_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"{_CAP_ENV} must be an integer, got {env!r}")
-    return DEFAULT_ARC_CAP
 
 
 def _suppressed_canon(root, childmap, label_of):
@@ -76,7 +62,7 @@ def firm_display(n: Digraph, t: Digraph, cap: int | None = None) -> bool:
         return False
     arcs = list(n.arcs)
     m = len(arcs)
-    cap = _arc_cap(cap)
+    cap = DEFAULT_ARC_CAP if cap is None else cap
     if m > cap:
         raise OracleTooLargeError(
             f"{m} arcs exceeds the subset-enumeration cap of {cap}")

@@ -156,27 +156,19 @@ def prune_to_leafset(n: Digraph, taxa) -> tuple[Digraph, RestrictStep]:
     if len(taxa) < 2:
         raise InputError("need at least 2 taxa")
     pruned = tidy(n, taxa)
-    removed = frozenset(n.vertices) - frozenset(pruned.vertices)
-    return pruned, RestrictStep(pruned, removed)
+    return pruned, RestrictStep(pruned)
 
 
 # -- trace and the full pipeline --------------------------------------------
 
 
 @dataclass
-class WidthAudit:
-    """Width bookkeeping around one extension-maintenance step."""
-    kind: str
-    vertex: str | None
-    degree: int
-    width_before: int
-    width_after: int
-
-
-@dataclass
 class ReductionTrace:
+    """The rewrites of the network in order, and the width of the carried
+    extension: `widths[0]` before the first step, `widths[i + 1]` after
+    `steps[i]`."""
     steps: list = field(default_factory=list)
-    width_audits: list[WidthAudit] = field(default_factory=list)
+    widths: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -184,19 +176,27 @@ class AugmentedInstance:
     """A solver-ready instance: binary network and tree, both with degree-1
     roots, plus a canonical tree extension of the network.
 
-    Built by `preprocess`, which runs `check` once; `solve` relies on it.
+    The network is the extension's host.  Built by `preprocess`, which runs
+    `check` once; `solve` relies on it.
     """
 
-    network: Digraph
     tree: Digraph
     extension: TreeExtension
     trace: ReductionTrace
-    network_root: str
-    tree_root: str
+
+    @property
+    def network(self) -> Digraph:
+        return self.extension.host
+
+    @property
+    def network_root(self) -> str:
+        return self.network.root()
+
+    @property
+    def tree_root(self) -> str:
+        return self.tree.root()
 
     def check(self) -> None:
-        if self.extension.host != self.network:
-            raise InternalError("extension does not extend the reduced network")
         if classify(self.network).kind is not PhyloKind.ROOTED_DAG_DEG1_ROOT:
             raise InternalError("reduced network misses the degree-1-root form")
         if classify(self.tree).kind is not PhyloKind.ROOTED_DAG_DEG1_ROOT:
@@ -213,34 +213,29 @@ class AugmentedInstance:
             raise InternalError("extension is not canonical: " + "; ".join(problems))
 
 
-def _carry(ext: TreeExtension, step, trace: ReductionTrace, *,
-           kind: str, vertex=None, degree=0) -> TreeExtension:
-    # `ext` caches its width, so "before" is the previous step's "after".
-    before = ext.width()
+def _carry(ext: TreeExtension, step, trace: ReductionTrace) -> TreeExtension:
     ext = update_extension(ext, step)
     trace.steps.append(step)
-    trace.width_audits.append(WidthAudit(kind, vertex, degree, before, ext.width()))
+    trace.widths.append(ext.width())
     return ext
 
 
 def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
-                   taxa=None) -> tuple[TreeExtension, ReductionTrace, str]:
+                   taxa=None) -> tuple[TreeExtension, ReductionTrace]:
     """Run the network side of the pipeline; returns the carried extension
-    (over the augmented network), the trace, and the fresh root id."""
+    (over the augmented network, whose root is fresh) and the trace."""
     if ext is None:
         ext = default_extension(n)
     if ext.host != n:
         raise InputError("extension does not belong to the given network")
     ext.require_valid()
-    trace = ReductionTrace()
+    trace = ReductionTrace(widths=[ext.width()])
     if taxa is not None and set(taxa) != n.taxa:
         _, step = prune_to_leafset(n, taxa)
-        ext = _carry(ext, step, trace, kind="prune")
+        ext = _carry(ext, step, trace)
     for v in ext.host.vertices:
-        degree = ext.host.out_degree(v)
-        if degree >= 3:
-            ext = _carry(ext, stretch_step(ext.host, v), trace,
-                         kind="stretch", vertex=v, degree=degree)
+        if ext.host.out_degree(v) >= 3:
+            ext = _carry(ext, stretch_step(ext.host, v), trace)
     # An in-split lowers only its target's in-degree, and the new vertex has
     # in-degree 2, so one sorted pass meets the targets in the same order as
     # a rescan for the first in-degree-3+ vertex before every split would.
@@ -249,12 +244,9 @@ def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
         while ext.host.in_degree(v) >= 3:
             host = ext.host
             step = InSplitStep(v, host.parents(v)[:2], host.fresh_ids(1)[0])
-            ext = _carry(ext, step, trace, kind="insplit", vertex=v,
-                         degree=host.in_degree(v))
-    rho_n = ext.host.fresh_ids(1)[0]
-    ext = _carry(ext, AttachRootStep(rho_n), trace, kind="attach_root")
-    ext = canonicalize(ext)
-    return ext, trace, rho_n
+            ext = _carry(ext, step, trace)
+    ext = _carry(ext, AttachRootStep(ext.host.fresh_ids(1)[0]), trace)
+    return canonicalize(ext), trace
 
 
 def preprocess(n: Digraph, t: Digraph,
@@ -272,9 +264,9 @@ def preprocess(n: Digraph, t: Digraph,
     if not t.taxa <= n.taxa:
         raise SemanticError(
             f"tree taxa missing from the network: {sorted(t.taxa - n.taxa)}")
-    ext, trace, rho_n = reduce_network(n, ext, taxa=t.taxa)
+    ext, trace = reduce_network(n, ext, taxa=t.taxa)
     rho_t = t.fresh_ids(1)[0]
     t_aug = Digraph(list(t.arcs) + [(rho_t, t.root())], t.labels)
-    inst = AugmentedInstance(ext.host, t_aug, ext, trace, rho_n, rho_t)
+    inst = AugmentedInstance(t_aug, ext, trace)
     inst.check()
     return inst

@@ -56,20 +56,6 @@ def _require_path(d: Digraph, p) -> None:
             raise InputError(f"not a path: missing arc ({u!r}, {v!r})")
 
 
-@dataclass(frozen=True)
-class SoftEmbedding:
-    """A map from tree arcs to network paths witnessing soft display."""
-
-    paths: dict[Arc, tuple[str, ...]]
-
-    def endpoint(self, y: str) -> str:
-        """The network vertex at which the paths into tree vertex `y` end."""
-        for (x, h), path in self.paths.items():
-            if h == y:
-                return path[-1]
-        raise InputError(f"tree vertex {y!r} heads no mapped arc")
-
-
 def check_embedding(phi: dict[Arc, tuple[str, ...]], tree: Digraph,
                     network: Digraph) -> bool:
     """Verify the four soft-pseudo-embedding conditions of `phi`.
@@ -131,8 +117,6 @@ def check_embedding(phi: dict[Arc, tuple[str, ...]], tree: Digraph,
 @dataclass
 class VertexStats:
     vertex: str
-    cut_above: int
-    cut_below: int
     cells_above: int
     cells_below: int
     max_bundle: int  # largest preimage of a single network arc in any signature
@@ -205,7 +189,6 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     below: dict[str, dict] = {}
     bundle_above: dict[str, int] = {}  # the largest multiplicity in above[v]
     stats: list[VertexStats] = []
-    cuts = inst.extension.cut_sizes()
 
     for v in _post_order(gamma):
         if v == rho_n:
@@ -289,8 +272,6 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
 
         stats.append(VertexStats(
             vertex=v,
-            cut_above=cuts[v][0],
-            cut_below=cuts[v][1],
             cells_above=len(above[v]),
             cells_below=len(below[v]),
             max_bundle=max(bundle_above[v], bundle_below),
@@ -317,11 +298,12 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
 # -- witness reconstruction --------------------------------------------------
 
 
-def reconstruct_witness(result: SolveResult) -> SoftEmbedding:
+def reconstruct_witness(result: SolveResult) -> dict[Arc, tuple[str, ...]]:
     """Replay provenance tags of an accepting run into an embedding.
 
     The embedding maps every arc of the reduced tree to a directed path in
-    the reduced network and satisfies the soft-pseudo-embedding conditions.
+    the reduced network, and `check_embedding` has verified that it meets
+    the soft-pseudo-embedding conditions.
     """
     if not result.displayed:
         raise InputError("no witness: the instance is a no-instance")
@@ -334,7 +316,7 @@ def reconstruct_witness(result: SolveResult) -> SoftEmbedding:
         raise InternalError("witness does not start at the network root")
     if not check_embedding(phi, inst.tree, inst.network):
         raise InternalError("reconstructed embedding fails verification")
-    return SoftEmbedding(phi)
+    return phi
 
 
 def _replay(result: SolveResult) -> dict[Arc, tuple[str, ...]]:

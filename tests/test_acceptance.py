@@ -74,7 +74,7 @@ def test_criterion_3_reduction_preservation(suite, capsys):
     bad = []
     for name, n, t, _ in suite:
         base = soft_display(n, t)
-        _, trace, _ = reduce_network(n)
+        _, trace = reduce_network(n)
         stretched = _fold(n, trace.steps, StretchStep)
         if soft_display(stretched, t) != base:
             bad.append(name + ":stretch")
@@ -89,14 +89,16 @@ def test_criterion_3_reduction_preservation(suite, capsys):
 def test_criterion_4_width_bounds(suite, capsys):
     violations = []
     for name, n, t, ext in suite:
-        inst = preprocess(n, t, ext)
-        for audit in inst.trace.width_audits:
-            if audit.kind == "stretch":
-                if audit.width_after > audit.width_before + 2 * audit.degree:
-                    violations.append(f"{name}:{audit.vertex}")
-            elif audit.kind == "insplit":
-                if audit.width_after > audit.width_before:
-                    violations.append(f"{name}:{audit.vertex}")
+        trace = preprocess(n, t, ext).trace
+        host = n
+        for step, before, after in zip(trace.steps, trace.widths, trace.widths[1:]):
+            if isinstance(step, StretchStep):
+                if after > before + 2 * host.out_degree(step.vertex):
+                    violations.append(f"{name}:{step.vertex}")
+            elif isinstance(step, InSplitStep):
+                if after > before:
+                    violations.append(f"{name}:{step.vertex}")
+            host = step.apply(host)
     _report(capsys, 4, "width bounds along the reduction", not violations,
             f"{len(violations)} violations")
 
@@ -108,8 +110,9 @@ def test_criterion_5_signature_bounds(suite, capsys):
         result = solve(inst)
         delta_t = inst.tree.max_out_degree
         leaves = set(inst.network.leaves)
+        cuts = inst.extension.cut_sizes()
         for s in result.stats:
-            cut = s.cut_above
+            cut = cuts[s.vertex][0]
             bound = (4 * cut) ** (delta_t * cut)
             if s.cells_above > bound:
                 violations.append(f"{name}:{s.vertex}:cells")
@@ -132,10 +135,10 @@ def test_criterion_6_certificate_soundness(suite, capsys):
         yes += 1
         emb = reconstruct_witness(result)
         top = (inst.tree_root, inst.tree.children(inst.tree_root)[0])
-        first_two = emb.paths[top][:2]
+        first_two = emb[top][:2]
         anchored = first_two == (inst.network_root,
                                  inst.network.children(inst.network_root)[0])
-        if not (check_embedding(emb.paths, inst.tree, inst.network)
+        if not (check_embedding(emb, inst.tree, inst.network)
                 and anchored):
             bad.append(name)
     _report(capsys, 6, "every yes-verdict carries a checkable witness", not bad,

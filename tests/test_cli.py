@@ -136,6 +136,16 @@ def test_reduce_writes_files(files, tmp_path, capsys):
     assert (tmp_path / "out.extension").read_text().startswith("E ")
 
 
+def test_unwritable_output_is_a_semantic_error(files, tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "x")
+    for argv in (["gen", "--leaves", "6", "--seed", "3", "-o", missing],
+                 ["reduce", "-n", files["net_a"], "-o", missing]):
+        assert main(argv) == 66
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {missing}.network: ")
+        assert "Traceback" not in err
+
+
 # sha256 of PREFIX.network, PREFIX.extension and stdout of `stc reduce`.
 # Seed 1 stretches a degree-4 vertex, all three in-split, and seed 4 runs
 # against a tree without its last three taxa, so it starts with a prune.

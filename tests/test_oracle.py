@@ -35,15 +35,9 @@ def test_firm_display_missing_taxa_is_false(net_a):
     assert not soft_display(net_a, t)
 
 
-def test_arc_cap_raises_and_env_overrides(net_a, tree_b, monkeypatch):
+def test_arc_cap_raises(net_a, tree_b):
     with pytest.raises(OracleTooLargeError):
         firm_display(net_a, tree_b, cap=5)
-    monkeypatch.setenv("STC_ORACLE_CAP", "5")
-    with pytest.raises(OracleTooLargeError):
-        firm_display(net_a, tree_b)
-    monkeypatch.setenv("STC_ORACLE_CAP", "just-huge")
-    with pytest.raises(InputError):
-        firm_display(net_a, tree_b)
 
 
 def test_binary_shape_counts():

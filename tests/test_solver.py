@@ -8,8 +8,6 @@ from contextlib import contextmanager
 import pytest
 
 from stc import (
-    CUT_ABOVE,
-    CUT_BELOW,
     Digraph,
     GeneratorParams,
     InputError,
@@ -241,7 +239,7 @@ def test_check_embedding_matches_the_all_pairs_reference(suite):
         result = solve(inst)
         if not result.displayed:
             continue
-        phi = reconstruct_witness(result).paths
+        phi = reconstruct_witness(result)
         for mutant in [phi] + _mutations(phi, inst.network, rng):
             want = _outcome(_all_pairs_check_embedding, mutant, inst.tree, inst.network)
             got = _outcome(check_embedding, mutant, inst.tree, inst.network)
@@ -274,12 +272,10 @@ def test_witness_is_checkable_and_anchored(net_a, tree_b, tree_d):
         inst = preprocess(net_a, t)
         result = solve(inst)
         emb = reconstruct_witness(result)
-        assert set(emb.paths) == set(inst.tree.arcs)
-        assert check_embedding(emb.paths, inst.tree, inst.network)
+        assert set(emb) == set(inst.tree.arcs)
+        assert check_embedding(emb, inst.tree, inst.network)
         top = (inst.tree_root, inst.tree.children(inst.tree_root)[0])
-        assert emb.paths[top][0] == inst.network_root
-        assert emb.endpoint(inst.tree.children(inst.tree_root)[0]) == \
-            emb.paths[top][-1]
+        assert emb[top][0] == inst.network_root
 
 
 def _stack_depth():
@@ -330,7 +326,7 @@ def test_deep_witness_replay_leaves_the_recursion_limit_alone(monkeypatch):
     assert max(depth.values()) > 2 * headroom
     with _shallow_stack(monkeypatch, headroom):
         emb = reconstruct_witness(result)
-    assert set(emb.paths) == set(inst.tree.arcs)
+    assert set(emb) == set(inst.tree.arcs)
 
 
 def test_deep_certificate_is_checked_without_recursion(monkeypatch):
@@ -341,8 +337,8 @@ def test_deep_certificate_is_checked_without_recursion(monkeypatch):
     result = solve(inst)
     with _shallow_stack(monkeypatch, 100):
         emb = reconstruct_witness(result)
-        accepted = check_embedding(emb.paths, inst.tree, inst.network)
-    assert accepted and set(emb.paths) == set(inst.tree.arcs)
+        accepted = check_embedding(emb, inst.tree, inst.network)
+    assert accepted and set(emb) == set(inst.tree.arcs)
 
 
 def test_no_witness_for_no_instances(net_a, tree_c):
@@ -364,7 +360,6 @@ def test_stats_are_collected(net_a, tree_b):
     assert result.final_vertex in by_vertex
     for s in result.stats:
         assert s.cells_above >= 1
-        assert s.cut_above >= 1
 
 
 def _largest_bundle(signatures):
@@ -381,8 +376,6 @@ def test_stats_equal_a_recount_of_the_tables(suite):
             v = s.vertex
             assert s == VertexStats(
                 vertex=v,
-                cut_above=len(inst.extension.scan_cut(v, CUT_ABOVE)),
-                cut_below=len(inst.extension.scan_cut(v, CUT_BELOW)),
                 cells_above=len(above[v]),
                 cells_below=len(below[v]),
                 max_bundle=max(_largest_bundle(map(result.signature, above[v])),
@@ -426,7 +419,6 @@ def _reference_solve(inst):
     below: dict[str, dict] = {}
     bundle_above: dict[str, int] = {}  # _max_bundle(above[v]), counted once
     stats: list[VertexStats] = []
-    cuts = inst.extension.cut_sizes()
 
     for v in _post_order(gamma):
         if v == rho_n:
@@ -494,8 +486,6 @@ def _reference_solve(inst):
         bundle_above[v] = _max_bundle(above[v])
         stats.append(VertexStats(
             vertex=v,
-            cut_above=cuts[v][0],
-            cut_below=cuts[v][1],
             cells_above=len(above[v]),
             cells_below=len(below[v]),
             max_bundle=max(bundle_above[v], bundle_below),
@@ -546,6 +536,6 @@ def test_kernel_matches_the_string_keyed_reference(suite):
         if result.displayed:
             accepting = result.signature(result.accepting_key)
             assert len(accepting) == 1 and accepting in above[result.final_vertex]
-            phi = reconstruct_witness(result).paths
+            phi = reconstruct_witness(result)
             assert check_embedding(phi, inst.tree, inst.network)
     assert verdicts[True] > 200 and verdicts[False] > 100
