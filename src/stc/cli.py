@@ -106,9 +106,9 @@ def solve_cmd(network_path, tree_path, extension_path, witness, decision_only,
         return EXIT_NO
     click.echo("YES")
     if witness:
-        embedding = reconstruct_witness(result)
+        network, embedding = reconstruct_witness(result)
         click.echo("REDUCED-INSTANCE")
-        click.echo(formats.serialize_edgelist(inst.network), nl=False)
+        click.echo(formats.serialize_edgelist(network), nl=False)
         for (x, y) in sorted(embedding):
             path = " ".join(embedding[(x, y)])
             click.echo(f"EMBED {x} {y} : {path}")
@@ -185,7 +185,10 @@ def _solve_batch(batch_dir, jobs):
 @click.option("-o", "--output", "prefix", required=True,
               help="output prefix; writes PREFIX.network and PREFIX.extension")
 def reduce_cmd(network_path, extension_path, tree_path, prefix):
-    """Run the reduction pipeline and write the binary network + extension."""
+    """Run the reduction pipeline and write the reduced network + extension.
+
+    The reduced network has in-degree at most 2 and a fresh degree-1 root;
+    its vertices of out-degree 3+ stay, as the solver resolves them."""
     n = _load_network(network_path)
     ext = _load_extension(extension_path, n) if extension_path else None
     taxa = None

@@ -257,21 +257,6 @@ class InSplitStep:
 
 
 @dataclass(frozen=True)
-class StretchStep:
-    """The fan-out of `vertex` was replaced by a gadget: `arcs` run from
-    `vertex` down to its old children, through the new vertices `path`
-    (listed in the order they are chained below `vertex` in the extension)."""
-    kind = "stretch"
-    vertex: str
-    path: tuple[str, ...]
-    arcs: tuple[Arc, ...]
-
-    def apply(self, host: Digraph) -> Digraph:
-        arcs = [a for a in host.arcs if a[0] != self.vertex]
-        return Digraph(arcs + list(self.arcs), host.labels, host.vertices)
-
-
-@dataclass(frozen=True)
 class RestrictStep:
     """The host was pruned down to `new_host`; removed vertices contract away."""
     kind = "prune"
@@ -284,7 +269,7 @@ class RestrictStep:
 
 def update_extension(ext: TreeExtension, step) -> TreeExtension:
     """Carry a valid extension across one pipeline rewrite of its host."""
-    if not isinstance(step, (AttachRootStep, InSplitStep, StretchStep, RestrictStep)):
+    if not isinstance(step, (AttachRootStep, InSplitStep, RestrictStep)):
         raise InternalError(f"unknown extension update step: {step!r}")
     host = step.apply(ext.host)
     gamma = ext.gamma
@@ -296,12 +281,6 @@ def update_extension(ext: TreeExtension, step) -> TreeExtension:
                                                    step.new_vertex))
     if isinstance(step, AttachRootStep):
         arcs = list(gamma.arcs) + [(step.new_root, gamma.root())]
-    elif isinstance(step, StretchStep):
-        # The old children of `vertex` hang below the end of the new chain.
-        chain = [step.vertex, *step.path]
-        arcs = [a for a in gamma.arcs if a[0] != step.vertex]
-        arcs += list(zip(chain, chain[1:]))
-        arcs += [(chain[-1], c) for c in gamma.children(step.vertex)]
     else:
         arcs = _restricted_arcs(gamma, host)
     return TreeExtension(host, Digraph(arcs, vertices=host.vertices))

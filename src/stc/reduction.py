@@ -1,9 +1,10 @@
-"""Preprocessing pipeline that turns an arbitrary instance into a binary one.
+"""Preprocessing pipeline that turns an arbitrary instance into a solver-ready one.
 
-Order of operations: prune the network down to the tree's taxa, replace every
-vertex of out-degree 3+ by a splitter/sorter gadget, resolve high in-degrees
-by caterpillar in-splitting, attach degree-1 roots to both sides, and finally
-canonicalize the tree extension that was carried through every step.
+Order of operations: prune the network down to the tree's taxa, resolve high
+in-degrees by caterpillar in-splitting, attach degree-1 roots to both sides,
+and finally canonicalize the tree extension that was carried through every
+step.  Vertices of out-degree 3+ stay as they are: the solver resolves each
+soft polytomy itself.
 """
 
 from __future__ import annotations
@@ -11,80 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .digraph import Digraph, PhyloKind, classify
-from .errors import InputError, InternalError, RewriteError, SemanticError
+from .errors import InputError, InternalError, SemanticError
 from .extension import (
     AttachRootStep,
     InSplitStep,
     RestrictStep,
-    StretchStep,
     TreeExtension,
     canonicalize,
     default_extension,
     update_extension,
 )
-
-
-# -- the stretch gadget -----------------------------------------------------
-
-
-def stretch_step(host: Digraph, v: str) -> StretchStep:
-    """The step replacing the fan-out of an out-degree-d vertex by a gadget.
-
-    A triangular splitter (every binary fan-out over d exits embeds in it)
-    feeds a (d-1) x (d-1) grid of comparator blocks that undo the leaf order
-    the splitter forces.  The splitter has vertices u(i, j) in rows i = 2..d-1
-    at positions j = 1..i, pass-through vertices p(i, j) inside the triangle
-    and row-d collectors x(j); each comparator block w(i, j, 1..4) has two
-    entry vertices and two reticulated exits.
-    """
-    if v not in host:
-        raise InputError(f"unknown vertex {v!r}")
-    d = host.out_degree(v)
-    if d < 3:
-        raise RewriteError(f"stretch needs out-degree >= 3 at {v!r}")
-    # Every gadget vertex, in the order it is chained below `v`.
-    slots = []
-    for i in range(2, d):
-        slots += [("u", i, j) for j in range(1, i + 1)]
-        slots += [("p", i, j) for j in range(2, i)]
-    slots += [("x", j) for j in range(2, d)]
-    slots += [("w", i, j, k) for i in range(1, d) for j in range(1, d) for k in range(1, 5)]
-    name = dict(zip(slots, host.fresh_ids(len(slots))))
-
-    def u(i, j):
-        return name["u", i, j]
-
-    def x(j):
-        return name["x", j]
-
-    def w(i, j, k):
-        return name["w", i, j, k]
-
-    arcs = [(v, u(2, 1)), (v, u(2, 2))]
-    for i in range(2, d - 1):
-        arcs += [(u(i, 1), u(i + 1, 1)), (u(i, 1), u(i + 1, 2))]
-        arcs += [(u(i, i), u(i + 1, i)), (u(i, i), u(i + 1, i + 1))]
-    for i in range(3, d):
-        for j in range(2, i):
-            p = name["p", i, j]
-            right = x(j) if i + 1 == d else u(i + 1, j)
-            down = x(j + 1) if i + 1 == d else u(i + 1, j + 1)
-            arcs += [(u(i, j), p), (p, right), (p, down)]
-    arcs += [(u(d - 1, 1), w(1, 1, 1)), (u(d - 1, 1), x(2))]
-    arcs += [(u(d - 1, d - 1), x(d - 1)), (u(d - 1, d - 1), w(1, d - 1, 2))]
-    arcs += [(x(j), w(1, j - 1, 2)) for j in range(2, d)]
-    for i in range(1, d):
-        for j in range(1, d):
-            arcs += [(w(i, j, entry), w(i, j, exit)) for entry in (1, 2) for exit in (3, 4)]
-        arcs += [(w(i, j, 4), w(i, j + 1, 1)) for j in range(1, d - 1)]
-    for i in range(1, d - 1):
-        arcs.append((w(i, 1, 3), w(i + 1, 1, 1)))
-        arcs.append((w(i, d - 1, 4), w(i + 1, d - 1, 2)))
-        arcs += [(w(i, j, 3), w(i + 1, j - 1, 2)) for j in range(2, d)]
-    children = host.children(v)
-    arcs += [(w(d - 1, j, 3), children[j - 1]) for j in range(1, d)]
-    arcs.append((w(d - 1, d - 1, 4), children[d - 1]))
-    return StretchStep(v, tuple(name.values()), tuple(arcs))
 
 
 # -- pruning ----------------------------------------------------------------
@@ -173,8 +110,8 @@ class ReductionTrace:
 
 @dataclass
 class AugmentedInstance:
-    """A solver-ready instance: binary network and tree, both with degree-1
-    roots, plus a canonical tree extension of the network.
+    """A solver-ready instance: a network of in-degree at most 2 and a tree,
+    both with degree-1 roots, plus a canonical tree extension of the network.
 
     The network is the extension's host.  Built by `preprocess`, which runs
     `check` once; `solve` relies on it.
@@ -201,8 +138,8 @@ class AugmentedInstance:
             raise InternalError("reduced network misses the degree-1-root form")
         if classify(self.tree).kind is not PhyloKind.ROOTED_DAG_DEG1_ROOT:
             raise InternalError("reduced tree misses the degree-1-root form")
-        if not self.network.is_binary():
-            raise InternalError("reduced network is not binary")
+        if self.network.max_in_degree > 2:
+            raise InternalError("reduced network has a vertex of in-degree above 2")
         if any(self.tree.in_degree(v) > 1 for v in self.tree.vertices):
             raise InternalError("reduced tree is not an out-tree")
         if self.network.taxa != self.tree.taxa:
@@ -233,9 +170,6 @@ def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
     if taxa is not None and set(taxa) != n.taxa:
         _, step = prune_to_leafset(n, taxa)
         ext = _carry(ext, step, trace)
-    for v in ext.host.vertices:
-        if ext.host.out_degree(v) >= 3:
-            ext = _carry(ext, stretch_step(ext.host, v), trace)
     # An in-split lowers only its target's in-degree, and the new vertex has
     # in-degree 2, so one sorted pass meets the targets in the same order as
     # a rescan for the first in-degree-3+ vertex before every split would.

@@ -1,6 +1,6 @@
 """Signature dynamic program deciding soft display on a reduced instance.
 
-The program sweeps a canonical tree extension of the binary network bottom-up.
+The program sweeps a canonical tree extension of the network bottom-up.
 For each scan cut it keeps a table of signatures.  A signature is a map
 sending each topmost arc of an embedded, downward-closed tree forest to the
 network arc of the cut that its image path currently crosses; the map's
@@ -9,6 +9,12 @@ the sorted tuple of its (tree arc, network arc) pairs, each packed into one
 int (`SolveResult.signature` decodes a key).  The instance is a
 yes-instance iff the table at the child of the network root contains a
 signature whose domain is the tree's root arc alone.
+
+A network vertex of out-degree 3 or more is a soft polytomy: any binary
+resolution of it may carry the embedding.  The sweep resolves it in place,
+by a join over the subset lattice of the out-arcs that a signature uses
+there (`_resolutions`), and the witness is reported on the network with
+each polytomy it passes through resolved by fresh vertices.
 """
 
 from __future__ import annotations
@@ -154,6 +160,55 @@ def _post_order(gamma: Digraph) -> list[str]:
     return out[::-1]
 
 
+def _resolutions(bundle: tuple[int, ...], shift: int, mask: int, t_tail: list[str],
+                 t_fanout: dict[str, int], t_parent_pair: dict[str, int],
+                 rho_t: str) -> list[tuple[tuple[int, ...], tuple]]:
+    """What the pairs on the out-arcs of a soft polytomy v can become on
+    its in-arc, each with a binary resolution of v that yields it.
+
+    `bundle` holds the pairs of a signature on out-arcs of v.  A binary
+    resolution of v is a binary tree rooted at v whose leaves are the
+    occupied out-arcs; each inner node has one in-arc, and the extend/grow
+    step applies there to the tree arcs on its two out-arcs.  `reach[A]`
+    maps each set of tree arcs that a resolution of the subset A of
+    occupied out-arcs can leave on the in-arc of its root to one such
+    resolution, its plan.  A plan is an out-arc id at a leaf and
+    `(ids, grown, left, right)` at a node, `ids` being the tree arcs on its
+    in-arc; `_replay` unfolds it.
+    """
+    occupied = sorted({p & mask for p in bundle})
+    reach: list[dict] = [{} for _ in range(1 << len(occupied))]
+    for i, b in enumerate(occupied):
+        reach[1 << i] = {tuple(p >> shift for p in bundle if p & mask == b): b}
+    for subset in range(3, 1 << len(occupied)):
+        low = subset & -subset
+        if subset == low:
+            continue
+        out = reach[subset]
+        others = subset ^ low
+        part = others
+        while True:
+            # every split of `subset` once: `left` holds its lowest out-arc
+            left = part | low
+            if left != subset:
+                for ids1, plan1 in reach[left].items():
+                    for ids2, plan2 in reach[subset ^ left].items():
+                        ids = tuple(sorted(ids1 + ids2))
+                        y = t_tail[ids[0]]
+                        if any(t_tail[i] != y for i in ids):
+                            continue
+                        if ids not in out:
+                            out[ids] = (ids, False, plan1, plan2)
+                        if y != rho_t and len(ids) == t_fanout[y]:
+                            grown = (t_parent_pair[y] >> shift,)
+                            if grown not in out:
+                                out[grown] = (grown, True, plan1, plan2)
+            if not part:
+                break
+            part = (part - 1) & others
+    return list(reach[-1].items())
+
+
 def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     """Decide soft display on a reduced instance built by `preprocess`.
 
@@ -161,13 +216,19 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     retained for witness reconstruction; without it, child tables are freed
     as soon as they have been combined, which bounds memory by the tables
     along one root-to-leaf slice.  Per-vertex stats are always collected.
-    A vertex with one extension child `q` uses `q`'s above table as its below.
+    A vertex with one extension child `q` uses `q`'s above table as its
+    below; with more, the below table joins their above tables.
 
     Arcs are numbered by their index in the sorted `arcs` of their graph, and
     a pair is the int `tree_index << shift | network_index`, so a signature is
     a sorted tuple of ints in the order of its pairs.  Tables keep insertion
     order.  Each tag holds its kind, then its signature's largest preimage of
     a single network arc, which the steps below carry from cell to cell.
+
+    At a vertex of out-degree 3 or more, a signature whose pairs use three
+    or more of its out-arcs takes the outcomes of `_resolutions`.  They
+    depend on those pairs alone, so each distinct bundle is resolved once
+    per call.
     """
     n, t, gamma = inst.network, inst.tree, inst.extension.gamma
     rho_n, rho_t = inst.network_root, inst.tree_root
@@ -184,6 +245,7 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     for i, (u, v) in enumerate(n.arcs):
         n_outs.setdefault(u, set()).add(i)
         n_ins.setdefault(v, []).append(i)
+    resolved: dict[tuple[int, ...], list] = {}  # bundle -> `_resolutions`
 
     above: dict[str, dict] = {}
     below: dict[str, dict] = {}
@@ -211,17 +273,21 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
             if len(qs) == 1:
                 below_v = above[qs[0]]
                 bundle_below = bundle_above[qs[0]]
-            elif len(qs) == 2:
-                q1, q2 = qs
-                arcs1 = {p >> shift for k1 in above[q1] for p in k1}
-                if any(p >> shift in arcs1 for k2 in above[q2] for p in k2):
-                    raise InternalError(
-                        "sibling signatures share a tree arc; "
-                        "the extension cannot be canonical")
-                # The cut arcs above q1 and above q2 head into disjoint
-                # subtrees of gamma, so no network arc bundles arcs of both,
+            else:
+                seen: set[int] = set()
+                for q in qs:
+                    arcs_q = {p >> shift for k in above[q] for p in k}
+                    if not seen.isdisjoint(arcs_q):
+                        raise InternalError(
+                            "sibling signatures share a tree arc; "
+                            "the extension cannot be canonical")
+                    seen |= arcs_q
+                # The cut arcs above distinct children head into disjoint
+                # subtrees of gamma, so no network arc bundles arcs of two,
                 # and a joined signature's largest multiplicity is the
-                # larger of its halves'.
+                # largest of its parts'.  More than two children fold in one
+                # at a time, each adding its (child, key) to the tag.
+                q1, q2, *more = qs
                 cells2 = [(k2, tag2[1]) for k2, tag2 in above[q2].items()]
                 below_v = {}
                 for k1, tag1 in above[q1].items():
@@ -229,13 +295,20 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
                     for k2, m2 in cells2:
                         below_v.setdefault(tuple(sorted(k1 + k2)), (
                             "join", m1 if m1 > m2 else m2, q1, k1, q2, k2))
-                bundle_below = (max(bundle_above[q1], bundle_above[q2])
+                for q in more:
+                    cells2 = [(k2, tag2[1]) for k2, tag2 in above[q].items()]
+                    joined = {}
+                    for k1, tag1 in below_v.items():
+                        m1, parts = tag1[1], tag1[2:]
+                        for k2, m2 in cells2:
+                            joined.setdefault(tuple(sorted(k1 + k2)), (
+                                "join", m1 if m1 > m2 else m2, *parts, q, k2))
+                    below_v = joined
+                bundle_below = (max(bundle_above[q] for q in qs)
                                 if below_v else 0)
-            else:
-                raise InternalError(
-                    "extension vertex with more than two children over a binary host")
 
             outs = n_outs.get(v, ())
+            polytomy = len(outs) > 2
             above_v: dict = {}
             for key, tag in below_v.items():
                 m = tag[1]
@@ -243,29 +316,46 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
                 if not bundle:
                     above_v.setdefault(key, ("up", m, v))
                     continue
-                if len(bundle) > 1 and len({t_tail[p >> shift] for p in bundle}) > 1:
-                    continue
-                # Extend: the bundle's arcs all cross one in-arc of v now.
-                extended_m = m if m > len(bundle) else len(bundle)
-                for a in ins:
-                    extended = tuple([p >> shift << shift | a if p & mask in outs
-                                      else p for p in key])
-                    above_v.setdefault(extended, ("extend", extended_m, v, key, a))
-                y = t_tail[bundle[0] >> shift]
-                if y != rho_t and len(bundle) == t_fanout[y]:
-                    # Grow: the bundle is every out-arc of y, so y's parent
-                    # arc replaces it; the bundle's count leaves the key.
-                    rest, counts = [], {}
-                    for p in key:
-                        b = p & mask
-                        if b not in outs:
-                            rest.append(p)
-                            counts[b] = counts.get(b, 0) + 1
-                    grown_m = max(counts.values(), default=1)
+                resolve = polytomy and len({p & mask for p in bundle}) > 2
+                if not resolve:
+                    if len(bundle) > 1 and len({t_tail[p >> shift] for p in bundle}) > 1:
+                        continue
+                    # Extend: the bundle's arcs all cross one in-arc of v now.
+                    extended_m = m if m > len(bundle) else len(bundle)
+                    for a in ins:
+                        extended = tuple([p >> shift << shift | a if p & mask in outs
+                                          else p for p in key])
+                        above_v.setdefault(extended, ("extend", extended_m, v, key, a))
+                    y = t_tail[bundle[0] >> shift]
+                    if y == rho_t or len(bundle) != t_fanout[y]:
+                        continue
+                # Grow, or resolve: the bundle leaves the key, and so does
+                # its count.  A grow puts y's parent arc in its place, the
+                # bundle being every out-arc of y; a resolution puts each
+                # outcome of `_resolutions` there.
+                rest, counts = [], {}
+                for p in key:
+                    b = p & mask
+                    if b not in outs:
+                        rest.append(p)
+                        counts[b] = counts.get(b, 0) + 1
+                rest_m = max(counts.values(), default=1)
+                if not resolve:
                     parent = t_parent_pair[y]
                     for a in ins:
                         grown = tuple(sorted(rest + [parent | a]))
-                        above_v.setdefault(grown, ("grow", grown_m, v, key, parent | a))
+                        above_v.setdefault(grown, ("grow", rest_m, v, key, parent | a))
+                    continue
+                bundle = tuple(bundle)
+                outcomes = resolved.get(bundle)
+                if outcomes is None:
+                    outcomes = resolved[bundle] = _resolutions(
+                        bundle, shift, mask, t_tail, t_fanout, t_parent_pair, rho_t)
+                for ids, plan in outcomes:
+                    new_m = rest_m if rest_m > len(ids) else len(ids)
+                    for a in ins:
+                        new = tuple(sorted(rest + [i << shift | a for i in ids]))
+                        above_v.setdefault(new, ("resolve", new_m, v, key, a, plan))
             above[v] = above_v
             below[v] = below_v
             bundle_above[v] = max((tag[1] for tag in above_v.values()), default=0)
@@ -298,51 +388,64 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
 # -- witness reconstruction --------------------------------------------------
 
 
-def reconstruct_witness(result: SolveResult) -> dict[Arc, tuple[str, ...]]:
+def reconstruct_witness(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
     """Replay provenance tags of an accepting run into an embedding.
 
-    The embedding maps every arc of the reduced tree to a directed path in
-    the reduced network, and `check_embedding` has verified that it meets
-    the soft-pseudo-embedding conditions.
+    Returns the network the witness lives on and the embedding, which maps
+    every arc of the reduced tree to a directed path in that network.  The
+    network is the reduced one, with each polytomy the run resolved replaced
+    by the resolution it chose (fresh vertices, so every path keeps at least
+    one arc).  `check_embedding` has verified that the embedding meets the
+    soft-pseudo-embedding conditions there.
     """
     if not result.displayed:
         raise InputError("no witness: the instance is a no-instance")
     if result.tables is None:
         raise InputError("no witness: the solver ran in decision-only mode")
     inst = result.instance
-    phi = _replay(result)
+    network, phi = _replay(result)
     top_arc = (inst.tree_root, inst.tree.children(inst.tree_root)[0])
     if phi[top_arc][0] != inst.network_root:
         raise InternalError("witness does not start at the network root")
-    if not check_embedding(phi, inst.tree, inst.network):
+    if not check_embedding(phi, inst.tree, network):
         raise InternalError("reconstructed embedding fails verification")
-    return phi
+    return network, phi
 
 
-def _replay(result: SolveResult) -> dict[Arc, tuple[str, ...]]:
+def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
     """Unfold the provenance tags under the accepting cell into paths.
 
     The walk runs top-down with an explicit stack, so its depth is not bound
-    by the interpreter's.  The "up", "extend" and "grow" tags name the vertex
-    they were made at, since one table may be both above a vertex and below
-    its parent.  An "extend" tag prepends the tail of its in-arc to the paths
-    of the tree arcs that its inner signature maps to out-arcs of its vertex,
-    and it is met before the "leaf" or "grow" tag that starts those paths,
-    so every path is built by appending.  Packed ids are decoded here.
+    by the interpreter's.  The "up", "extend", "grow" and "resolve" tags name
+    the vertex they were made at, since one table may be both above a vertex
+    and below its parent.  An "extend" tag prepends the tail of its in-arc to
+    the paths of the tree arcs that its inner signature maps to out-arcs of
+    its vertex, and it is met before the "leaf" or "grow" tag that starts
+    those paths, so every path is built by appending.  A "resolve" tag does
+    the same at each node of its plan, top-down, with a fresh vertex for
+    each node below its own vertex; each out-arc it resolves then has that
+    out-arc's node as its tail for the tags below.  Packed ids are decoded
+    here.
     """
     above, below = result.tables["above"], result.tables["below"]
-    t_arcs, n_arcs = result.instance.tree.arcs, result.instance.network.arcs
-    shift, mask = _pair_bits(result.instance.network)
+    network = result.instance.network
+    t_arcs, n_arcs = result.instance.tree.arcs, network.arcs
+    shift, mask = _pair_bits(network)
     paths: dict[Arc, list[str]] = {}
     started: set[Arc] = set()
     overlap: set[Arc] = set()
+    tail: dict[int, str] = {}  # network arc id -> its tail in the resolution
+    resolution: list[Arc] = []
+    fresh = int(network.fresh_ids(1)[0][1:])
 
-    def start(p):
-        arc = t_arcs[p >> shift]
+    def start(arc, u, v):
         if arc in started:
             overlap.add(arc)
         started.add(arc)
-        paths.setdefault(arc, []).extend(n_arcs[p & mask])
+        paths.setdefault(arc, []).extend((u, v))
+
+    def tail_of(b):
+        return tail.get(b) or n_arcs[b][0]
 
     stack = [(above[result.final_vertex], result.accepting_key)]
     while stack:
@@ -350,13 +453,13 @@ def _replay(result: SolveResult) -> dict[Arc, tuple[str, ...]]:
         tag = table[key]
         if tag[0] == "leaf":
             (p,) = key
-            start(p)
+            start(t_arcs[p >> shift], tail_of(p & mask), n_arcs[p & mask][1])
         elif tag[0] == "up":
             _, _, v = tag
             stack.append((below[v], key))
         elif tag[0] == "extend":
             _, _, v, inner, a = tag
-            u = n_arcs[a][0]
+            u = tail_of(a)
             for p in inner:
                 if n_arcs[p & mask][0] == v:
                     paths.setdefault(t_arcs[p >> shift], []).append(u)
@@ -364,13 +467,36 @@ def _replay(result: SolveResult) -> dict[Arc, tuple[str, ...]]:
         elif tag[0] == "grow":
             # The bundled arcs stay embedded; they merely stop being topmost.
             _, _, v, inner, p = tag
-            start(p)
+            start(t_arcs[p >> shift], tail_of(p & mask), v)
+            stack.append((below[v], inner))
+        elif tag[0] == "resolve":
+            _, _, v, inner, a, plan = tag
+            nodes = [(plan, tail_of(a), v)]
+            while nodes:
+                (ids, grown, *parts), u, w = nodes.pop()
+                if grown:
+                    start(t_arcs[ids[0]], u, w)
+                else:
+                    for i in ids:
+                        paths.setdefault(t_arcs[i], []).append(u)
+                for part in parts:
+                    if isinstance(part, int):
+                        tail[part] = w
+                        resolution.append((w, n_arcs[part][1]))
+                    else:
+                        resolution.append((w, f"g{fresh}"))
+                        nodes.append((part, w, f"g{fresh}"))
+                        fresh += 1
             stack.append((below[v], inner))
         elif tag[0] == "join":
-            _, _, q1, k1, q2, k2 = tag
-            stack += [(above[q2], k2), (above[q1], k1)]
+            parts = tag[2:]
+            for i in range(len(parts) - 2, -1, -2):
+                stack.append((above[parts[i]], parts[i + 1]))
         else:
             raise InternalError(f"unknown provenance tag {tag!r}")
     if overlap:
         raise InternalError(f"joined embeddings overlap on {sorted(overlap)}")
-    return {a: tuple(path) for a, path in paths.items()}
+    if resolution:
+        kept = [arc for b, arc in enumerate(n_arcs) if b not in tail]
+        network = Digraph(kept + resolution, network.labels)
+    return network, {a: tuple(path) for a, path in paths.items()}

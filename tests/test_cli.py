@@ -13,6 +13,7 @@ from stc import (
     check_embedding,
     generate,
     parse_edgelist,
+    preprocess,
     prune_to_leafset,
     serialize_edgelist,
     solve,
@@ -147,18 +148,18 @@ def test_unwritable_output_is_a_semantic_error(files, tmp_path, capsys):
 
 
 # sha256 of PREFIX.network, PREFIX.extension and stdout of `stc reduce`.
-# Seed 1 stretches a degree-4 vertex, all three in-split, and seed 4 runs
+# All three in-split and keep their polytomies for the solver, and seed 4 runs
 # against a tree without its last three taxa, so it starts with a prune.
 _REDUCE_GOLDEN = {
-    (1, 0): ("d3896ccb7c2b337418382a142fa0d9ab7ba85f7ce15a54e0aab9b183ad352e09",
-             "93dca6b50128dea2e60fbb4a769cf3a52a231de33bd7130d968f518751b26fa7",
-             "2c626847f1d516212c1e5cc4d73e00925736416c621c86e6384ce47b249c732b"),
-    (3, 0): ("c5234090da5c8b85465f87f0e817c5e368cbc62f2d0de61a6c34b503a47cfff6",
-             "84b13915caddcb6dbfe05b43d4a6e7886fd8edd087ee38019f8a39151abd2f5e",
-             "9aff12518a3f65e441863c4a9ac51b3ba341ab7b48454c6a7b0a96ad411dd5db"),
-    (4, 3): ("9f44bf98e5e78a0ece04ab170e21b9ecbc36b084776db0ea77ded15ed440dbf1",
-             "7fda5cc9de8e701687e8f6b59c0445c1a7e14ad52be643e0853f5c78aed202e2",
-             "7ac0838c36add220d405774c3d84ab9b39d19d939182d120e8d85cc7a7a732e6"),
+    (1, 0): ("d24b4aae5546c6208da529ae1db8d4a74237462f364ca2d2ef046c9d290ad38a",
+             "c994bddb17ef43ad8a8e6608bab0c986c9f51c5f48d7c74b626e3c5c47f1fa60",
+             "37c9b24da22f1fb8e7d75e42633c4e2163b1d121ec4821ed6d74780f296965aa"),
+    (3, 0): ("4cdd5cb45ac4b596f77e48f8035450357e1c4edc2ac71515bba2024fcb22f362",
+             "ad575ddd2d2fa1e1c52a71a4c3890c3ca8c707f3d75fd0d00f965eb972ca9f40",
+             "fbf757d27a14440d94293416e6f3137cf4f490788840edaa71284eea99e16a91"),
+    (4, 3): ("4506a96f7341934c1684bbe43342c6f8b96db69a12816c10e0e899c839958838",
+             "bab5a8c15c89c4b324ff444cea6f409091ee422654292c45d555b7c951430df5",
+             "cd28efc0ad34210d16fbb1ca97d96bb5b1496bb62dd38562498ddf1de174b879"),
 }
 
 
@@ -179,7 +180,7 @@ def test_reduce_output_is_pinned(seed, dropped, tmp_path, capsys):
                  "-o", str(prefix)]) == 0
     stdout = capsys.readouterr().out
     kinds = [line.split()[1] for line in stdout.splitlines()]
-    assert "stretch" in kinds and "insplit" in kinds
+    assert "stretch" not in kinds and "insplit" in kinds
     assert ("prune" in kinds) == bool(dropped)
     outputs = ((tmp_path / "out.network").read_text(),
                (tmp_path / "out.extension").read_text(), stdout)
@@ -188,10 +189,11 @@ def test_reduce_output_is_pinned(seed, dropped, tmp_path, capsys):
 
 
 # sha256 of `stc solve --witness` stdout on two of the instances above.  The
-# witness is the run that the solver's tables record first, in insertion order.
+# witness is the run that the solver's tables record first, in insertion order,
+# and each polytomy it resolves prints with fresh vertices.
 _WITNESS_GOLDEN = {
-    (1, 0): "ca96a4db180001828d6b897d4d187d42b2e347c31d02aac694041a9b46435783",
-    (3, 0): "2c4900184e94e171639767da8498ce9334995b2a066e8c23b98e6c4e8c619140",
+    (1, 0): "544e9eded1e6fcd16530bd3b0542dd6e191503fd454d18b853284ac5b265026a",
+    (3, 0): "c13cb58dbee2d6002162ce59eba17ce6cab79e2f50c4dabb0502fe8f9f78f774",
 }
 
 
@@ -208,6 +210,74 @@ def test_witness_output_is_pinned_across_hash_seeds(seed, dropped, tmp_path):
              "-t", str(tmp_path / "tree"), "--witness"],
             env=env, capture_output=True, check=True).stdout
         assert hashlib.sha256(out).hexdigest() == _WITNESS_GOLDEN[seed, dropped]
+
+
+def _witness_problems(tree_text, output):
+    """The benchmark gate's rules for `stc solve --witness` output, with no
+    help from `stc`: one EMBED line per arc of the tree plus its fresh root
+    arc; every path has an arc and runs along arcs of the printed network;
+    each child path starts where its parent's ends; each leaf arc ends at
+    the network leaf of its taxon; the root arc starts at the printed root."""
+
+    def edges(lines):
+        arcs, labels = set(), {}
+        for line in lines:
+            kind, *rest = line.split()
+            if kind == "A":
+                arcs.add(tuple(rest))
+            elif kind == "L":
+                labels[rest[0]] = rest[1]
+        return arcs, labels
+
+    lines = output.splitlines()
+    assert lines[:2] == ["YES", "REDUCED-INSTANCE"]
+    phi = {}
+    for line in lines[2:]:
+        if line.startswith("EMBED "):
+            head, _, path = line[len("EMBED "):].partition(" : ")
+            assert tuple(head.split()) not in phi
+            phi[tuple(head.split())] = path.split()
+    net_arcs, net_labels = edges(l for l in lines[2:] if not l.startswith("EMBED "))
+    tree_arcs, tree_labels = edges(tree_text.splitlines())
+    (tree_root,) = {u for u, _ in tree_arcs} - {v for _, v in tree_arcs}
+    (net_root,) = {u for u, _ in net_arcs} - {v for _, v in net_arcs}
+    root_arcs = [a for a in phi if a[1] == tree_root]
+    problems = []
+    if len(root_arcs) != 1 or set(phi) != tree_arcs | set(root_arcs):
+        return ["EMBED lines differ from the reduced tree's arcs"]
+    for (x, y), path in phi.items():
+        if len(path) < 2:
+            problems.append(f"{(x, y)} has no arc")
+        if not set(zip(path, path[1:])) <= net_arcs:
+            problems.append(f"{(x, y)} leaves the printed network")
+        for (x2, y2), child in phi.items():
+            if x2 == y and child[0] != path[-1]:
+                problems.append(f"{(x2, y2)} does not start where {(x, y)} ends")
+        if y in tree_labels and net_labels.get(path[-1]) != tree_labels[y]:
+            problems.append(f"{(x, y)} ends off the leaf of {tree_labels[y]}")
+    if phi[root_arcs[0]][0] != net_root:
+        problems.append("the root arc does not start at the printed root")
+    return problems
+
+
+def test_witness_through_resolved_polytomies_meets_the_gate(tmp_path, capsys):
+    star = "A r a\nA r b\nA r c\nL a a\nL b b\nL c c\n"
+    cherry = "A x y\nA y a\nA y b\nA x c\nL a a\nL b b\nL c c\n"
+    g = generate(GeneratorParams(8, 1, 0.5, 3, "yes-biased"))
+    assert g.network.max_out_degree == 4
+    for name, network, tree, fresh in (("star", star, cherry, 1),
+                                       ("generated", g.network_doc, g.tree_doc, 4)):
+        (tmp_path / f"{name}.net").write_text(network)
+        (tmp_path / f"{name}.tree").write_text(tree)
+        assert main(["solve", "-n", str(tmp_path / f"{name}.net"),
+                     "-t", str(tmp_path / f"{name}.tree"), "--witness"]) == 0
+        out = capsys.readouterr().out
+        assert _witness_problems(tree, out) == []
+        printed = parse_edgelist("\n".join(
+            l for l in out.splitlines()[2:] if not l.startswith("EMBED ")))
+        # the reduced network plus the resolutions' fresh vertices
+        reduced = preprocess(parse_edgelist(network), parse_edgelist(tree)).network
+        assert len(printed) == len(reduced) + fresh
 
 
 def test_extension_commands(files, tmp_path, capsys):

@@ -1,16 +1,20 @@
 """Property-based checks over generator-driven random inputs."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stc import (
     GeneratorParams,
+    OracleTooLargeError,
     default_extension,
     generate,
     parse_edgelist,
     parse_extension,
+    preprocess,
     serialize_edgelist,
     serialize_extension,
+    soft_display,
+    solve,
 )
 from stc.extension import CUT_ABOVE, CUT_BELOW
 
@@ -63,3 +67,26 @@ def test_rewrites_preserve_value_semantics(p):
     divided = n.subdivide(arc, mid)
     assert divided.suppress(mid) == n
     assert n == generate(p).network  # inputs were never mutated
+
+
+polytomy_params = st.builds(
+    GeneratorParams,
+    leaves=st.integers(3, 7),
+    reticulations=st.integers(0, 2),
+    polytomy_rate=st.floats(0.3, 0.6),
+    seed=st.integers(0, 10_000),
+    target_answer=st.sampled_from(["yes-biased", "unlabeled"]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polytomy_params)
+def test_polytomies_resolved_in_the_sweep_match_the_oracle(p):
+    """The lattice step at out-degree 3+ vertices decides what the oracle's
+    enumeration of binary resolutions decides."""
+    inst = generate(p)
+    try:
+        want = soft_display(inst.network, inst.tree)
+    except OracleTooLargeError:
+        assume(False)
+    assert solve(preprocess(inst.network, inst.tree)).displayed == want

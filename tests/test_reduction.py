@@ -1,12 +1,17 @@
-"""Stretch gadget, in-splitting, pruning, and the full preprocessing pipeline."""
+"""In-splitting, pruning, the full preprocessing pipeline, and the stretch
+gadget that `test_solver` keeps as the reference for soft polytomies."""
 
 from functools import reduce
 
 import pytest
 
 from stc import (
+    AugmentedInstance,
     Digraph,
     InputError,
+    InternalError,
+    ReductionTrace,
+    TreeExtension,
     PhyloKind,
     RewriteError,
     SemanticError,
@@ -18,8 +23,8 @@ from stc import (
     soft_display,
     update_extension,
 )
-from stc.extension import InSplitStep, StretchStep
-from stc.reduction import stretch_step
+from stc.extension import InSplitStep
+from test_solver import _reference_preprocess, _reference_stretch
 
 
 def star(n):
@@ -35,13 +40,13 @@ def steps_of(trace, kind):
     return [s for s in trace.steps if isinstance(s, kind)]
 
 
-# -- stretching --------------------------------------------------------------
+# -- the reference gadget ---------------------------------------------------
 
 
 @pytest.mark.parametrize("degree", [3, 4, 5, 6])
 def test_stretch_counts_and_degrees(degree):
     n = star(degree)
-    step = stretch_step(n, "r")
+    step = _reference_stretch(n, "r")
     out = step.apply(n)
     d = degree
     # triangle rows 2..d-1 plus pass-throughs, row-d collectors, 4-vertex blocks
@@ -60,31 +65,35 @@ def test_stretch_counts_and_degrees(degree):
 
 def test_stretch_requires_polytomy(net_a):
     with pytest.raises(RewriteError):
-        stretch_step(net_a, "p")
+        _reference_stretch(net_a, "p")
     with pytest.raises(InputError):
-        stretch_step(net_a, "nope")
+        _reference_stretch(net_a, "nope")
 
 
 def test_stretch_network_touches_only_polytomies(net_a, tree_d):
-    _, trace = reduce_network(net_a)
-    assert steps_of(trace, StretchStep) == []
-    _, trace = reduce_network(tree_d)
-    steps = steps_of(trace, StretchStep)
-    assert [s.vertex for s in steps] == ["y"]
-    assert replay(tree_d, steps).max_out_degree == 2
+    # The reduction keeps polytomies; the reference stretches them alone.
+    for n in (net_a, tree_d):
+        ext, trace = reduce_network(n)
+        assert {s.kind for s in trace.steps} == {"attach_root"}
+        assert ext.host.max_out_degree == n.max_out_degree
+    assert _reference_preprocess(net_a, tree_d).network.max_out_degree == 2
+    stretched = _reference_preprocess(tree_d, tree_d).network
+    kept = {v for v in tree_d.vertices if stretched.children(v) == tree_d.children(v)}
+    assert kept == set(tree_d.vertices) - {"y"}
+    assert stretched.max_out_degree == 2
 
 
 def test_stretch_preserves_soft_display(tree_d, tree_b, tree_c):
     n = star(4)
-    stretched = stretch_step(n, "r").apply(n)
+    stretched = _reference_stretch(n, "r").apply(n)
     for t, want in [(tree_b, True), (tree_c, True), (tree_d, True)]:
         assert soft_display(n, t) == soft_display(stretched, t) == want
 
 
 def test_stretch_keeps_extension_valid(tree_d):
     ext = default_extension(tree_d)
-    step = stretch_step(ext.host, "y")
-    out = update_extension(ext, step)
+    step = _reference_stretch(ext.host, "y")
+    out = step.carry(ext)
     assert out.host == step.apply(ext.host)
     assert out.is_valid()
 
@@ -160,6 +169,36 @@ def test_preprocess_invariants(net_a, tree_d):
     assert inst.tree.root() == inst.tree_root
     assert inst.network.taxa == inst.tree.taxa == tree_d.taxa
     assert inst.extension.is_canonical()
+
+
+def _with(inst, **fields):
+    """A hand-built copy of `inst` with some fields replaced."""
+    parts = {"tree": inst.tree, "extension": inst.extension, "trace": inst.trace}
+    return AugmentedInstance(**{**parts, **fields})
+
+
+def test_check_allows_polytomies_and_rejects_the_rest(net_a, tree_d):
+    inst = preprocess(tree_d, tree_d)  # keeps the out-degree-3 vertex y
+    assert inst.network.out_degree("y") == 3
+    inst.check()
+    # in-degree 3 at h, below the three children of a polytomy
+    arcs = [("rho", "r")] + [("r", a) for a in ("a1", "a2", "a3")]
+    arcs += [(a, "h") for a in ("a1", "a2", "a3")]
+    arcs += [("h", "x"), ("a1", "y"), ("a2", "z"), ("a3", "w")]
+    wide = Digraph(arcs, {v: v for v in "xyzw"})
+    tree = Digraph([("t0", "t1"), ("t1", "t2"), ("t1", "t3"), ("t2", "x"),
+                    ("t2", "y"), ("t3", "z"), ("t3", "w")], {v: v for v in "xyzw"})
+    with pytest.raises(InternalError, match="in-degree above 2"):
+        AugmentedInstance(tree, default_extension(wide), ReductionTrace()).check()
+    inst = preprocess(net_a, tree_d)
+    order = inst.network.topological_order()
+    chain = TreeExtension(inst.network, Digraph(list(zip(order, order[1:]))))
+    assert chain.is_valid()
+    with pytest.raises(InternalError, match="not canonical"):
+        _with(inst, extension=chain).check()
+    renamed = Digraph(inst.tree.arcs, {**inst.tree.labels, "d": "e"})
+    with pytest.raises(InternalError, match="taxa differ"):
+        _with(inst, tree=renamed).check()
 
 
 def test_preprocess_rejects_bad_inputs(net_a, tree_d):

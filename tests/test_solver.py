@@ -4,6 +4,7 @@ import random
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import pytest
 
@@ -12,14 +13,19 @@ from stc import (
     GeneratorParams,
     InputError,
     InternalError,
+    RewriteError,
+    TreeExtension,
     check_embedding,
+    default_extension,
     eventually_arc_disjoint,
     generate,
     preprocess,
+    prune_to_leafset,
     reaches,
     reconstruct_witness,
     soft_display,
     solve,
+    update_extension,
 )
 from stc.solver import VertexStats, _post_order, _require_path
 
@@ -239,10 +245,10 @@ def test_check_embedding_matches_the_all_pairs_reference(suite):
         result = solve(inst)
         if not result.displayed:
             continue
-        phi = reconstruct_witness(result)
-        for mutant in [phi] + _mutations(phi, inst.network, rng):
-            want = _outcome(_all_pairs_check_embedding, mutant, inst.tree, inst.network)
-            got = _outcome(check_embedding, mutant, inst.tree, inst.network)
+        network, phi = reconstruct_witness(result)
+        for mutant in [phi] + _mutations(phi, network, rng):
+            want = _outcome(_all_pairs_check_embedding, mutant, inst.tree, network)
+            got = _outcome(check_embedding, mutant, inst.tree, network)
             assert got == want, (mutant, want, got)
             checked += 1
             rejected += want is False
@@ -271,9 +277,9 @@ def test_witness_is_checkable_and_anchored(net_a, tree_b, tree_d):
     for t in (tree_b, tree_d):
         inst = preprocess(net_a, t)
         result = solve(inst)
-        emb = reconstruct_witness(result)
+        network, emb = reconstruct_witness(result)
         assert set(emb) == set(inst.tree.arcs)
-        assert check_embedding(emb, inst.tree, inst.network)
+        assert check_embedding(emb, inst.tree, network)
         top = (inst.tree_root, inst.tree.children(inst.tree_root)[0])
         assert emb[top][0] == inst.network_root
 
@@ -325,7 +331,7 @@ def test_deep_witness_replay_leaves_the_recursion_limit_alone(monkeypatch):
             depth[c] = depth[v] + 1
     assert max(depth.values()) > 2 * headroom
     with _shallow_stack(monkeypatch, headroom):
-        emb = reconstruct_witness(result)
+        _, emb = reconstruct_witness(result)
     assert set(emb) == set(inst.tree.arcs)
 
 
@@ -336,8 +342,8 @@ def test_deep_certificate_is_checked_without_recursion(monkeypatch):
     inst = preprocess(caterpillar, caterpillar)
     result = solve(inst)
     with _shallow_stack(monkeypatch, 100):
-        emb = reconstruct_witness(result)
-        accepted = check_embedding(emb, inst.tree, inst.network)
+        network, emb = reconstruct_witness(result)
+        accepted = check_embedding(emb, inst.tree, network)
     assert accepted and set(emb) == set(inst.tree.arcs)
 
 
@@ -496,6 +502,108 @@ def _reference_solve(inst):
     return bool(accepting), stats, above
 
 
+# -- the stretch gadget, kept as the reference for soft polytomies ------------
+
+
+@dataclass(frozen=True)
+class _ReferenceStretch:
+    """The fan-out of `vertex` was replaced by a gadget: `arcs` run from
+    `vertex` down to its old children, through the new vertices `path`
+    (listed in the order they are chained below `vertex` in the extension)."""
+    vertex: str
+    path: tuple[str, ...]
+    arcs: tuple[tuple[str, str], ...]
+
+    def apply(self, host: Digraph) -> Digraph:
+        arcs = [a for a in host.arcs if a[0] != self.vertex]
+        return Digraph(arcs + list(self.arcs), host.labels, host.vertices)
+
+    def carry(self, ext: TreeExtension) -> TreeExtension:
+        """The extension over the stretched host: the old children of
+        `vertex` hang below the end of the new chain."""
+        host = self.apply(ext.host)
+        chain = [self.vertex, *self.path]
+        arcs = [a for a in ext.gamma.arcs if a[0] != self.vertex]
+        arcs += list(zip(chain, chain[1:]))
+        arcs += [(chain[-1], c) for c in ext.gamma.children(self.vertex)]
+        return TreeExtension(host, Digraph(arcs, vertices=host.vertices))
+
+
+def _reference_stretch(host: Digraph, v: str) -> _ReferenceStretch:
+    """The step replacing the fan-out of an out-degree-d vertex by a gadget,
+    as the reduction did before `solve` resolved polytomies itself.
+
+    A triangular splitter (every binary fan-out over d exits embeds in it)
+    feeds a (d-1) x (d-1) grid of comparator blocks that undo the leaf order
+    the splitter forces.  The splitter has vertices u(i, j) in rows i = 2..d-1
+    at positions j = 1..i, pass-through vertices p(i, j) inside the triangle
+    and row-d collectors x(j); each comparator block w(i, j, 1..4) has two
+    entry vertices and two reticulated exits.
+    """
+    if v not in host:
+        raise InputError(f"unknown vertex {v!r}")
+    d = host.out_degree(v)
+    if d < 3:
+        raise RewriteError(f"stretch needs out-degree >= 3 at {v!r}")
+    # Every gadget vertex, in the order it is chained below `v`.
+    slots = []
+    for i in range(2, d):
+        slots += [("u", i, j) for j in range(1, i + 1)]
+        slots += [("p", i, j) for j in range(2, i)]
+    slots += [("x", j) for j in range(2, d)]
+    slots += [("w", i, j, k) for i in range(1, d) for j in range(1, d) for k in range(1, 5)]
+    name = dict(zip(slots, host.fresh_ids(len(slots))))
+
+    def u(i, j):
+        return name["u", i, j]
+
+    def x(j):
+        return name["x", j]
+
+    def w(i, j, k):
+        return name["w", i, j, k]
+
+    arcs = [(v, u(2, 1)), (v, u(2, 2))]
+    for i in range(2, d - 1):
+        arcs += [(u(i, 1), u(i + 1, 1)), (u(i, 1), u(i + 1, 2))]
+        arcs += [(u(i, i), u(i + 1, i)), (u(i, i), u(i + 1, i + 1))]
+    for i in range(3, d):
+        for j in range(2, i):
+            p = name["p", i, j]
+            right = x(j) if i + 1 == d else u(i + 1, j)
+            down = x(j + 1) if i + 1 == d else u(i + 1, j + 1)
+            arcs += [(u(i, j), p), (p, right), (p, down)]
+    arcs += [(u(d - 1, 1), w(1, 1, 1)), (u(d - 1, 1), x(2))]
+    arcs += [(u(d - 1, d - 1), x(d - 1)), (u(d - 1, d - 1), w(1, d - 1, 2))]
+    arcs += [(x(j), w(1, j - 1, 2)) for j in range(2, d)]
+    for i in range(1, d):
+        for j in range(1, d):
+            arcs += [(w(i, j, entry), w(i, j, exit)) for entry in (1, 2) for exit in (3, 4)]
+        arcs += [(w(i, j, 4), w(i, j + 1, 1)) for j in range(1, d - 1)]
+    for i in range(1, d - 1):
+        arcs.append((w(i, 1, 3), w(i + 1, 1, 1)))
+        arcs.append((w(i, d - 1, 4), w(i + 1, d - 1, 2)))
+        arcs += [(w(i, j, 3), w(i + 1, j - 1, 2)) for j in range(2, d)]
+    children = host.children(v)
+    arcs += [(w(d - 1, j, 3), children[j - 1]) for j in range(1, d)]
+    arcs.append((w(d - 1, d - 1, 4), children[d - 1]))
+    return _ReferenceStretch(v, tuple(name.values()), tuple(arcs))
+
+
+def _reference_preprocess(n, t, ext=None):
+    """`preprocess` as it was with the stretch gadget: prune, stretch every
+    out-degree-3+ vertex while carrying the extension, then in-split, attach
+    the roots and canonicalize, as `preprocess` does on the binary result."""
+    if ext is None:
+        ext = default_extension(n)
+    if t.taxa != n.taxa:
+        ext = update_extension(ext, prune_to_leafset(n, t.taxa)[1])
+    for v in ext.host.vertices:
+        if ext.host.out_degree(v) >= 3:
+            ext = _reference_stretch(ext.host, v).carry(ext)
+    return preprocess(ext.host, t, ext)
+
+
 # (leaves, polytomy rate, seed, raw out-degree) of `GeneratorParams(leaves, 2,
 # rate, seed, "yes-biased")`: reduced widths 6-8, beyond the suite's 12 arcs.
 # On (8, 0.4, 9, 3), a grow whose new cell counts 1 for its largest
@@ -509,24 +617,30 @@ _POLYTOMY_CASES = (
 )
 
 
+def _twin(tree):
+    """The tree with the taxa of its two first leaves swapped, which usually
+    makes a no-instance."""
+    (x, a), (y, b) = sorted(tree.labels.items())[:2]
+    return Digraph(tree.arcs, {**tree.labels, x: b, y: a})
+
+
 def _polytomy_cases():
-    """Each generated instance with its own tree, and with the taxa of two
-    leaves swapped, which usually makes a no-instance."""
+    """Each generated instance with its own tree and with its `_twin`."""
     out = []
     for leaves, rate, seed, degree in _POLYTOMY_CASES:
         g = generate(GeneratorParams(leaves, 2, rate, seed, "yes-biased"))
         assert g.network.max_out_degree == degree
-        (x, a), (y, b) = sorted(g.tree.labels.items())[:2]
-        swapped = Digraph(g.tree.arcs, {**g.tree.labels, x: b, y: a})
-        out += [(g.network, g.tree, None), (g.network, swapped, None)]
+        out += [(g.network, g.tree, None), (g.network, _twin(g.tree), None)]
     return out
 
 
 def test_kernel_matches_the_string_keyed_reference(suite):
+    # The string-keyed kernel needs a binary network, so both kernels run on
+    # the gadget's reduction; on it the lattice step never fires.
     cases = [(n, t, ext) for _, n, t, ext in suite] + _polytomy_cases()
     verdicts = Counter()
     for n, t, ext in cases:
-        inst = preprocess(n, t, ext)
+        inst = _reference_preprocess(n, t, ext)
         result = solve(inst)
         displayed, stats, above = _reference_solve(inst)
         assert (result.displayed, result.stats) == (displayed, stats)
@@ -536,6 +650,54 @@ def test_kernel_matches_the_string_keyed_reference(suite):
         if result.displayed:
             accepting = result.signature(result.accepting_key)
             assert len(accepting) == 1 and accepting in above[result.final_vertex]
-            phi = reconstruct_witness(result)
-            assert check_embedding(phi, inst.tree, inst.network)
+            network, phi = reconstruct_witness(result)
+            assert network == inst.network
+            assert check_embedding(phi, inst.tree, network)
     assert verdicts[True] > 200 and verdicts[False] > 100
+
+
+# `GeneratorParams(leaves, reticulations, rate, seed, target)` with a raw
+# out-degree 3-6 vertex and more arcs than the oracle's cap of 16.  The three
+# 20-leaf rows are the degree-5 instances the benchmark leaves out.
+_DIFFERENTIAL_CASES = (
+    (9, 2, 0.5, 3, "yes-biased"), (9, 2, 0.5, 8, "unlabeled"),
+    (9, 2, 0.5, 2, "yes-biased"), (9, 2, 0.5, 6, "unlabeled"),
+    (9, 2, 0.5, 1, "yes-biased"), (9, 2, 0.5, 19, "unlabeled"),
+    (20, 3, 0.4, 5, "yes-biased"), (20, 3, 0.4, 7, "yes-biased"),
+    (20, 3, 0.4, 8, "yes-biased"),
+    (9, 2, 0.7, 141, "yes-biased"), (9, 2, 0.7, 66, "unlabeled"),
+)
+
+
+def test_native_polytomies_match_the_gadget():
+    degrees, verdicts = Counter(), Counter()
+    for params in _DIFFERENTIAL_CASES:
+        g = generate(GeneratorParams(*params))
+        assert len(g.network.arcs) > 16
+        degrees[g.network.max_out_degree] += 1
+        for tree in (g.tree, _twin(g.tree)):
+            result = solve(preprocess(g.network, tree))
+            gadget = solve(_reference_preprocess(g.network, tree), keep_tables=False)
+            assert result.displayed == gadget.displayed, params
+            verdicts[result.displayed] += 1
+            if result.displayed:
+                network, phi = reconstruct_witness(result)
+                assert check_embedding(phi, result.instance.tree, network)
+                assert all(len(path) > 1 for path in phi.values())
+    assert set(degrees) == {3, 4, 5, 6}
+    assert verdicts[True] >= 8 and verdicts[False] >= 6
+
+
+# Cells (above plus below, summed over the sweep) that the gadget's reduction
+# builds on the three 20-leaf degree-5 rows above, at reduced widths 11, 10
+# and 9.  The native sweep must build at most a twentieth of each.
+_GADGET_CELLS = {5: 284_409, 7: 562_630, 8: 347_727}
+
+
+def test_native_polytomies_cost_a_twentieth_of_the_gadget():
+    for seed, gadget_cells in _GADGET_CELLS.items():
+        g = generate(GeneratorParams(20, 3, 0.4, seed, "yes-biased"))
+        assert g.network.max_out_degree == 5
+        result = solve(preprocess(g.network, g.tree), keep_tables=False)
+        cells = sum(s.cells_above + s.cells_below for s in result.stats)
+        assert result.displayed and cells <= gadget_cells // 20, (seed, cells)
