@@ -43,6 +43,13 @@ def _write(path, text):
         raise SemanticError(f"cannot write {path}: {exc.strerror}")
 
 
+def _echo(message, nl=True):
+    """`click.echo` to the current `sys.stdout`.  Without `file=`, click
+    caches a wrapper per stdout stream whose value holds its own key, so
+    every stream a caller swaps in as stdout would stay alive for good."""
+    click.echo(message, file=sys.stdout, nl=nl)
+
+
 def _load_network(path):
     return formats.parse_edgelist(_read(path))
 
@@ -102,16 +109,16 @@ def solve_cmd(network_path, tree_path, extension_path, witness, decision_only,
     inst = preprocess(n, t, ext)
     result = solve(inst, keep_tables=not decision_only)
     if not result.displayed:
-        click.echo("NO")
+        _echo("NO")
         return EXIT_NO
-    click.echo("YES")
+    _echo("YES")
     if witness:
         network, embedding = reconstruct_witness(result)
-        click.echo("REDUCED-INSTANCE")
-        click.echo(formats.serialize_edgelist(network), nl=False)
+        _echo("REDUCED-INSTANCE")
+        _echo(formats.serialize_edgelist(network), nl=False)
         for (x, y) in sorted(embedding):
             path = " ".join(embedding[(x, y)])
-            click.echo(f"EMBED {x} {y} : {path}")
+            _echo(f"EMBED {x} {y} : {path}")
     return EXIT_YES
 
 
@@ -171,7 +178,7 @@ def _solve_batch(batch_dir, jobs):
         results = [_solve_one(t) for t in tasks]
     failed = False
     for name, verdict in results:
-        click.echo(f"{name} {verdict}")
+        _echo(f"{name} {verdict}")
         if verdict.startswith("ERROR"):
             failed = True
     return EXIT_SEMANTIC if failed else EXIT_YES
@@ -198,8 +205,8 @@ def reduce_cmd(network_path, extension_path, tree_path, prefix):
     _write(f"{prefix}.network", formats.serialize_edgelist(ext.host))
     _write(f"{prefix}.extension", formats.serialize_extension(ext))
     for step, before, after in zip(trace.steps, trace.widths, trace.widths[1:]):
-        click.echo(f"step {step.kind} {getattr(step, 'vertex', None) or '-'}: "
-                   f"width {before} -> {after}")
+        _echo(f"step {step.kind} {getattr(step, 'vertex', None) or '-'}: "
+                 f"width {before} -> {after}")
     return EXIT_YES
 
 
@@ -214,7 +221,7 @@ def extension_group():
 def extension_validate(network_path, extension_path):
     n = _load_network(network_path)
     _load_extension(extension_path, n)  # raises on violation
-    click.echo("valid")
+    _echo("valid")
     return EXIT_YES
 
 
@@ -224,7 +231,7 @@ def extension_validate(network_path, extension_path):
 def extension_width(network_path, extension_path):
     n = _load_network(network_path)
     ext = _load_extension(extension_path, n)
-    click.echo(str(ext.width()))
+    _echo(str(ext.width()))
     return EXIT_YES
 
 
@@ -234,7 +241,7 @@ def extension_width(network_path, extension_path):
 def extension_canonicalize(network_path, extension_path):
     n = _load_network(network_path)
     ext = canonicalize(_load_extension(extension_path, n))
-    click.echo(formats.serialize_extension(ext), nl=False)
+    _echo(formats.serialize_extension(ext), nl=False)
     return EXIT_YES
 
 
@@ -242,7 +249,7 @@ def extension_canonicalize(network_path, extension_path):
 @click.option("-n", "--network", "network_path", required=True, type=click.Path())
 def extension_default(network_path):
     n = _load_network(network_path)
-    click.echo(formats.serialize_extension(default_extension(n)), nl=False)
+    _echo(formats.serialize_extension(default_extension(n)), nl=False)
     return EXIT_YES
 
 
@@ -264,7 +271,7 @@ def oracle_firm(network_path, tree_path, cap, method):
         answer = oracle.firm_display(n, t, cap=cap)
     else:
         answer = oracle.firm_display_switching(n, t)
-    click.echo("true" if answer else "false")
+    _echo("true" if answer else "false")
     return EXIT_YES if answer else EXIT_NO
 
 
@@ -278,7 +285,7 @@ def oracle_soft(network_path, tree_path, cap, method):
     n = _load_network(network_path)
     t = _load_network(tree_path)
     answer = oracle.soft_display(n, t, method=method, cap=cap)
-    click.echo("true" if answer else "false")
+    _echo("true" if answer else "false")
     return EXIT_YES if answer else EXIT_NO
 
 
@@ -306,9 +313,9 @@ def gen_cmd(leaves, reticulations, polytomy_rate, seed, yes_biased, prefix):
                             ("extension", inst.extension_doc)):
             _write(f"{prefix}.{suffix}", doc)
     else:
-        click.echo(inst.network_doc, nl=False)
-        click.echo(inst.tree_doc, nl=False)
-        click.echo(inst.extension_doc, nl=False)
+        _echo(inst.network_doc, nl=False)
+        _echo(inst.tree_doc, nl=False)
+        _echo(inst.extension_doc, nl=False)
     return EXIT_YES
 
 
@@ -319,7 +326,7 @@ def import_cmd(fmt, path):
     """Convert an eNewick file to the edge-list format."""
     graph = formats.parse_enewick(_read(path))
     kind = classify(graph)
-    click.echo(formats.serialize_edgelist(graph), nl=False)
+    _echo(formats.serialize_edgelist(graph), nl=False)
     if not kind:
         raise SemanticError(f"imported graph is not usable: {kind.reason}")
     return EXIT_YES

@@ -4,12 +4,17 @@ Vertices are opaque string ids.  A graph is a value: every rewrite returns a
 fresh graph and never mutates its input, so graphs can be shared freely
 between threads.  Iteration order is sorted everywhere to keep downstream
 output reproducible.
+
+The adjacency maps `_parents` and `_children` (vertex -> sorted tuple) are
+read directly by the package's own whole-graph passes, which would
+otherwise pay a checked method call per vertex.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from enum import Enum
 from functools import cached_property
 
@@ -23,29 +28,33 @@ _FRESH_ID_RE = re.compile(r"^g(\d+)$")
 class Digraph:
     """A finite digraph with an optional taxon label on each sink vertex.
 
-    Invariants enforced at construction: no self-loops (arc pairs have
-    distinct endpoints), labels sit only on vertices of out-degree 0, and
-    labels are pairwise distinct.
+    Arcs are hashable `(tail, head)` pairs.  Invariants enforced at
+    construction: no self-loops (arc pairs have distinct endpoints), labels
+    sit only on vertices of out-degree 0, and labels are pairwise distinct.
     """
 
     def __init__(self, arcs, labels=None, vertices=()):
-        arcset = set()
+        arcset = set(arcs)
         verts = set(vertices)
-        for (u, v) in arcs:
-            if u == v:
-                raise InputError(f"self-loop on {u!r}")
-            arcset.add((u, v))
-            verts.add(u)
-            verts.add(v)
+        verts.update(chain.from_iterable(arcset))
         if not verts:
             raise InputError("a digraph needs at least one vertex")
         self._vertices = tuple(sorted(verts))
-        self._arcs = tuple(sorted(arcset))
-        parents = {v: [] for v in self._vertices}
+        # Sorting each tail's heads lists the arcs in sorted order, and each
+        # head's tails in sorted order too, with no sort over all arcs.
         children = {v: [] for v in self._vertices}
-        for (u, v) in self._arcs:
+        for (u, v) in arcset:
             children[u].append(v)
-            parents[v].append(u)
+        parents = {v: [] for v in self._vertices}
+        ordered = []
+        for u, heads in children.items():
+            heads.sort()
+            for v in heads:
+                if u == v:
+                    raise InputError(f"self-loop on {u!r}")
+                parents[v].append(u)
+                ordered.append((u, v))
+        self._arcs = tuple(ordered)
         self._parents = {v: tuple(ps) for v, ps in parents.items()}
         self._children = {v: tuple(cs) for v, cs in children.items()}
         labels = dict(labels or {})
@@ -79,6 +88,8 @@ class Digraph:
         return len(self._vertices)
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Digraph):
             return NotImplemented
         return (self._vertices == other._vertices
@@ -265,19 +276,6 @@ class Digraph:
         vertices = [x for x in self._vertices if x != v]
         return Digraph(arcs, labels, vertices)
 
-    def in_split(self, v, pair, new_id) -> "Digraph":
-        """Move two parents of a high-in-degree vertex above a fresh vertex."""
-        p1, p2 = pair
-        if self.in_degree(v) < 3:
-            raise RewriteError(f"in-split needs in-degree >= 3 at {v!r}")
-        if p1 == p2 or p1 not in self.parents(v) or p2 not in self.parents(v):
-            raise RewriteError(f"in-split needs two distinct parents of {v!r}")
-        if new_id in self:
-            raise RewriteError(f"split vertex {new_id!r} already exists")
-        arcs = [a for a in self._arcs if a not in ((p1, v), (p2, v))]
-        arcs += [(p1, new_id), (p2, new_id), (new_id, v)]
-        return Digraph(arcs, self._labels)
-
 
 # -- classification --------------------------------------------------------
 
@@ -309,34 +307,34 @@ def classify(d: Digraph) -> PhyloClass:
     deterministic: multiple roots, cycle, root degree, degree pattern,
     label placement, leaf count.
     """
-    if len(d.roots) == 0:
+    roots = d.roots
+    if len(roots) == 0:
         return _invalid("no root")
-    if len(d.roots) > 1:
-        return _invalid(f"multiple roots: {', '.join(d.roots)}")
+    if len(roots) > 1:
+        return _invalid(f"multiple roots: {', '.join(roots)}")
     if not d.is_acyclic():
         return _invalid("contains a directed cycle")
-    root = d.roots[0]
-    root_out = d.out_degree(root)
+    root = roots[0]
+    parents, children = d._parents, d._children
+    root_out = len(children[root])
     if root_out == 0:
         return _invalid("root out-degree 0")
-    degree_one_root = root_out == 1
     reticulations = 0
-    for v in d.vertices:
-        if v == root:
-            continue
-        din, dout = d.in_degree(v), d.out_degree(v)
+    for v, ps in parents.items():
+        din, dout = len(ps), len(children[v])
         if din == 1 and dout == 1:
             return _invalid(f"vertex {v!r} has in-degree 1 and out-degree 1")
         if din >= 2:
             if dout != 1:
                 return _invalid(f"vertex {v!r} has in-degree {din} and out-degree {dout}")
             reticulations += 1
+    labels = d._labels
     for v in d.leaves:
-        if d.label_of(v) is None:
+        if labels.get(v) is None:
             return _invalid(f"unlabeled leaf {v!r}")
     if len(d.leaves) < 2:
         return _invalid("fewer than 2 leaves")
-    if degree_one_root:
+    if root_out == 1:
         return PhyloClass(PhyloKind.ROOTED_DAG_DEG1_ROOT)
     if reticulations == 0:
         return PhyloClass(PhyloKind.TREE)
@@ -388,6 +386,7 @@ class TreeIndex:
         if tree.max_in_degree > 1:
             raise InputError("not an out-tree: a vertex has two parents")
         root = tree.root()
+        children = tree._children
         order: list[str] = []
         pre: dict[str, int] = {}
         end: dict[str, int] = {}
@@ -401,7 +400,7 @@ class TreeIndex:
             pre[v] = len(order)
             order.append(v)
             stack.append((v, True))
-            for c in reversed(tree.children(v)):
+            for c in reversed(children[v]):
                 parent[c] = v
                 stack.append((c, False))
         if len(order) != len(tree):

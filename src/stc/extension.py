@@ -8,11 +8,12 @@ there; the maximum cut size is the width driving the dynamic program.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
 from .digraph import Arc, Digraph, TreeIndex
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, RewriteError
 
 CUT_ABOVE = "above"
 CUT_BELOW = "below"
@@ -40,34 +41,35 @@ class TreeExtension:
     @cached_property
     def _violations(self) -> tuple[str, ...]:
         out = []
-        hv, gv = set(self.host.vertices), set(self.gamma.vertices)
-        if hv != gv:
+        host, gamma = self.host, self.gamma
+        if host.vertices != gamma.vertices:
+            hv, gv = set(host.vertices), set(gamma.vertices)
             missing = sorted(hv - gv)
             extra = sorted(gv - hv)
             if missing:
                 out.append(f"vertex-set mismatch: missing {', '.join(missing)}")
             if extra:
                 out.append(f"vertex-set mismatch: extra {', '.join(extra)}")
-        if len(self.gamma.roots) != 1:
-            out.append(f"not an out-tree: {len(self.gamma.roots)} roots")
-        else:
-            bad = sorted(v for v in self.gamma.vertices if self.gamma.in_degree(v) > 1)
-            if bad:
-                out.append(f"not an out-tree: in-degree > 1 at {bad[0]}")
-            elif not self.gamma.is_acyclic():
-                out.append("not an out-tree: cyclic")
+        if len(gamma.roots) != 1:
+            out.append(f"not an out-tree: {len(gamma.roots)} roots")
+        elif gamma.max_in_degree > 1:
+            bad = next(v for v, ps in gamma._parents.items() if len(ps) > 1)
+            out.append(f"not an out-tree: in-degree > 1 at {bad}")
+        elif self._index is None:
+            out.append("not an out-tree: cyclic")
         if out:
             return tuple(out)
-        index = self._index
-        for (u, v) in self.host.arcs:
-            if not index.strictly_below(u, v):
-                out.append(f"arc ({u}, {v}) not inside the strict ancestor relation")
-        return tuple(out)
+        pre, end = self._index.pre, self._index.end
+        return tuple(f"arc ({u}, {v}) not inside the strict ancestor relation"
+                     for (u, v) in host.arcs if not pre[u] < pre[v] < end[u])
 
     @cached_property
-    def _index(self) -> TreeIndex:
-        # Only built once `gamma` is known to be an out-tree.
-        return TreeIndex(self.gamma)
+    def _index(self) -> TreeIndex | None:
+        """The pre-order index of `gamma`, or None if `gamma` is no out-tree."""
+        try:
+            return TreeIndex(self.gamma)
+        except InputError:
+            return None
 
     def violations(self) -> list[str]:
         """Every violated extension clause, each with a witness."""
@@ -106,14 +108,9 @@ class TreeExtension:
     @cached_property
     def _cut_sizes(self) -> dict[str, tuple[int, int]]:
         index = self._valid_index()
-        host = self.host
-        # The cut above t counts the arcs entering the subtree of t: the
-        # in-arcs of its vertices minus the arcs inside it, which are
-        # exactly their out-arcs.
-        above = {v: host.in_degree(v) - host.out_degree(v) for v in index.order}
-        for v in reversed(index.order[1:]):
-            above[index.parent[v]] += above[v]
-        return {v: (a, a - host.in_degree(v) + host.out_degree(v))
+        parents, children = self.host._parents, self.host._children
+        above = _cut_above(index.order, index.parent, parents, children)
+        return {v: (a, a - len(parents[v]) + len(children[v]))
                 for v, a in above.items()}
 
     def cut_sizes(self) -> dict[str, tuple[int, int]]:
@@ -129,7 +126,7 @@ class TreeExtension:
     def canonicality_violations(self) -> list[str]:
         """Check the four canonical-extension clauses (requires validity)."""
         index = self._valid_index()
-        host = self.host
+        host_children, gamma_children = self.host._children, self.gamma._children
         # The host arcs inside the subtree of t are the out-arcs of its
         # vertices, so a bottom-up union-find over out-arcs sees each
         # subtree's weak components when its top vertex is done.
@@ -146,8 +143,8 @@ class TreeExtension:
         components: dict[str, int] = {}
         for t in reversed(index.order):
             link[t] = t
-            count = 1 + sum(components[c] for c in self.gamma.children(t))
-            for w in host.children(t):
+            count = 1 + sum(components[c] for c in gamma_children[t])
+            for w in host_children[t]:
                 a, b = find(t), find(w)
                 if a != b:
                     link[b] = a
@@ -155,11 +152,10 @@ class TreeExtension:
             components[t] = count
         out = [f"host below {t} is not weakly connected"
                for t in self.gamma.vertices if components[t] != 1]
-        if set(self.gamma.leaves) != set(self.host.leaves):
+        if self.gamma.leaves != self.host.leaves:
             out.append("leaf sets of extension and host differ")
-        for v in self.gamma.vertices:
-            if self.gamma.out_degree(v) > self.host.out_degree(v):
-                out.append(f"extension out-degree exceeds host out-degree at {v}")
+        out += [f"extension out-degree exceeds host out-degree at {v}"
+                for v, cs in gamma_children.items() if len(cs) > len(host_children[v])]
         return out
 
     def is_canonical(self) -> bool:
@@ -169,8 +165,9 @@ class TreeExtension:
 # -- canonicalization ------------------------------------------------------
 
 
-def _canonical_from_order(host: Digraph, order) -> TreeExtension:
-    """Build a canonical extension from a children-first vertex order.
+def _canonical_parent(children, order) -> dict[str, str]:
+    """The parent map of the canonical extension built from a children-first
+    vertex order, `children[v]` being the sorted host children of `v`.
 
     Processes vertices in `order`, maintaining a forest over the processed
     prefix; a vertex adopts the root of every forest component that contains
@@ -194,7 +191,7 @@ def _canonical_from_order(host: Digraph, order) -> TreeExtension:
         comp_parent[v] = v
         comp_root[v] = v
         adopted = []
-        for c in sorted(host.children(v)):
+        for c in children[v]:
             rep = find(c)
             root = comp_root[rep]
             if root != v and root not in adopted:
@@ -202,10 +199,13 @@ def _canonical_from_order(host: Digraph, order) -> TreeExtension:
                 tree_parent[root] = v
                 comp_parent[rep] = v
         comp_root[find(v)] = v
+    return tree_parent
 
-    arcs = [(p, c) for c, p in tree_parent.items()]
-    gamma = Digraph(arcs, vertices=host.vertices)
-    return TreeExtension(host, gamma)
+
+def _extension(host: Digraph, parent) -> TreeExtension:
+    """The extension of `host` whose tree is `parent` (child -> parent)."""
+    arcs = [(p, c) for c, p in parent.items()]
+    return TreeExtension(host, Digraph(arcs, vertices=host.vertices))
 
 
 def canonicalize(ext: TreeExtension) -> TreeExtension:
@@ -213,102 +213,238 @@ def canonicalize(ext: TreeExtension) -> TreeExtension:
     ext.require_valid()
     if len(ext.host.roots) != 1:
         raise InputError("canonicalization needs a rooted host")
-    order = tuple(reversed(ext.gamma.topological_order()))
-    return _canonical_from_order(ext.host, order)
+    order = reversed(ext.gamma.topological_order())
+    return _extension(ext.host, _canonical_parent(ext.host._children, order))
+
+
+def _default_parent(host: Digraph) -> dict[str, str]:
+    if len(host.roots) != 1:
+        raise InputError("need a rooted host")
+    return _canonical_parent(host._children, reversed(host.topological_order()))
 
 
 def default_extension(host: Digraph) -> TreeExtension:
     """A canonical extension built from scratch (no width optimality claimed)."""
-    if len(host.roots) != 1:
-        raise InputError("need a rooted host")
-    order = tuple(reversed(host.topological_order()))
-    return _canonical_from_order(host, order)
+    return _extension(host, _default_parent(host))
+
+
+def _tree_order(vertices, parent) -> list[str]:
+    """The vertices of the tree `parent` (child -> parent) root first, always
+    taking the smallest vertex whose parent is taken: the order that
+    `Digraph.topological_order` gives for that tree."""
+    kids: dict[str, list[str]] = {v: [] for v in vertices}
+    heap = []
+    for v in vertices:
+        p = parent.get(v)
+        if p is None:
+            heap.append(v)
+        else:
+            kids[p].append(v)
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
+        for c in kids[v]:
+            heapq.heappush(heap, c)
+    return order
+
+
+def _cut_above(order, parent, parents, children) -> dict[str, int]:
+    """The size of the cut just above each vertex of a valid extension, given
+    its vertices root first, its parent map and the host's adjacency.
+
+    The cut above t counts the arcs entering the subtree of t: the in-arcs
+    of its vertices minus the arcs inside it, which are exactly their
+    out-arcs.
+    """
+    above = {v: len(parents[v]) - len(children[v]) for v in order}
+    for v in reversed(order[1:]):
+        above[parent[v]] += above[v]
+    return above
 
 
 # -- maintenance under pipeline rewrites ------------------------------------
 #
-# Each step of the reduction owns its host rewrite (`step.apply(host)`);
-# `update_extension` carries the extension tree across it.  A step's `kind`
-# names it in the output of `stc reduce`.
+# Each step of the reduction owns one rewrite, `step.rewrite(state)`, which
+# changes a `RewriteState` in place: the host and, when it is carried, the
+# extension tree and its cut sizes.  `step.apply(host)` and
+# `update_extension(ext, step)` run that rewrite on a fresh state and build
+# the result once.  A step's `kind` names it in the output of `stc reduce`.
+
+
+class RewriteState:
+    """A host and, optionally, a tree extension of it, as mutable maps.
+
+    The host is `parents` and `children` (vertex -> set of vertices) and
+    `labels`.  The extension, when carried, is `parent` (child -> parent;
+    the root has no entry) and, when cut sizes are carried too, `above`
+    (the size of the cut just above each vertex); otherwise they are None.
+    """
+
+    def __init__(self, host: Digraph, parent=None, above=None):
+        self.take(host)
+        self.parent = parent
+        self.above = above
+
+    @classmethod
+    def carrying(cls, host: Digraph, ext: TreeExtension | None = None) -> "RewriteState":
+        """`host` with `ext` and its cut sizes; by default the extension is
+        `default_extension(host)`."""
+        if ext is None:
+            parent = _default_parent(host)
+            order = host.topological_order()   # root first for that extension
+        else:
+            index = ext._valid_index()
+            order, parent = index.order, dict(index.parent)
+        return cls(host, parent, _cut_above(order, parent, host._parents, host._children))
+
+    def take(self, host: Digraph) -> None:
+        """Make `host` the state's host; fresh ids count on from its own."""
+        self.parents = {v: set(ps) for v, ps in host._parents.items()}
+        self.children = {v: set(cs) for v, cs in host._children.items()}
+        self.labels = host.labels
+        self._fresh = host._fresh_counter
+
+    def fresh_id(self) -> str:
+        """The id that `Digraph.fresh_ids(1)` gives, if every vertex added
+        since the last `take` came from here."""
+        self._fresh += 1
+        return f"g{self._fresh - 1}"
+
+    def width(self) -> int:
+        return max(self.above.values())
+
+    def host(self) -> Digraph:
+        arcs = [(u, v) for u, cs in self.children.items() for v in cs]
+        return Digraph(arcs, self.labels, self.parents)
+
+    def canonical_extension(self) -> TreeExtension:
+        """The host, built once, with the canonical form of the carried
+        extension: what `canonicalize` returns for that extension."""
+        host = self.host()
+        order = reversed(_tree_order(host.vertices, self.parent))
+        return _extension(host, _canonical_parent(host._children, order))
+
+
+class _Step:
+    """A reduction step; each kind defines its one `rewrite(state)`."""
+
+    def apply(self, host: Digraph) -> Digraph:
+        """The rewritten host."""
+        state = RewriteState(host)
+        self.rewrite(state)
+        return state.host()
 
 
 @dataclass(frozen=True)
-class AttachRootStep:
+class AttachRootStep(_Step):
     """A fresh degree-1 root was attached above the host root."""
     kind = "attach_root"
     new_root: str
 
-    def apply(self, host: Digraph) -> Digraph:
-        if self.new_root in host:
-            raise InputError(f"root id {self.new_root!r} already present")
-        return Digraph(list(host.arcs) + [(self.new_root, host.root())], host.labels)
+    def rewrite(self, state: RewriteState) -> None:
+        new = self.new_root
+        if new in state.parents:
+            raise InputError(f"root id {new!r} already present")
+        roots = [v for v, ps in state.parents.items() if not ps]
+        if len(roots) != 1:
+            raise InputError(f"graph has {len(roots)} roots, expected 1")
+        (root,) = roots
+        state.parents[new], state.children[new] = set(), {root}
+        state.parents[root].add(new)
+        if state.parent is not None:
+            state.parent[root] = new    # the host root tops a valid extension
+        if state.above is not None:
+            # The new arc enters only the subtree of the old root.
+            state.above[new] = 0
+            state.above[root] += 1
 
 
 @dataclass(frozen=True)
-class InSplitStep:
+class InSplitStep(_Step):
     """Two parents of `vertex` were moved above the fresh `new_vertex`."""
     kind = "insplit"
     vertex: str
     parents: tuple[str, str]
     new_vertex: str
 
-    def apply(self, host: Digraph) -> Digraph:
-        return host.in_split(self.vertex, self.parents, self.new_vertex)
+    def rewrite(self, state: RewriteState) -> None:
+        v, (p1, p2), new = self.vertex, self.parents, self.new_vertex
+        ps = state.parents.get(v)
+        if ps is None:
+            raise InputError(f"unknown vertex {v!r}")
+        if len(ps) < 3:
+            raise RewriteError(f"in-split needs in-degree >= 3 at {v!r}")
+        if p1 == p2 or p1 not in ps or p2 not in ps:
+            raise RewriteError(f"in-split needs two distinct parents of {v!r}")
+        if new in state.parents:
+            raise RewriteError(f"split vertex {new!r} already exists")
+        if state.parent is not None and v not in state.parent:
+            raise InputError(f"{v!r} has no extension parent to subdivide at")
+        ps -= {p1, p2}
+        ps.add(new)
+        for p in (p1, p2):
+            state.children[p].remove(v)
+            state.children[p].add(new)
+        state.parents[new], state.children[new] = {p1, p2}, {v}
+        if state.parent is not None:
+            state.parent[new] = state.parent[v]
+            state.parent[v] = new
+        if state.above is not None:
+            # p1 and p2 lie above `new`, so the cut above `new` is the old
+            # cut above `v`, and one arc enters `v` where two did.
+            state.above[new] = state.above[v]
+            state.above[v] -= 1
 
 
 @dataclass(frozen=True)
-class RestrictStep:
+class RestrictStep(_Step):
     """The host was pruned down to `new_host`; removed vertices contract away."""
     kind = "prune"
     new_host: Digraph
 
-    def apply(self, host: Digraph) -> Digraph:
-        # `prune_to_leafset` computed the pruned host from this same `host`.
-        return self.new_host
+    def rewrite(self, state: RewriteState) -> None:
+        # `prune_to_leafset` computed the pruned host from the state's host.
+        host = self.new_host
+        if state.parent is not None:
+            state.parent = _restricted_parent(state.parent, state.parents, host)
+        state.take(host)
+        if state.above is not None:
+            order = _tree_order(host.vertices, state.parent)
+            state.above = _cut_above(order, state.parent, host._parents, host._children)
 
 
 def update_extension(ext: TreeExtension, step) -> TreeExtension:
     """Carry a valid extension across one pipeline rewrite of its host."""
     if not isinstance(step, (AttachRootStep, InSplitStep, RestrictStep)):
         raise InternalError(f"unknown extension update step: {step!r}")
-    host = step.apply(ext.host)
-    gamma = ext.gamma
-    if isinstance(step, InSplitStep):
-        parents = gamma.parents(step.vertex)
-        if len(parents) != 1:
-            raise InputError(f"{step.vertex!r} has no extension parent to subdivide at")
-        return TreeExtension(host, gamma.subdivide((parents[0], step.vertex),
-                                                   step.new_vertex))
-    if isinstance(step, AttachRootStep):
-        arcs = list(gamma.arcs) + [(step.new_root, gamma.root())]
-    else:
-        arcs = _restricted_arcs(gamma, host)
-    return TreeExtension(host, Digraph(arcs, vertices=host.vertices))
+    state = RewriteState(ext.host, {c: p for (p, c) in ext.gamma.arcs})
+    step.rewrite(state)
+    return _extension(state.host(), state.parent)
 
 
-def _restricted_arcs(gamma: Digraph, host: Digraph) -> list[Arc]:
-    """`gamma` restricted to the vertices of the pruned `host`."""
-    surviving = set(host.vertices)
-    unknown = surviving - set(gamma.vertices)
+def _restricted_parent(parent, vertices, host: Digraph) -> dict[str, str]:
+    """The tree `parent` over `vertices` restricted to the vertices of the
+    pruned `host`."""
+    unknown = [v for v in host.vertices if v not in vertices]
     if unknown:
-        raise InputError(f"restricted host has unknown vertices: {sorted(unknown)}")
+        raise InputError(f"restricted host has unknown vertices: {unknown}")
     # Splice every removed vertex's children onto its nearest surviving
     # ancestor; stray component roots hang under the main component.
-    parent = {}
-    for (p, c) in gamma.arcs:
-        parent[c] = p
+    surviving = host._parents
     new_parent = {}
-    for v in sorted(surviving):
+    for v in host.vertices:
         p = parent.get(v)
         while p is not None and p not in surviving:
             p = parent.get(p)
         if p is not None:
             new_parent[v] = p
-    component_roots = sorted(v for v in surviving if v not in new_parent)
+    component_roots = [v for v in host.vertices if v not in new_parent]
     anchor = host.root()
     while anchor in new_parent:
         anchor = new_parent[anchor]
     for r in component_roots:
         if r != anchor:
             new_parent[r] = anchor
-    return [(p, c) for c, p in new_parent.items()]
+    return new_parent

@@ -30,58 +30,68 @@ def _lines(text):
             yield lineno, stripped
 
 
-def _tokens(line):
-    return [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(line)]
+def _column(line, index):
+    """The 1-based column of the `index`-th token of `line`, for error
+    messages only: the parsers split lines with `str.split`."""
+    return [m.start() + 1 for m in _TOKEN_RE.finditer(line)][index]
 
 
 def parse_edgelist_document(text: str) -> EdgeListDocument:
     name = None
     arcs: list = []
     arc_lines: dict = {}
-    labels: dict = {}
+    labels: dict = {}         # vertex -> (taxon, line number, line)
+    taxa: set = set()
     first = True
     for lineno, line in _lines(text):
-        toks = _tokens(line)
-        col, kind = toks[0]
+        toks = line.split()
+        kind = toks[0]
         if kind == "network":
             if not first:
-                raise ParseError("header must come first", lineno, col)
+                raise ParseError("header must come first", lineno, _column(line, 0))
             if len(toks) != 2:
-                raise ParseError("header needs exactly one name", lineno, col)
-            name = toks[1][1]
+                raise ParseError("header needs exactly one name", lineno,
+                                 _column(line, 0))
+            name = toks[1]
         elif kind == "A":
             if len(toks) != 3:
-                raise ParseError("arc line needs a tail and a head", lineno, col)
-            tail, head = toks[1][1], toks[2][1]
+                raise ParseError("arc line needs a tail and a head", lineno,
+                                 _column(line, 0))
+            tail, head = toks[1], toks[2]
             if tail == head:
-                raise ParseError(f"self-loop on {tail!r}", lineno, toks[1][0])
+                raise ParseError(f"self-loop on {tail!r}", lineno, _column(line, 1))
             if (tail, head) in arc_lines:
                 raise ParseError(
                     f"duplicate arc ({tail}, {head}), first seen on line "
-                    f"{arc_lines[(tail, head)]}", lineno, col)
+                    f"{arc_lines[(tail, head)]}", lineno, _column(line, 0))
             arc_lines[(tail, head)] = lineno
             arcs.append((tail, head))
         elif kind == "L":
             if len(toks) != 3:
-                raise ParseError("label line needs a vertex and a taxon", lineno, col)
-            vertex, taxon = toks[1][1], toks[2][1]
+                raise ParseError("label line needs a vertex and a taxon", lineno,
+                                 _column(line, 0))
+            vertex, taxon = toks[1], toks[2]
             if vertex in labels:
-                raise ParseError(f"vertex {vertex!r} labeled twice", lineno, toks[1][0])
-            if any(taxon == t for t, _, _ in labels.values()):
-                raise ParseError(f"taxon {taxon!r} used twice", lineno, toks[2][0])
-            labels[vertex] = (taxon, lineno, toks[1][0])
+                raise ParseError(f"vertex {vertex!r} labeled twice", lineno,
+                                 _column(line, 1))
+            if taxon in taxa:
+                raise ParseError(f"taxon {taxon!r} used twice", lineno, _column(line, 2))
+            taxa.add(taxon)
+            labels[vertex] = (taxon, lineno, line)
         else:
-            raise ParseError(f"unknown directive {kind!r}", lineno, col)
+            raise ParseError(f"unknown directive {kind!r}", lineno, _column(line, 0))
         first = False
     if not arcs:
         raise ParseError("document contains no arcs", 1, 1)
     mentioned = {x for a in arcs for x in a}
     out_tails = {a[0] for a in arcs}
-    for vertex, (taxon, lineno, col) in labels.items():
+    for vertex, (taxon, lineno, line) in labels.items():
         if vertex not in mentioned:
-            raise ParseError(f"label on unknown vertex {vertex!r}", lineno, col)
+            raise ParseError(f"label on unknown vertex {vertex!r}", lineno,
+                             _column(line, 1))
         if vertex in out_tails:
-            raise ParseError(f"label on non-leaf vertex {vertex!r}", lineno, col)
+            raise ParseError(f"label on non-leaf vertex {vertex!r}", lineno,
+                             _column(line, 1))
     graph = Digraph(arcs, {v: t for v, (t, _, _) in labels.items()})
     return EdgeListDocument(name, graph)
 
@@ -112,20 +122,22 @@ def parse_extension(text: str, host: Digraph) -> TreeExtension:
     arcs = []
     seen: dict = {}
     for lineno, line in _lines(text):
-        toks = _tokens(line)
-        col, kind = toks[0]
+        toks = line.split()
+        kind = toks[0]
         if kind != "E":
-            raise ParseError(f"unknown directive {kind!r}", lineno, col)
+            raise ParseError(f"unknown directive {kind!r}", lineno, _column(line, 0))
         if len(toks) != 3:
-            raise ParseError("extension line needs a parent and a child", lineno, col)
-        parent, child = toks[1][1], toks[2][1]
-        for tok_col, v in (toks[1], toks[2]):
+            raise ParseError("extension line needs a parent and a child", lineno,
+                             _column(line, 0))
+        parent, child = toks[1], toks[2]
+        for index, v in ((1, parent), (2, child)):
             if v not in host:
-                raise ParseError(f"unknown vertex {v!r}", lineno, tok_col)
+                raise ParseError(f"unknown vertex {v!r}", lineno, _column(line, index))
         if parent == child:
-            raise ParseError(f"self-loop on {parent!r}", lineno, toks[1][0])
+            raise ParseError(f"self-loop on {parent!r}", lineno, _column(line, 1))
         if (parent, child) in seen:
-            raise ParseError(f"duplicate line for ({parent}, {child})", lineno, col)
+            raise ParseError(f"duplicate line for ({parent}, {child})", lineno,
+                             _column(line, 0))
         seen[(parent, child)] = lineno
         arcs.append((parent, child))
     if not arcs:

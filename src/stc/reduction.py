@@ -2,9 +2,13 @@
 
 Order of operations: prune the network down to the tree's taxa, resolve high
 in-degrees by caterpillar in-splitting, attach degree-1 roots to both sides,
-and finally canonicalize the tree extension that was carried through every
-step.  Vertices of out-degree 3+ stay as they are: the solver resolves each
-soft polytomy itself.
+and finally canonicalize the tree extension.  The network and the extension
+go through those steps as one set of mutable maps (`RewriteState`), which
+also keeps the extension's cut sizes, so the width after each step costs
+no rebuild; the reduced network and its canonical extension are built once,
+at the end, and `AugmentedInstance.check` validates them once.  Vertices of
+out-degree 3+ stay as they are: the solver resolves each soft polytomy
+itself.
 """
 
 from __future__ import annotations
@@ -17,10 +21,8 @@ from .extension import (
     AttachRootStep,
     InSplitStep,
     RestrictStep,
+    RewriteState,
     TreeExtension,
-    canonicalize,
-    default_extension,
-    update_extension,
 )
 
 
@@ -140,7 +142,7 @@ class AugmentedInstance:
             raise InternalError("reduced tree misses the degree-1-root form")
         if self.network.max_in_degree > 2:
             raise InternalError("reduced network has a vertex of in-degree above 2")
-        if any(self.tree.in_degree(v) > 1 for v in self.tree.vertices):
+        if self.tree.max_in_degree > 1:
             raise InternalError("reduced tree is not an out-tree")
         if self.network.taxa != self.tree.taxa:
             raise InternalError("network and tree taxa differ after reduction")
@@ -150,37 +152,38 @@ class AugmentedInstance:
             raise InternalError("extension is not canonical: " + "; ".join(problems))
 
 
-def _carry(ext: TreeExtension, step, trace: ReductionTrace) -> TreeExtension:
-    ext = update_extension(ext, step)
+def _carry(state: RewriteState, step, trace: ReductionTrace) -> None:
+    step.rewrite(state)
     trace.steps.append(step)
-    trace.widths.append(ext.width())
-    return ext
+    trace.widths.append(state.width())
 
 
 def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
                    taxa=None) -> tuple[TreeExtension, ReductionTrace]:
-    """Run the network side of the pipeline; returns the carried extension
-    (over the augmented network, whose root is fresh) and the trace."""
-    if ext is None:
-        ext = default_extension(n)
-    if ext.host != n:
-        raise InputError("extension does not belong to the given network")
-    ext.require_valid()
-    trace = ReductionTrace(widths=[ext.width()])
+    """Run the network side of the pipeline; returns the canonical extension
+    of the augmented network (whose root is fresh) and the trace.
+
+    `ext`, if given, is validated here; the result is not, as
+    `AugmentedInstance.check` does that once."""
+    if ext is not None:
+        if ext.host != n:
+            raise InputError("extension does not belong to the given network")
+        ext.require_valid()
+    state = RewriteState.carrying(n, ext)
+    trace = ReductionTrace(widths=[state.width()])
     if taxa is not None and set(taxa) != n.taxa:
         _, step = prune_to_leafset(n, taxa)
-        ext = _carry(ext, step, trace)
+        _carry(state, step, trace)
     # An in-split lowers only its target's in-degree, and the new vertex has
     # in-degree 2, so one sorted pass meets the targets in the same order as
     # a rescan for the first in-degree-3+ vertex before every split would.
-    high = [v for v in ext.host.vertices if ext.host.in_degree(v) >= 3]
+    high = sorted(v for v, ps in state.parents.items() if len(ps) >= 3)
     for v in high:
-        while ext.host.in_degree(v) >= 3:
-            host = ext.host
-            step = InSplitStep(v, host.parents(v)[:2], host.fresh_ids(1)[0])
-            ext = _carry(ext, step, trace)
-    ext = _carry(ext, AttachRootStep(ext.host.fresh_ids(1)[0]), trace)
-    return canonicalize(ext), trace
+        while len(state.parents[v]) >= 3:
+            pair = tuple(sorted(state.parents[v])[:2])
+            _carry(state, InSplitStep(v, pair, state.fresh_id()), trace)
+    _carry(state, AttachRootStep(state.fresh_id()), trace)
+    return state.canonical_extension(), trace
 
 
 def preprocess(n: Digraph, t: Digraph,

@@ -1,9 +1,13 @@
 """End-to-end CLI behaviour including exit codes and witness output."""
 
+import contextlib
+import gc
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -419,3 +423,18 @@ def test_batch_survives_a_dead_worker(tmp_path, monkeypatch, capsys):
     assert [line.split()[0] for line in out] == ["i1", "i2", "i3", "i4"]
     assert out[1] == "i2 ERROR internal: worker died"
     assert all(out[i].split()[1] in ("YES", "NO") for i in (0, 2, 3))
+
+
+def test_captured_stdout_is_not_kept_alive():
+    # A caller that captures each call's output, as an in-process benchmark
+    # does, must get its buffers back.
+    refs = []
+    for seed in range(3):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["gen", "--leaves", "4", "--seed", str(seed)]) == 0
+        assert out.getvalue().startswith("network gen-")
+        refs.append(weakref.ref(out))
+        del out
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]

@@ -80,13 +80,6 @@ def test_contract_collapses_parallel_arcs():
     assert "b" not in d2
 
 
-def test_in_split():
-    e = Digraph([("a", "v"), ("b", "v"), ("c", "v"), ("v", "x")])
-    e2 = e.in_split("v", ("a", "b"), "w")
-    assert set(e2.parents("v")) == {"c", "w"}
-    assert set(e2.parents("w")) == {"a", "b"}
-
-
 def test_classify_network_tree_and_near_misses(net_a, tree_b):
     assert classify(net_a).kind is PhyloKind.NETWORK
     assert classify(tree_b).kind is PhyloKind.TREE

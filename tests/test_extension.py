@@ -10,6 +10,7 @@ from stc import (
     Digraph,
     GeneratorParams,
     InputError,
+    RewriteError,
     TreeExtension,
     canonicalize,
     default_extension,
@@ -119,6 +120,22 @@ def test_in_split_step():
     assert out.is_valid()
     assert out.host.in_degree("v") == 2
     assert set(out.host.parents("m")) == {"a", "b"}
+
+
+def test_in_split_step_apply():
+    e = Digraph([("a", "v"), ("b", "v"), ("c", "v"), ("v", "x")])
+    e2 = InSplitStep("v", ("a", "b"), "w").apply(e)
+    assert set(e2.parents("v")) == {"c", "w"}
+    assert set(e2.parents("w")) == {"a", "b"}
+    assert e.in_degree("v") == 3            # the input graph is untouched
+    for step in (InSplitStep("x", ("v", "a"), "w"),   # in-degree 1
+                 InSplitStep("v", ("a", "a"), "w"),
+                 InSplitStep("v", ("a", "x"), "w"),
+                 InSplitStep("v", ("a", "b"), "c")):
+        with pytest.raises(RewriteError):
+            step.apply(e)
+    with pytest.raises(InputError):
+        InSplitStep("nope", ("a", "b"), "w").apply(e)
 
 
 def test_restrict_step(net_a):

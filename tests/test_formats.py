@@ -1,6 +1,14 @@
 """Edge-list, extension, and eNewick parsing with positional diagnostics."""
 
+import math
+import os
+import statistics
+import subprocess
+import sys
+
 import pytest
+
+import stc
 
 from stc import (
     Digraph,
@@ -61,6 +69,96 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as exc:
         parse_edgelist("A a b\nnetwork late\n")
     assert exc.value.line == 2
+    # Columns count characters from 1 whatever the blanks: tabs, runs of
+    # spaces, leading blanks, and a token repeated on its line.
+    for text, line, column, message in _POSITIONED_ERRORS:
+        with pytest.raises(ParseError) as exc:
+            parse_edgelist(text)
+        assert (exc.value.line, exc.value.column) == (line, column), text
+        assert message in str(exc.value)
+    host = Digraph([("r", "a"), ("r", "b")], {"a": "a", "b": "b"})
+    for text, line, column, message in _POSITIONED_EXTENSION_ERRORS:
+        with pytest.raises(ParseError) as exc:
+            parse_extension(text, host)
+        assert (exc.value.line, exc.value.column) == (line, column), text
+        assert message in str(exc.value)
+
+
+_POSITIONED_ERRORS = (
+    ("A a b\n\tA\ta\n", 2, 2, "arc line needs a tail and a head"),
+    ("A a b\n   A   b    b\n", 2, 8, "self-loop on 'b'"),
+    ("A a b\n  \t Q  a b\n", 2, 5, "unknown directive 'Q'"),
+    ("A a a\n", 1, 3, "self-loop on 'a'"),
+    ("A a b\nA a c\nL b x\n\tL  b \t y\n", 4, 5, "vertex 'b' labeled twice"),
+    ("A a b\nA a c\nL b x\nL b x\n", 4, 3, "vertex 'b' labeled twice"),
+    ("A a b\nA a c\nL b x\nL   c    x\n", 4, 10, "taxon 'x' used twice"),
+    ("A a b\nA a c\nL b x\nL c x x\n", 4, 1, "label line needs a vertex and a taxon"),
+    ("A a b\n  L  zz  x\n", 2, 6, "label on unknown vertex 'zz'"),
+    ("A a b\n\t L \t a  x\n", 2, 7, "label on non-leaf vertex 'a'"),
+    ("A a b\n A a  b\n", 2, 2, "duplicate arc (a, b), first seen on line 1"),
+    ("A a b\n  network  late\n", 2, 3, "header must come first"),
+    ("network  n  extra\nA a b\n", 1, 1, "header needs exactly one name"),
+    ("A b b b\n", 1, 1, "arc line needs a tail and a head"),
+)
+_POSITIONED_EXTENSION_ERRORS = (
+    ("E r a\n  E\t r   zz\n", 2, 10, "unknown vertex 'zz'"),
+    ("E r a\n E  a a\n", 2, 5, "self-loop on 'a'"),
+    ("E r a\n\tE r  a\n", 2, 2, "duplicate line for (r, a)"),
+    (" F r a\n", 1, 2, "unknown directive 'F'"),
+    ("E r a r\n", 1, 1, "extension line needs a parent and a child"),
+)
+
+
+def _caterpillar_document(leaves):
+    lines = []
+    for i in range(leaves - 1):
+        lines += [f"A c{i} l{i}", f"A c{i} c{i + 1}"]
+    lines += [f"L l{i} t{i}" for i in range(leaves - 1)]
+    lines.append(f"L c{leaves - 1} t{leaves - 1}")
+    return "\n".join(lines) + "\n"
+
+
+# Times `parse_edgelist` on each file named on the command line: the least
+# CPU time of three rounds over all files, with the cyclic collector paused.
+_TIME_PARSES = """\
+import gc, sys, time
+from stc import parse_edgelist
+texts = [open(path, encoding="utf-8").read() for path in sys.argv[1:]]
+best = [float("inf")] * len(texts)
+gc.disable()
+for _ in range(3):
+    for i, text in enumerate(texts):
+        start = time.process_time()
+        parse_edgelist(text)
+        best[i] = min(best[i], time.process_time() - start)
+print(*best)
+"""
+
+
+def test_parsing_scales_linearly_in_the_labels(tmp_path):
+    # A repeated taxon is found by lookup, not by a scan of the labels so far
+    # (slope 2).  The parses run in a fresh interpreter: the heap of the test
+    # process, and collector passes over it, would weigh more on the larger
+    # documents.  A busy machine can still tilt one measurement, so the
+    # lower slope of two counts.
+    sizes = (2000, 4000, 8000)
+    paths = []
+    for leaves in sizes:
+        path = tmp_path / f"caterpillar-{leaves}"
+        path.write_text(_caterpillar_document(leaves), encoding="utf-8")
+        paths.append(str(path))
+    assert len(parse_edgelist(_caterpillar_document(sizes[0])).taxa) == sizes[0]
+    src = os.path.dirname(os.path.dirname(stc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    slopes = []
+    for _ in range(2):
+        out = subprocess.run([sys.executable, "-c", _TIME_PARSES, *paths], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        fit = statistics.linear_regression(
+            [math.log(s) for s in sizes], [math.log(float(t)) for t in out.split()])
+        slopes.append(fit.slope)
+    assert min(slopes) <= 1.3, slopes
 
 
 def test_label_errors():

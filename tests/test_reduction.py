@@ -1,6 +1,9 @@
-"""In-splitting, pruning, the full preprocessing pipeline, and the stretch
-gadget that `test_solver` keeps as the reference for soft polytomies."""
+"""In-splitting, pruning, the full preprocessing pipeline, the step-by-step
+reference for the fused reduction, and the stretch gadget that `test_solver`
+keeps as the reference for soft polytomies."""
 
+import random
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from stc import (
     AugmentedInstance,
     Digraph,
+    GeneratorParams,
     InputError,
     InternalError,
     ReductionTrace,
@@ -15,15 +19,19 @@ from stc import (
     PhyloKind,
     RewriteError,
     SemanticError,
+    canonicalize,
     classify,
     default_extension,
+    generate,
     preprocess,
     prune_to_leafset,
     reduce_network,
+    serialize_edgelist,
+    serialize_extension,
     soft_display,
     update_extension,
 )
-from stc.extension import InSplitStep
+from stc.extension import AttachRootStep, InSplitStep, RestrictStep
 from test_solver import _reference_preprocess, _reference_stretch
 
 
@@ -213,3 +221,120 @@ def test_replay_reproduces_reduced_network(suite):
     for _, n, t, ext in suite[:40]:
         inst = preprocess(n, t, ext)
         assert replay(n, inst.trace.steps) == inst.network
+
+
+# -- the fused reduction against a fold of whole-graph rewrites -------------
+
+
+def _reference_update(ext, step):
+    """`ext` carried across `step` by whole-graph `Digraph` rewrites that
+    share no code with `RewriteState`: the reference for the fused loop."""
+    host, gamma = ext.host, ext.gamma
+    if isinstance(step, InSplitStep):
+        v, (p1, p2), new = step.vertex, step.parents, step.new_vertex
+        assert host.in_degree(v) >= 3 and p1 != p2 and new not in host
+        assert {p1, p2} <= set(host.parents(v))
+        arcs = [a for a in host.arcs if a not in ((p1, v), (p2, v))]
+        host = Digraph(arcs + [(p1, new), (p2, new), (new, v)], host.labels)
+        (above_v,) = gamma.parents(v)
+        return TreeExtension(host, gamma.subdivide((above_v, v), new))
+    if isinstance(step, AttachRootStep):
+        new = step.new_root
+        host = Digraph(list(host.arcs) + [(new, host.root())], host.labels)
+        return TreeExtension(host, Digraph(list(gamma.arcs) + [(new, gamma.root())]))
+    assert isinstance(step, RestrictStep)
+    host = step.new_host
+    surviving = set(host.vertices)
+    parent = {c: p for p, c in gamma.arcs}
+    new_parent = {}
+    for v in sorted(surviving):
+        p = parent.get(v)
+        while p is not None and p not in surviving:
+            p = parent.get(p)
+        if p is not None:
+            new_parent[v] = p
+    strays = sorted(surviving - set(new_parent))
+    anchor = host.root()
+    while anchor in new_parent:
+        anchor = new_parent[anchor]
+    new_parent.update((r, anchor) for r in strays if r != anchor)
+    gamma = Digraph([(p, c) for c, p in new_parent.items()], vertices=host.vertices)
+    return TreeExtension(host, gamma)
+
+
+def _path_width(ext):
+    """The largest cut, counted by walking each host arc's extension path."""
+    assert ext.is_valid()
+    parent = {c: p for p, c in ext.gamma.arcs}
+    cut = Counter()
+    for (u, v) in ext.host.arcs:
+        while v != u:
+            cut[v] += 1
+            v = parent[v]
+    return max(cut.values(), default=0)
+
+
+def _reference_reduce(n, ext=None, taxa=None):
+    """`reduce_network` as a fold of `_reference_update` with the width of
+    each freshly built extension, then `canonicalize`."""
+    ext = default_extension(n) if ext is None else ext
+    trace = ReductionTrace(widths=[_path_width(ext)])
+
+    def carry(step):
+        nonlocal ext
+        wrapped = update_extension(ext, step)
+        ext = _reference_update(ext, step)
+        assert wrapped == ext
+        trace.steps.append(step)
+        trace.widths.append(_path_width(ext))
+
+    if taxa is not None and set(taxa) != n.taxa:
+        carry(prune_to_leafset(n, taxa)[1])
+    for v in [v for v in ext.host.vertices if ext.host.in_degree(v) >= 3]:
+        while ext.host.in_degree(v) >= 3:
+            host = ext.host
+            carry(InSplitStep(v, host.parents(v)[:2], host.fresh_ids(1)[0]))
+    carry(AttachRootStep(ext.host.fresh_ids(1)[0]))
+    return canonicalize(ext), trace
+
+
+def _random_chain(n, rng):
+    """A valid, non-canonical extension: a random topological order of
+    `n` as a path."""
+    indeg = {v: n.in_degree(v) for v in n.vertices}
+    ready = sorted(v for v in n.vertices if not indeg[v])
+    order = []
+    while ready:
+        v = ready.pop(rng.randrange(len(ready)))
+        order.append(v)
+        for w in n.children(v):
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
+    return TreeExtension(n, Digraph(list(zip(order, order[1:]))))
+
+
+def test_fused_reduction_matches_the_step_fold():
+    rng = random.Random(11)
+    seen = Counter()
+    split_degrees = Counter()
+    for seed in range(100):
+        for leaves, retics in ((5, 3), (7, 5), (9, 7)):
+            n = generate(GeneratorParams(leaves, retics, 0.3, seed, "unlabeled")).network
+            taxa = sorted(n.taxa)[:len(n.taxa) - seed % 3]
+            for ext in (None, _random_chain(n, rng)):
+                got_ext, got = reduce_network(n, ext, taxa=taxa)
+                want_ext, want = _reference_reduce(n, ext, taxa)
+                assert got.steps == want.steps
+                assert got.widths == want.widths
+                assert got_ext.host == want_ext.host
+                assert serialize_edgelist(got_ext.host) == serialize_edgelist(want_ext.host)
+                assert serialize_extension(got_ext) == serialize_extension(want_ext)
+                seen["default" if ext is None else "supplied"] += 1
+                seen.update(step.kind for step in got.steps)
+            split_degrees.update(Counter(
+                step.vertex for step in got.steps if step.kind == "insplit").values())
+    assert seen["default"] == seen["supplied"] == 300
+    assert seen["prune"] >= 300 and seen["attach_root"] == 600
+    # a vertex of in-degree d is split d - 2 times
+    assert {1, 2, 3} <= set(split_degrees), split_degrees
