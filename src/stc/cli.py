@@ -1,5 +1,9 @@
 """Command-line interface.
 
+One `argparse` parser, built at import, reads every command line.  The
+commands reach the library through this module's globals when they run, so
+a caller may replace those (tests do).
+
 Exit codes: 0 = yes, 1 = no, 64 = usage error, 65 = parse error,
 66 = semantic error (including oracle caps), 70 = internal error (including
 any unexpected exception).
@@ -7,9 +11,9 @@ any unexpected exception).
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
-
-import click
 
 from . import formats, oracle
 from .digraph import classify
@@ -43,11 +47,22 @@ def _write(path, text):
         raise SemanticError(f"cannot write {path}: {exc.strerror}")
 
 
-def _echo(message, nl=True):
-    """`click.echo` to the current `sys.stdout`.  Without `file=`, click
-    caches a wrapper per stdout stream whose value holds its own key, so
-    every stream a caller swaps in as stdout would stay alive for good."""
-    click.echo(message, file=sys.stdout, nl=nl)
+class UsageError(Exception):
+    """A command line that the parser or a command rejects: exit code 64."""
+
+
+class _HelpShown(Exception):
+    """`--help` printed its text: exit code 0."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises where `argparse` would print and exit, so `main` picks the code."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        raise _HelpShown
 
 
 def _load_network(path):
@@ -56,11 +71,6 @@ def _load_network(path):
 
 def _load_extension(path, host):
     return formats.parse_extension(_read(path), host)
-
-
-@click.group()
-def cli():
-    """Decide whether a phylogenetic network softly displays a tree."""
 
 
 def _solve_one(paths):
@@ -78,47 +88,35 @@ def _solve_one(paths):
         return name, f"ERROR internal: {type(exc).__name__}: {exc}"
 
 
-@cli.command("solve")
-@click.option("-n", "--network", "network_path",
-              type=click.Path(), help="network edge-list file")
-@click.option("-t", "--tree", "tree_path",
-              type=click.Path(), help="tree edge-list file")
-@click.option("-x", "--extension", "extension_path", type=click.Path(),
-              help="tree-extension file (defaults to a computed extension)")
-@click.option("--witness", is_flag=True, help="print an embedding on yes")
-@click.option("--decision-only", is_flag=True,
-              help="free tables eagerly; excludes --witness")
-@click.option("--batch", "batch_dir", type=click.Path(),
-              help="solve every NAME.network/NAME.tree pair in a directory")
-@click.option("--jobs", type=click.IntRange(min=1), default=1,
-              show_default=True, help="worker processes for --batch")
 def solve_cmd(network_path, tree_path, extension_path, witness, decision_only,
               batch_dir, jobs):
     """Decide soft display; exits 0 on yes and 1 on no."""
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, not {jobs}")
     if witness and decision_only:
-        raise click.UsageError("--witness needs the tables --decision-only frees")
+        raise UsageError("--witness needs the tables --decision-only frees")
     if batch_dir:
         if network_path or tree_path or extension_path or witness:
-            raise click.UsageError("--batch excludes per-instance options")
+            raise UsageError("--batch excludes per-instance options")
         return _solve_batch(batch_dir, jobs)
     if not network_path or not tree_path:
-        raise click.UsageError("need -n and -t (or --batch)")
+        raise UsageError("need -n and -t (or --batch)")
     n = _load_network(network_path)
     t = _load_network(tree_path)
     ext = _load_extension(extension_path, n) if extension_path else None
     inst = preprocess(n, t, ext)
     result = solve(inst, keep_tables=not decision_only)
     if not result.displayed:
-        _echo("NO")
+        print("NO")
         return EXIT_NO
-    _echo("YES")
+    print("YES")
     if witness:
         network, embedding = reconstruct_witness(result)
-        _echo("REDUCED-INSTANCE")
-        _echo(formats.serialize_edgelist(network), nl=False)
+        print("REDUCED-INSTANCE")
+        sys.stdout.write(formats.serialize_edgelist(network))
         for (x, y) in sorted(embedding):
             path = " ".join(embedding[(x, y)])
-            _echo(f"EMBED {x} {y} : {path}")
+            print(f"EMBED {x} {y} : {path}")
     return EXIT_YES
 
 
@@ -153,8 +151,6 @@ def _solve_in_pools(tasks, jobs):
 
 
 def _solve_batch(batch_dir, jobs):
-    import os
-
     try:
         entries = sorted(os.listdir(batch_dir))
     except OSError as exc:
@@ -178,19 +174,12 @@ def _solve_batch(batch_dir, jobs):
         results = [_solve_one(t) for t in tasks]
     failed = False
     for name, verdict in results:
-        _echo(f"{name} {verdict}")
+        print(f"{name} {verdict}")
         if verdict.startswith("ERROR"):
             failed = True
     return EXIT_SEMANTIC if failed else EXIT_YES
 
 
-@cli.command("reduce")
-@click.option("-n", "--network", "network_path", required=True, type=click.Path())
-@click.option("-x", "--extension", "extension_path", type=click.Path())
-@click.option("-t", "--tree", "tree_path", type=click.Path(),
-              help="prune the network to this tree's taxa first")
-@click.option("-o", "--output", "prefix", required=True,
-              help="output prefix; writes PREFIX.network and PREFIX.extension")
 def reduce_cmd(network_path, extension_path, tree_path, prefix):
     """Run the reduction pipeline and write the reduced network + extension.
 
@@ -205,65 +194,38 @@ def reduce_cmd(network_path, extension_path, tree_path, prefix):
     _write(f"{prefix}.network", formats.serialize_edgelist(ext.host))
     _write(f"{prefix}.extension", formats.serialize_extension(ext))
     for step, before, after in zip(trace.steps, trace.widths, trace.widths[1:]):
-        _echo(f"step {step.kind} {getattr(step, 'vertex', None) or '-'}: "
-                 f"width {before} -> {after}")
+        print(f"step {step.kind} {getattr(step, 'vertex', None) or '-'}: "
+              f"width {before} -> {after}")
     return EXIT_YES
 
 
-@cli.group("extension")
-def extension_group():
-    """Inspect and transform tree extensions."""
-
-
-@extension_group.command("validate")
-@click.option("-n", "--network", "network_path", required=True, type=click.Path())
-@click.option("-x", "--extension", "extension_path", required=True, type=click.Path())
 def extension_validate(network_path, extension_path):
     n = _load_network(network_path)
     _load_extension(extension_path, n)  # raises on violation
-    _echo("valid")
+    print("valid")
     return EXIT_YES
 
 
-@extension_group.command("width")
-@click.option("-n", "--network", "network_path", required=True, type=click.Path())
-@click.option("-x", "--extension", "extension_path", required=True, type=click.Path())
 def extension_width(network_path, extension_path):
     n = _load_network(network_path)
     ext = _load_extension(extension_path, n)
-    _echo(str(ext.width()))
+    print(ext.width())
     return EXIT_YES
 
 
-@extension_group.command("canonicalize")
-@click.option("-n", "--network", "network_path", required=True, type=click.Path())
-@click.option("-x", "--extension", "extension_path", required=True, type=click.Path())
 def extension_canonicalize(network_path, extension_path):
     n = _load_network(network_path)
     ext = canonicalize(_load_extension(extension_path, n))
-    _echo(formats.serialize_extension(ext), nl=False)
+    sys.stdout.write(formats.serialize_extension(ext))
     return EXIT_YES
 
 
-@extension_group.command("default")
-@click.option("-n", "--network", "network_path", required=True, type=click.Path())
 def extension_default(network_path):
     n = _load_network(network_path)
-    _echo(formats.serialize_extension(default_extension(n)), nl=False)
+    sys.stdout.write(formats.serialize_extension(default_extension(n)))
     return EXIT_YES
 
 
-@cli.group("oracle")
-def oracle_group():
-    """Brute-force reference answers on small instances."""
-
-
-@oracle_group.command("firm")
-@click.option("-n", "--network", "network_path", required=True, type=click.Path())
-@click.option("-t", "--tree", "tree_path", required=True, type=click.Path())
-@click.option("--cap", type=int, default=None, help="arc-count cap override")
-@click.option("--method", type=click.Choice(["subsets", "switching"]),
-              default="subsets", show_default=True)
 def oracle_firm(network_path, tree_path, cap, method):
     n = _load_network(network_path)
     t = _load_network(tree_path)
@@ -271,35 +233,18 @@ def oracle_firm(network_path, tree_path, cap, method):
         answer = oracle.firm_display(n, t, cap=cap)
     else:
         answer = oracle.firm_display_switching(n, t)
-    _echo("true" if answer else "false")
+    print("true" if answer else "false")
     return EXIT_YES if answer else EXIT_NO
 
 
-@oracle_group.command("soft")
-@click.option("-n", "--network", "network_path", required=True, type=click.Path())
-@click.option("-t", "--tree", "tree_path", required=True, type=click.Path())
-@click.option("--cap", type=int, default=None, help="arc-count cap override")
-@click.option("--method", type=click.Choice(["subsets", "switching"]),
-              default="switching", show_default=True)
 def oracle_soft(network_path, tree_path, cap, method):
     n = _load_network(network_path)
     t = _load_network(tree_path)
     answer = oracle.soft_display(n, t, method=method, cap=cap)
-    _echo("true" if answer else "false")
+    print("true" if answer else "false")
     return EXIT_YES if answer else EXIT_NO
 
 
-@cli.command("gen")
-@click.option("--leaves", type=int, required=True)
-@click.option("--reticulations", type=int, default=0, show_default=True)
-@click.option("--polytomy", "polytomy_rate", type=float, default=0.0,
-              show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--yes-biased", is_flag=True,
-              help="skip the leaf relabeling that scrambles the answer")
-@click.option("-o", "--output", "prefix",
-              help="write PREFIX.network / PREFIX.tree / PREFIX.extension "
-                   "instead of printing")
 def gen_cmd(leaves, reticulations, polytomy_rate, seed, yes_biased, prefix):
     """Generate a seeded random instance."""
     params = GeneratorParams(
@@ -313,47 +258,102 @@ def gen_cmd(leaves, reticulations, polytomy_rate, seed, yes_biased, prefix):
                             ("extension", inst.extension_doc)):
             _write(f"{prefix}.{suffix}", doc)
     else:
-        _echo(inst.network_doc, nl=False)
-        _echo(inst.tree_doc, nl=False)
-        _echo(inst.extension_doc, nl=False)
+        sys.stdout.write(inst.network_doc + inst.tree_doc + inst.extension_doc)
     return EXIT_YES
 
 
-@cli.command("import")
-@click.argument("fmt", type=click.Choice(["enewick"]))
-@click.argument("path", type=click.Path())
 def import_cmd(fmt, path):
     """Convert an eNewick file to the edge-list format."""
     graph = formats.parse_enewick(_read(path))
     kind = classify(graph)
-    _echo(formats.serialize_edgelist(graph), nl=False)
+    sys.stdout.write(formats.serialize_edgelist(graph))
     if not kind:
         raise SemanticError(f"imported graph is not usable: {kind.reason}")
     return EXIT_YES
 
 
+def _build_parser():
+    """The parser of every command line.  It names the command's function as
+    `run`, and that function's parameters as the other attributes."""
+    parser = _Parser(prog="stc", allow_abbrev=False, description=(
+        "Decide whether a phylogenetic network softly displays a tree."))
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(group, name, run, required="", optional=""):
+        """A parser for `run`, with the -n/-t/-x file options named by letter."""
+        sub = group.add_parser(name, allow_abbrev=False, description=run.__doc__,
+                               help=(run.__doc__ or "").split("\n")[0])
+        sub.set_defaults(run=run)
+        for letter in required + optional:
+            what = {"n": "network", "t": "tree", "x": "extension"}[letter]
+            sub.add_argument(f"-{letter}", f"--{what}", dest=f"{what}_path",
+                             required=letter in required, help=f"{what} file")
+        return sub
+
+    def group(name, doc):
+        sub = commands.add_parser(name, allow_abbrev=False, help=doc, description=doc)
+        return sub.add_subparsers(metavar="ACTION", required=True)
+
+    sub = command(commands, "solve", solve_cmd, optional="ntx")
+    sub.add_argument("--witness", action="store_true", help="print an embedding on yes")
+    sub.add_argument("--decision-only", action="store_true",
+                     help="free tables eagerly; excludes --witness")
+    sub.add_argument("--batch", dest="batch_dir", metavar="DIR",
+                     help="solve every NAME.network/NAME.tree pair in a directory")
+    sub.add_argument("--jobs", type=int, default=1, metavar="N",
+                     help="worker processes for --batch (default: 1)")
+    sub = command(commands, "reduce", reduce_cmd, required="n", optional="xt")
+    sub.add_argument("-o", "--output", dest="prefix", required=True,
+                     help="output prefix; writes PREFIX.network and PREFIX.extension")
+    extension = group("extension", "Inspect and transform tree extensions.")
+    command(extension, "validate", extension_validate, required="nx")
+    command(extension, "width", extension_width, required="nx")
+    command(extension, "canonicalize", extension_canonicalize, required="nx")
+    command(extension, "default", extension_default, required="n")
+    oracles = group("oracle", "Brute-force reference answers on small instances.")
+    for name, run, method in (("firm", oracle_firm, "subsets"),
+                              ("soft", oracle_soft, "switching")):
+        sub = command(oracles, name, run, required="nt")
+        sub.add_argument("--cap", type=int, help="arc-count cap override")
+        sub.add_argument("--method", choices=("subsets", "switching"), default=method,
+                         help=f"(default: {method})")
+    sub = command(commands, "gen", gen_cmd)
+    sub.add_argument("--leaves", type=int, required=True)
+    sub.add_argument("--reticulations", type=int, default=0)
+    sub.add_argument("--polytomy", dest="polytomy_rate", type=float, default=0.0)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--yes-biased", action="store_true",
+                     help="skip the leaf relabeling that scrambles the answer")
+    sub.add_argument("-o", "--output", dest="prefix", help="write PREFIX.network, "
+                     "PREFIX.tree and PREFIX.extension instead of printing")
+    sub = command(commands, "import", import_cmd)
+    sub.add_argument("fmt", choices=("enewick",))
+    sub.add_argument("path")
+    return parser
+
+
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
-        return int(rv or 0)
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        args = vars(_PARSER.parse_args(argv))
+        return args.pop("run")(**args)
+    except _HelpShown:
+        return EXIT_YES
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except click.exceptions.Abort:
-        return EXIT_USAGE
-    except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_PARSE
     except InternalError as exc:
-        click.echo(f"internal error: {exc}", err=True)
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except STCError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_SEMANTIC
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE if isinstance(exc, ParseError) else EXIT_SEMANTIC
     except Exception:  # a crash must never read as a verdict
         import traceback  # only on this path, to keep start-up lean
 
-        click.echo(f"internal error: {traceback.format_exc()}", err=True, nl=False)
+        sys.stderr.write(f"internal error: {traceback.format_exc()}")
         return EXIT_INTERNAL
 
 

@@ -118,6 +118,52 @@ def test_usage_errors(files, capsys):
                  "--witness", "--decision-only"]) == 64
 
 
+@pytest.mark.parametrize("argv, code", [
+    ([], 64),
+    (["frobnicate"], 64),
+    (["solve", "--bogus"], 64),
+    (["solve", "-n"], 64),
+    (["solve", "--decision", "-n", "NET", "-t", "TREE"], 64),  # no abbreviations
+    (["gen"], 64),
+    (["gen", "--leaves", "x"], 64),
+    (["oracle", "soft", "-n", "NET", "-t", "TREE", "--method", "zzz"], 64),
+    (["extension"], 64),
+    (["reduce", "-n", "NET"], 64),
+    (["import", "yaml", "NET"], 64),
+    (["solve", "--batch", "DIR", "--jobs", "-2"], 64),
+    # a negative number is a value, and the generator rejects this one
+    (["gen", "--leaves", "3", "--polytomy", "-0.5"], 66),
+])
+def test_bad_command_lines_exit_with_a_message(argv, code, files, capsys):
+    where = {"NET": files["net_a"], "TREE": files["tree_d"], "DIR": str(files["dir"])}
+    assert main([where.get(arg, arg) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    for argv in (["--help"], ["solve", "--help"], ["extension", "width", "--help"]):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.lower().startswith("usage:")
+        if argv[0] == "solve":
+            for option in ("--network", "--tree", "--extension", "--witness",
+                           "--decision-only", "--batch", "--jobs"):
+                assert option in captured.out
+
+
+def test_importing_the_cli_loads_no_click():
+    src = os.path.dirname(os.path.dirname(stc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, stc.cli; print('click' in sys.modules)"],
+        env=env, capture_output=True, check=True, text=True).stdout
+    assert out == "False\n"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("A a\n")
