@@ -226,9 +226,14 @@ def extension_default(network_path):
     return EXIT_YES
 
 
+def _oracle_inputs(network_path, tree_path, cap, method):
+    if cap is not None and method != "subsets":
+        raise UsageError(f"--cap bounds --method subsets only, not {method}")
+    return _load_network(network_path), _load_network(tree_path)
+
+
 def oracle_firm(network_path, tree_path, cap, method):
-    n = _load_network(network_path)
-    t = _load_network(tree_path)
+    n, t = _oracle_inputs(network_path, tree_path, cap, method)
     if method == "subsets":
         answer = oracle.firm_display(n, t, cap=cap)
     else:
@@ -238,8 +243,7 @@ def oracle_firm(network_path, tree_path, cap, method):
 
 
 def oracle_soft(network_path, tree_path, cap, method):
-    n = _load_network(network_path)
-    t = _load_network(tree_path)
+    n, t = _oracle_inputs(network_path, tree_path, cap, method)
     answer = oracle.soft_display(n, t, method=method, cap=cap)
     print("true" if answer else "false")
     return EXIT_YES if answer else EXIT_NO
@@ -314,7 +318,7 @@ def _build_parser():
     for name, run, method in (("firm", oracle_firm, "subsets"),
                               ("soft", oracle_soft, "switching")):
         sub = command(oracles, name, run, required="nt")
-        sub.add_argument("--cap", type=int, help="arc-count cap override")
+        sub.add_argument("--cap", type=int, help="arc-count cap of --method subsets")
         sub.add_argument("--method", choices=("subsets", "switching"), default=method,
                          help=f"(default: {method})")
     sub = command(commands, "gen", gen_cmd)

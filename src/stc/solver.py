@@ -11,10 +11,11 @@ yes-instance iff the table at the child of the network root contains a
 signature whose domain is the tree's root arc alone.
 
 A network vertex of out-degree 3 or more is a soft polytomy: any binary
-resolution of it may carry the embedding.  The sweep resolves it in place,
-by a join over the subset lattice of the out-arcs that a signature uses
-there (`_resolutions`), and the witness is reported on the network with
-each polytomy it passes through resolved by fresh vertices.
+resolution of it may carry the embedding.  The sweep resolves it in place:
+the tree arcs that a signature sends to its out-arcs merge tail by tail,
+as they would at the nodes of a binary resolution (`_resolutions`), and
+the witness is reported on the network with each polytomy it passes
+through resolved by fresh vertices.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _post_order(gamma: Digraph) -> list[str]:
     return out[::-1]
 
 
-def _resolutions(bundle: tuple[int, ...], shift: int, mask: int, t_tail: list[str],
+def _resolutions(bundle: list[int], shift: int, mask: int, t_tail: list[str],
                  t_fanout: dict[str, int], t_parent_pair: dict[str, int],
                  rho_t: str) -> list[tuple[tuple[int, ...], tuple]]:
     """What the pairs on the out-arcs of a soft polytomy v can become on
@@ -169,44 +170,43 @@ def _resolutions(bundle: tuple[int, ...], shift: int, mask: int, t_tail: list[st
     `bundle` holds the pairs of a signature on out-arcs of v.  A binary
     resolution of v is a binary tree rooted at v whose leaves are the
     occupied out-arcs; each inner node has one in-arc, and the extend/grow
-    step applies there to the tree arcs on its two out-arcs.  `reach[A]`
-    maps each set of tree arcs that a resolution of the subset A of
-    occupied out-arcs can leave on the in-arc of its root to one such
-    resolution, its plan.  A plan is an out-arc id at a leaf and
-    `(ids, grown, left, right)` at a node, `ids` being the tree arcs on its
-    in-arc; `_replay` unfolds it.
+    step applies there to the tree arcs on its two out-arcs.  The tree arcs
+    on one out-arc share a tail, and only groups with the same tail y may
+    meet at a node.  A group holding every out-arc of y can meet nothing
+    else, so unless it is the last group it must grow into y's parent arc.
+    Merging the groups tail by tail therefore decides the bundle: it
+    resolves iff one group is left, and its outcomes are that group and,
+    when it is complete, its grown form.  A plan is an out-arc id at a leaf
+    and `(ids, grown, left, right)` at a node, `ids` being the tree arcs on
+    its in-arc; `_replay` unfolds it.
     """
-    occupied = sorted({p & mask for p in bundle})
-    reach: list[dict] = [{} for _ in range(1 << len(occupied))]
-    for i, b in enumerate(occupied):
-        reach[1 << i] = {tuple(p >> shift for p in bundle if p & mask == b): b}
-    for subset in range(3, 1 << len(occupied)):
-        low = subset & -subset
-        if subset == low:
+    groups: dict[int, list[int]] = {}
+    for p in bundle:
+        groups.setdefault(p & mask, []).append(p >> shift)
+    b0, *rest = sorted(groups)
+    # the lowest out-arc first, then the highest down
+    stack = [(tuple(groups[b]), b) for b in (*rest, b0)]
+    waiting: dict[str, tuple] = {}  # tail -> (ids, plan) of its group
+    while stack:
+        ids2, plan2 = stack.pop()
+        y = t_tail[ids2[0]]
+        if y not in waiting:
+            waiting[y] = (ids2, plan2)
             continue
-        out = reach[subset]
-        others = subset ^ low
-        part = others
-        while True:
-            # every split of `subset` once: `left` holds its lowest out-arc
-            left = part | low
-            if left != subset:
-                for ids1, plan1 in reach[left].items():
-                    for ids2, plan2 in reach[subset ^ left].items():
-                        ids = tuple(sorted(ids1 + ids2))
-                        y = t_tail[ids[0]]
-                        if any(t_tail[i] != y for i in ids):
-                            continue
-                        if ids not in out:
-                            out[ids] = (ids, False, plan1, plan2)
-                        if y != rho_t and len(ids) == t_fanout[y]:
-                            grown = (t_parent_pair[y] >> shift,)
-                            if grown not in out:
-                                out[grown] = (grown, True, plan1, plan2)
-            if not part:
-                break
-            part = (part - 1) & others
-    return list(reach[-1].items())
+        ids1, plan1 = waiting.pop(y)
+        ids = tuple(sorted(ids1 + ids2))
+        if y != rho_t and len(ids) == t_fanout[y] and (stack or waiting):
+            grown = (t_parent_pair[y] >> shift,)
+            stack.append((grown, (grown, True, plan1, plan2)))
+        else:
+            waiting[y] = (ids, (ids, False, plan1, plan2))
+    if len(waiting) != 1:
+        return []
+    ((y, (ids, plan)),) = waiting.items()
+    if y == rho_t or len(ids) != t_fanout[y]:
+        return [(ids, plan)]
+    grown = (t_parent_pair[y] >> shift,)
+    return [(ids, plan), (grown, (grown, True, *plan[2:]))]
 
 
 def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
@@ -226,9 +226,8 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     a single network arc, which the steps below carry from cell to cell.
 
     At a vertex of out-degree 3 or more, a signature whose pairs use three
-    or more of its out-arcs takes the outcomes of `_resolutions`.  They
-    depend on those pairs alone, so each distinct bundle is resolved once
-    per call.
+    or more of its out-arcs takes the outcomes of `_resolutions`: at most
+    two, found by merging those pairs' tree arcs tail by tail.
     """
     n, t, gamma = inst.network, inst.tree, inst.extension.gamma
     rho_n, rho_t = inst.network_root, inst.tree_root
@@ -245,7 +244,6 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     for i, (u, v) in enumerate(n.arcs):
         n_outs.setdefault(u, set()).add(i)
         n_ins.setdefault(v, []).append(i)
-    resolved: dict[tuple[int, ...], list] = {}  # bundle -> `_resolutions`
 
     above: dict[str, dict] = {}
     below: dict[str, dict] = {}
@@ -346,12 +344,8 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
                         grown = tuple(sorted(rest + [parent | a]))
                         above_v.setdefault(grown, ("grow", rest_m, v, key, parent | a))
                     continue
-                bundle = tuple(bundle)
-                outcomes = resolved.get(bundle)
-                if outcomes is None:
-                    outcomes = resolved[bundle] = _resolutions(
-                        bundle, shift, mask, t_tail, t_fanout, t_parent_pair, rho_t)
-                for ids, plan in outcomes:
+                for ids, plan in _resolutions(bundle, shift, mask, t_tail, t_fanout,
+                                              t_parent_pair, rho_t):
                     new_m = rest_m if rest_m > len(ids) else len(ids)
                     for a in ins:
                         new = tuple(sorted(rest + [i << shift | a for i in ids]))

@@ -133,6 +133,10 @@ def test_usage_errors(files, capsys):
     (["solve", "--batch", "DIR", "--jobs", "-2"], 64),
     # a negative number is a value, and the generator rejects this one
     (["gen", "--leaves", "3", "--polytomy", "-0.5"], 66),
+    # --cap bounds the subset enumeration only
+    (["oracle", "soft", "-n", "NET", "-t", "TREE", "--cap", "1"], 64),
+    (["oracle", "firm", "-n", "NET", "-t", "TREE", "--method", "switching",
+      "--cap", "1"], 64),
 ])
 def test_bad_command_lines_exit_with_a_message(argv, code, files, capsys):
     where = {"NET": files["net_a"], "TREE": files["tree_d"], "DIR": str(files["dir"])}

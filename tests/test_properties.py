@@ -82,8 +82,8 @@ polytomy_params = st.builds(
 @settings(max_examples=80, deadline=None)
 @given(polytomy_params)
 def test_polytomies_resolved_in_the_sweep_match_the_oracle(p):
-    """The lattice step at out-degree 3+ vertices decides what the oracle's
-    enumeration of binary resolutions decides."""
+    """Resolving out-degree 3+ vertices in the sweep decides what the
+    oracle's enumeration of binary resolutions decides."""
     inst = generate(p)
     try:
         want = soft_display(inst.network, inst.tree)

@@ -7,6 +7,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stc import (
     Digraph,
@@ -27,7 +29,7 @@ from stc import (
     solve,
     update_extension,
 )
-from stc.solver import VertexStats, _post_order, _require_path
+from stc.solver import VertexStats, _post_order, _require_path, _resolutions
 
 
 def test_eventually_arc_disjoint_prefix_then_split(net_a):
@@ -636,7 +638,7 @@ def _polytomy_cases():
 
 def test_kernel_matches_the_string_keyed_reference(suite):
     # The string-keyed kernel needs a binary network, so both kernels run on
-    # the gadget's reduction; on it the lattice step never fires.
+    # the gadget's reduction; on it `_resolutions` never runs.
     cases = [(n, t, ext) for _, n, t, ext in suite] + _polytomy_cases()
     verdicts = Counter()
     for n, t, ext in cases:
@@ -701,3 +703,232 @@ def test_native_polytomies_cost_a_twentieth_of_the_gadget():
         result = solve(preprocess(g.network, g.tree), keep_tables=False)
         cells = sum(s.cells_above + s.cells_below for s in result.stats)
         assert result.displayed and cells <= gadget_cells // 20, (seed, cells)
+
+
+# -- the subset lattice, kept as the reference for `_resolutions` -------------
+
+
+def _reference_resolutions(bundle: tuple[int, ...], shift: int, mask: int,
+                           t_tail: list[str], t_fanout: dict[str, int],
+                           t_parent_pair: dict[str, int],
+                           rho_t: str) -> list[tuple[tuple[int, ...], tuple]]:
+    """What the pairs on the out-arcs of a soft polytomy v can become on
+    its in-arc, each with a binary resolution of v that yields it.
+
+    `bundle` holds the pairs of a signature on out-arcs of v.  A binary
+    resolution of v is a binary tree rooted at v whose leaves are the
+    occupied out-arcs; each inner node has one in-arc, and the extend/grow
+    step applies there to the tree arcs on its two out-arcs.  `reach[A]`
+    maps each set of tree arcs that a resolution of the subset A of
+    occupied out-arcs can leave on the in-arc of its root to one such
+    resolution, its plan.  A plan is an out-arc id at a leaf and
+    `(ids, grown, left, right)` at a node, `ids` being the tree arcs on its
+    in-arc; `_replay` unfolds it.
+    """
+    occupied = sorted({p & mask for p in bundle})
+    reach: list[dict] = [{} for _ in range(1 << len(occupied))]
+    for i, b in enumerate(occupied):
+        reach[1 << i] = {tuple(p >> shift for p in bundle if p & mask == b): b}
+    for subset in range(3, 1 << len(occupied)):
+        low = subset & -subset
+        if subset == low:
+            continue
+        out = reach[subset]
+        others = subset ^ low
+        part = others
+        while True:
+            # every split of `subset` once: `left` holds its lowest out-arc
+            left = part | low
+            if left != subset:
+                for ids1, plan1 in reach[left].items():
+                    for ids2, plan2 in reach[subset ^ left].items():
+                        ids = tuple(sorted(ids1 + ids2))
+                        y = t_tail[ids[0]]
+                        if any(t_tail[i] != y for i in ids):
+                            continue
+                        if ids not in out:
+                            out[ids] = (ids, False, plan1, plan2)
+                        if y != rho_t and len(ids) == t_fanout[y]:
+                            grown = (t_parent_pair[y] >> shift,)
+                            if grown not in out:
+                                out[grown] = (grown, True, plan1, plan2)
+            if not part:
+                break
+            part = (part - 1) & others
+    return list(reach[-1].items())
+
+
+def _compare_with_the_lattice(bundle, shift, mask, t_tail, t_fanout, t_parent_pair,
+                              rho_t):
+    """Assert that the merge and the lattice agree on one bundle: the same
+    outcomes in the same order, each plan a binary resolution of every
+    occupied out-arc that yields its outcome, and on a bundle whose tree
+    arcs share one tail, the lattice's plans.  Returns whether the tree
+    arcs share one tail."""
+    args = (shift, mask, t_tail, t_fanout, t_parent_pair, rho_t)
+    got = _resolutions(bundle, *args)
+    want = _reference_resolutions(tuple(bundle), *args)
+    assert [ids for ids, _ in got] == [ids for ids, _ in want], bundle
+    assert len(got) <= 2
+    groups: dict = {}
+    for p in bundle:
+        groups[p & mask] = groups.get(p & mask, ()) + (p >> shift,)
+
+    def unfold(plan):
+        """The tree arcs that `plan` leaves on its in-arc, each node checked
+        by the extend/grow rule; its out-arcs go to `leaves`."""
+        if isinstance(plan, int):
+            leaves.append(plan)
+            return groups[plan]
+        ids, grown, left, right = plan
+        merged = tuple(sorted(unfold(left) + unfold(right)))
+        y = t_tail[merged[0]]
+        assert {t_tail[i] for i in merged} == {y}
+        if grown:
+            assert y != rho_t and len(merged) == t_fanout[y]
+            assert ids == (t_parent_pair[y] >> shift,)
+        else:
+            assert ids == merged
+        return ids
+
+    for ids, plan in got:
+        leaves = []
+        assert unfold(plan) == ids
+        assert sorted(leaves) == sorted(groups)
+    single_tail = len({t_tail[p >> shift] for p in bundle}) == 1
+    if single_tail:
+        assert got == want, bundle
+    return single_tail
+
+
+# `GeneratorParams(leaves, reticulations, rate)`, each with seeds 0-29 and
+# with both the tree and its `_twin`.  The lattice walks 3^s splits of a
+# bundle on s out-arcs, so it takes the bundles with s <= 10 only.
+_MERGE_CONFIGS = ((8, 1, 0.6), (10, 2, 0.5), (12, 3, 0.5), (16, 3, 0.7),
+                  (20, 3, 0.4), (25, 4, 0.8))
+
+
+def test_merging_on_tails_matches_the_lattice(monkeypatch):
+    met = []
+
+    def spy(*args):
+        met.append(args)
+        return _resolutions(*args)
+
+    monkeypatch.setattr("stc.solver._resolutions", spy)
+    compared, single_tail, witnesses = 0, 0, 0
+    for leaves, reticulations, rate in _MERGE_CONFIGS:
+        for seed in range(30):
+            g = generate(GeneratorParams(leaves, reticulations, rate, seed, "yes-biased"))
+            for tree in (g.tree, _twin(g.tree)):
+                met.clear()
+                result = solve(preprocess(g.network, tree))
+                if result.displayed:
+                    reconstruct_witness(result)
+                    witnesses += 1
+                for bundle, shift, mask, *rest in met:
+                    if len({p & mask for p in bundle}) <= 10:
+                        compared += 1
+                        single_tail += _compare_with_the_lattice(bundle, shift, mask, *rest)
+    assert compared > 2000 and single_tail > 500 and witnesses > 200
+
+
+def _random_out_tree(rng, inner):
+    """The arcs of a random out-tree below a root "r" of out-degree 1, with
+    `inner` vertices of out-degree 2 to 4 below it."""
+    children = {"v0": []}
+    leaves = ["v0"]
+    for _ in range(inner):
+        y = leaves.pop(rng.randrange(len(leaves)))
+        for _ in range(rng.randint(2, 4)):
+            c = f"v{len(children)}"
+            children[c] = []
+            children[y].append(c)
+            leaves.append(c)
+    return sorted([("r", "v0")] + [(y, c) for y, cs in children.items() for c in cs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6))
+def test_merging_random_bundles_matches_the_lattice(rng, inner):
+    arcs = _random_out_tree(rng, inner)
+    t_tail = [x for x, _ in arcs]
+    out_arcs: dict = {}
+    for i, (x, y) in enumerate(arcs):
+        out_arcs.setdefault(x, []).append(i)
+    shift, mask = 7, (1 << 7) - 1
+    t_fanout = {y: len(out_arcs.get(y, ())) for _, y in arcs}
+    t_fanout["r"] = 1
+    t_parent_pair = {y: i << shift for i, (_, y) in enumerate(arcs)}
+    # A frontier of the subtree below a random inner vertex, as a signature
+    # may hold it, perhaps with an arc dropped or a stray group added.
+    top = rng.choice(sorted(out_arcs.keys() - {"r"}))
+    frontier = list(out_arcs[top])
+    for _ in range(rng.randrange(4)):
+        deeper = [i for i in frontier if arcs[i][1] in out_arcs]
+        if deeper:
+            i = rng.choice(deeper)
+            frontier.remove(i)
+            frontier += out_arcs[arcs[i][1]]
+    if rng.random() < 0.2:
+        frontier.remove(rng.choice(frontier))
+    by_tail: dict = {}
+    for i in frontier:
+        by_tail.setdefault(t_tail[i], []).append(i)
+    groups = []
+    for ids in by_tail.values():
+        rng.shuffle(ids)
+        cuts = sorted(rng.sample(range(1, len(ids)), rng.randrange(len(ids))))
+        groups += [ids[a:b] for a, b in zip([0, *cuts], [*cuts, len(ids)])]
+    # A signature's topmost arcs are unrelated, so a stray group hangs off a
+    # vertex that is neither above nor below `top`.
+    parent = {y: x for x, y in arcs}
+
+    def line(v):  # v and the vertices above it
+        return {v} | line(parent[v]) if v in parent else {v}
+
+    unrelated = sorted(x for x in out_arcs if x not in line(top) and top not in line(x))
+    if unrelated and rng.random() < 0.3:
+        stray = out_arcs[rng.choice(unrelated)]
+        groups.append(stray[:rng.randint(1, len(stray))])
+    assume(3 <= len(groups) <= 8)
+    occupied = rng.sample(range(mask + 1), len(groups))
+    bundle = sorted(i << shift | b for ids, b in zip(groups, occupied) for i in ids)
+    _compare_with_the_lattice(bundle, shift, mask, t_tail, t_fanout, t_parent_pair, "r")
+
+
+def _star(leaves):
+    return Digraph([("r", f"x{i}") for i in range(leaves)],
+                   {f"x{i}": f"t{i}" for i in range(leaves)})
+
+
+def _balanced(leaves):
+    labels = {f"l{i}": f"t{i}" for i in range(leaves)}
+    level, arcs = sorted(labels, key=lambda v: int(v[1:])), []
+    while len(level) > 1:
+        pairs = [level[j:j + 2] for j in range(0, len(level), 2)]
+        level = []
+        for pair in pairs:
+            if len(pair) == 1:
+                level += pair
+            else:
+                u = f"b{len(arcs) // 2}"
+                arcs += [(u, pair[0]), (u, pair[1])]
+                level.append(u)
+    return Digraph(arcs, labels)
+
+
+@pytest.mark.parametrize("tree", [_caterpillar, _balanced])
+def test_a_200_leaf_star_resolves_into_any_tree(tree):
+    # The lattice would walk 3^200 splits of the star's one bundle.
+    inst = preprocess(_star(200), tree(200))
+    result = solve(inst)
+    assert result.displayed
+    network, phi = reconstruct_witness(result)
+    assert check_embedding(phi, inst.tree, network)
+    # the attached root g0 and the 198 inner nodes of the resolution below
+    # the polytomy itself
+    fresh = set(network.vertices) - set(inst.network.vertices)
+    assert len(fresh) == 198
+    assert sorted(v for v in network.vertices if v.startswith("g")) == sorted(
+        f"g{i}" for i in range(199))

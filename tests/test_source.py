@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library only."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import stc
@@ -36,3 +37,13 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(modules) >= 9
     unused = {p.name: _unused_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_every_name_the_benchmark_wraps_exists():
+    # The benchmark's traced run reports a layer whose name is gone as null.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert len(layers.LAYERS) >= 19
+    assert [name for _, name in layers.LAYERS if layers.resolve(name) is None] == []
