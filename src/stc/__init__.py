@@ -4,10 +4,8 @@ from .digraph import (
     Digraph,
     PhyloClass,
     PhyloKind,
-    canonical_tree_form,
     classify,
     reaches,
-    tree_leaf_isomorphic,
 )
 from .errors import (
     InputError,
@@ -28,7 +26,6 @@ from .extension import (
 )
 from .formats import (
     parse_edgelist,
-    parse_edgelist_document,
     parse_enewick,
     parse_extension,
     serialize_edgelist,

@@ -1,4 +1,4 @@
-"""Immutable directed graphs with leaf labels, plus the rewriting toolbox.
+"""Immutable directed graphs with leaf labels.
 
 Vertices are opaque string ids.  A graph is a value: every rewrite returns a
 fresh graph and never mutates its input, so graphs can be shared freely
@@ -117,9 +117,6 @@ class Digraph:
         self._require(v)
         return self._children[v]
 
-    def in_arcs(self, v) -> tuple[Arc, ...]:
-        return tuple((u, v) for u in self.parents(v))
-
     def out_arcs(self, v) -> tuple[Arc, ...]:
         return tuple((v, w) for w in self.children(v))
 
@@ -136,9 +133,6 @@ class Digraph:
     @cached_property
     def max_in_degree(self) -> int:
         return max(len(ps) for ps in self._parents.values())
-
-    def is_binary(self) -> bool:
-        return self.max_in_degree <= 2 and self.max_out_degree <= 2
 
     @cached_property
     def leaves(self) -> tuple[str, ...]:
@@ -233,28 +227,6 @@ class Digraph:
         """`count` ids of the form g<n> that do not collide with existing ones."""
         start = self._fresh_counter
         return tuple(f"g{start + i}" for i in range(count))
-
-    def subdivide(self, arc, new_id) -> "Digraph":
-        (u, v) = arc
-        if not self.has_arc(u, v):
-            raise RewriteError(f"cannot subdivide missing arc ({u!r}, {v!r})")
-        if new_id in self:
-            raise RewriteError(f"subdivision vertex {new_id!r} already exists")
-        arcs = [a for a in self._arcs if a != (u, v)]
-        arcs += [(u, new_id), (new_id, v)]
-        return Digraph(arcs, self._labels)
-
-    def suppress(self, v) -> "Digraph":
-        self._require(v)
-        if self.in_degree(v) != 1 or self.out_degree(v) != 1:
-            raise RewriteError(f"cannot suppress {v!r}: needs in-degree 1 and out-degree 1")
-        (u,) = self.parents(v)
-        (w,) = self.children(v)
-        arcs = [a for a in self._arcs if v not in a]
-        if u != w:
-            arcs.append((u, w))
-        labels = {x: t for x, t in self._labels.items() if x != v}
-        return Digraph(arcs, labels)
 
     def contract(self, arc) -> "Digraph":
         """Contract (u, v): v's neighbors move to u, v disappears.
@@ -415,48 +387,3 @@ class TreeIndex:
 
     def strictly_below(self, t: str, v: str) -> bool:
         return self.pre[t] < self.pre[v] < self.end[t]
-
-
-# -- leaf-respecting tree isomorphism --------------------------------------
-
-
-def canonical_tree_form(t: Digraph) -> tuple[str, ...]:
-    """A hashable canonical encoding of a leaf-labeled out-tree.
-
-    Two out-trees admit a leaf-respecting isomorphism iff their encodings
-    are equal.  The encoding is a flat token tuple: a leaf is "L" followed
-    by its taxon, an internal vertex is "(", its children's encodings in
-    sorted order, then ")".  It is built bottom-up without recursion, and
-    being flat it compares and hashes without recursion too, whatever the
-    depth of the tree.
-    """
-    if any(t.in_degree(v) > 1 for v in t.vertices):
-        raise InputError("not an out-tree: vertex with in-degree > 1")
-    root = t.root()
-    form: dict[str, tuple[str, ...]] = {}
-    stack = [(root, False)]
-    while stack:
-        v, done = stack.pop()
-        children = t.children(v)
-        if not children:
-            taxon = t.label_of(v)
-            if taxon is None:
-                raise InputError(f"leaf {v!r} has no taxon label")
-            form[v] = ("L" + taxon,)
-        elif done:
-            tokens = ["("]
-            for part in sorted(form.pop(c) for c in children):
-                tokens.extend(part)
-            tokens.append(")")
-            form[v] = tuple(tokens)
-        else:
-            stack.append((v, True))
-            stack.extend((c, False) for c in children)
-    return form[root]
-
-
-def tree_leaf_isomorphic(t1: Digraph, t2: Digraph) -> bool:
-    """Whether two leaf-labeled out-trees are isomorphic respecting leaves."""
-    if t1.taxa != t2.taxa:
-        return False
-    return canonical_tree_form(t1) == canonical_tree_form(t2)

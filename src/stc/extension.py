@@ -158,9 +158,6 @@ class TreeExtension:
                 for v, cs in gamma_children.items() if len(cs) > len(host_children[v])]
         return out
 
-    def is_canonical(self) -> bool:
-        return self.is_valid() and not self.canonicality_violations()
-
 
 # -- canonicalization ------------------------------------------------------
 
@@ -267,22 +264,21 @@ def _cut_above(order, parent, parents, children) -> dict[str, int]:
 # -- maintenance under pipeline rewrites ------------------------------------
 #
 # Each step of the reduction owns one rewrite, `step.rewrite(state)`, which
-# changes a `RewriteState` in place: the host and, when it is carried, the
-# extension tree and its cut sizes.  `step.apply(host)` and
-# `update_extension(ext, step)` run that rewrite on a fresh state and build
-# the result once.  A step's `kind` names it in the output of `stc reduce`.
+# changes a `RewriteState` in place: the host, the extension tree and its
+# cut sizes.  `update_extension(ext, step)` runs that rewrite on a fresh
+# state and builds the result once.  A step's `kind` names it in the output
+# of `stc reduce`.
 
 
 class RewriteState:
-    """A host and, optionally, a tree extension of it, as mutable maps.
+    """A host and a tree extension of it, as mutable maps.
 
     The host is `parents` and `children` (vertex -> set of vertices) and
-    `labels`.  The extension, when carried, is `parent` (child -> parent;
-    the root has no entry) and, when cut sizes are carried too, `above`
-    (the size of the cut just above each vertex); otherwise they are None.
+    `labels`.  The extension is `parent` (child -> parent; the root has no
+    entry) and `above` (the size of the cut just above each vertex).
     """
 
-    def __init__(self, host: Digraph, parent=None, above=None):
+    def __init__(self, host: Digraph, parent, above):
         self.take(host)
         self.parent = parent
         self.above = above
@@ -327,18 +323,8 @@ class RewriteState:
         return _extension(host, _canonical_parent(host._children, order))
 
 
-class _Step:
-    """A reduction step; each kind defines its one `rewrite(state)`."""
-
-    def apply(self, host: Digraph) -> Digraph:
-        """The rewritten host."""
-        state = RewriteState(host)
-        self.rewrite(state)
-        return state.host()
-
-
 @dataclass(frozen=True)
-class AttachRootStep(_Step):
+class AttachRootStep:
     """A fresh degree-1 root was attached above the host root."""
     kind = "attach_root"
     new_root: str
@@ -353,16 +339,14 @@ class AttachRootStep(_Step):
         (root,) = roots
         state.parents[new], state.children[new] = set(), {root}
         state.parents[root].add(new)
-        if state.parent is not None:
-            state.parent[root] = new    # the host root tops a valid extension
-        if state.above is not None:
-            # The new arc enters only the subtree of the old root.
-            state.above[new] = 0
-            state.above[root] += 1
+        state.parent[root] = new    # the host root tops a valid extension
+        # The new arc enters only the subtree of the old root.
+        state.above[new] = 0
+        state.above[root] += 1
 
 
 @dataclass(frozen=True)
-class InSplitStep(_Step):
+class InSplitStep:
     """Two parents of `vertex` were moved above the fresh `new_vertex`."""
     kind = "insplit"
     vertex: str
@@ -380,26 +364,23 @@ class InSplitStep(_Step):
             raise RewriteError(f"in-split needs two distinct parents of {v!r}")
         if new in state.parents:
             raise RewriteError(f"split vertex {new!r} already exists")
-        if state.parent is not None and v not in state.parent:
-            raise InputError(f"{v!r} has no extension parent to subdivide at")
         ps -= {p1, p2}
         ps.add(new)
         for p in (p1, p2):
             state.children[p].remove(v)
             state.children[p].add(new)
         state.parents[new], state.children[new] = {p1, p2}, {v}
-        if state.parent is not None:
-            state.parent[new] = state.parent[v]
-            state.parent[v] = new
-        if state.above is not None:
-            # p1 and p2 lie above `new`, so the cut above `new` is the old
-            # cut above `v`, and one arc enters `v` where two did.
-            state.above[new] = state.above[v]
-            state.above[v] -= 1
+        # `v` has parents, so it is no root of the valid extension.
+        state.parent[new] = state.parent[v]
+        state.parent[v] = new
+        # p1 and p2 lie above `new`, so the cut above `new` is the old cut
+        # above `v`, and one arc enters `v` where two did.
+        state.above[new] = state.above[v]
+        state.above[v] -= 1
 
 
 @dataclass(frozen=True)
-class RestrictStep(_Step):
+class RestrictStep:
     """The host was pruned down to `new_host`; removed vertices contract away."""
     kind = "prune"
     new_host: Digraph
@@ -407,19 +388,17 @@ class RestrictStep(_Step):
     def rewrite(self, state: RewriteState) -> None:
         # `prune_to_leafset` computed the pruned host from the state's host.
         host = self.new_host
-        if state.parent is not None:
-            state.parent = _restricted_parent(state.parent, state.parents, host)
+        state.parent = _restricted_parent(state.parent, state.parents, host)
         state.take(host)
-        if state.above is not None:
-            order = _tree_order(host.vertices, state.parent)
-            state.above = _cut_above(order, state.parent, host._parents, host._children)
+        order = _tree_order(host.vertices, state.parent)
+        state.above = _cut_above(order, state.parent, host._parents, host._children)
 
 
 def update_extension(ext: TreeExtension, step) -> TreeExtension:
     """Carry a valid extension across one pipeline rewrite of its host."""
     if not isinstance(step, (AttachRootStep, InSplitStep, RestrictStep)):
         raise InternalError(f"unknown extension update step: {step!r}")
-    state = RewriteState(ext.host, {c: p for (p, c) in ext.gamma.arcs})
+    state = RewriteState.carrying(ext.host, ext)
     step.rewrite(state)
     return _extension(state.host(), state.parent)
 

@@ -8,19 +8,12 @@ comment.  Extensions use `E parent child` lines over a known host.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .digraph import Digraph
 from .errors import ParseError
 from .extension import TreeExtension
 
 _TOKEN_RE = re.compile(r"\S+")
-
-
-@dataclass(frozen=True)
-class EdgeListDocument:
-    name: str | None
-    graph: Digraph
 
 
 def _lines(text):
@@ -36,8 +29,9 @@ def _column(line, index):
     return [m.start() + 1 for m in _TOKEN_RE.finditer(line)][index]
 
 
-def parse_edgelist_document(text: str) -> EdgeListDocument:
-    name = None
+def parse_edgelist(text: str) -> Digraph:
+    """The graph of an edge-list document; its header is checked, and its
+    name is not kept."""
     arcs: list = []
     arc_lines: dict = {}
     labels: dict = {}         # vertex -> (taxon, line number, line)
@@ -52,7 +46,6 @@ def parse_edgelist_document(text: str) -> EdgeListDocument:
             if len(toks) != 2:
                 raise ParseError("header needs exactly one name", lineno,
                                  _column(line, 0))
-            name = toks[1]
         elif kind == "A":
             if len(toks) != 3:
                 raise ParseError("arc line needs a tail and a head", lineno,
@@ -92,12 +85,7 @@ def parse_edgelist_document(text: str) -> EdgeListDocument:
         if vertex in out_tails:
             raise ParseError(f"label on non-leaf vertex {vertex!r}", lineno,
                              _column(line, 1))
-    graph = Digraph(arcs, {v: t for v, (t, _, _) in labels.items()})
-    return EdgeListDocument(name, graph)
-
-
-def parse_edgelist(text: str) -> Digraph:
-    return parse_edgelist_document(text).graph
+    return Digraph(arcs, {v: t for v, (t, _, _) in labels.items()})
 
 
 def serialize_edgelist(graph: Digraph, name: str | None = None) -> str:
@@ -109,10 +97,6 @@ def serialize_edgelist(graph: Digraph, name: str | None = None) -> str:
     for v, taxon in sorted(graph.labels.items()):
         out.append(f"L {v} {taxon}")
     return "\n".join(out) + "\n"
-
-
-def serialize_document(doc: EdgeListDocument) -> str:
-    return serialize_edgelist(doc.graph, doc.name)
 
 
 # -- extensions --------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .digraph import Digraph
+from .digraph import Digraph, TreeIndex
 from .errors import InputError, OracleTooLargeError
 
 DEFAULT_ARC_CAP = 16
@@ -20,8 +20,12 @@ DEFAULT_RESOLUTION_CAP = 20000
 def _suppressed_canon(root, childmap, label_of):
     """Canonical form of a tree given as a child map, suppressing chains.
 
-    A flat token tuple as `canonical_tree_form` builds, made and compared
-    without recursion; None if some leaf has no taxon.
+    A flat token tuple: a leaf is "L" followed by its taxon, a vertex with
+    one child has that child's form, and any other vertex is "(", its
+    children's forms in sorted order, then ")".  Two trees get equal forms
+    iff, with chains suppressed, they are isomorphic respecting leaves.
+    Built, compared and hashed without recursion, whatever the depth; None
+    if some leaf has no taxon.
     """
     form: dict = {}
     stack = [(root, False)]
@@ -44,6 +48,7 @@ def _suppressed_canon(root, childmap, label_of):
 
 
 def _tree_target(t: Digraph):
+    TreeIndex(t)   # raises InputError unless `t` is an out-tree
     childmap = {v: t.children(v) for v in t.vertices}
     return _suppressed_canon(t.root(), childmap, t.label_of)
 

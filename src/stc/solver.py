@@ -131,12 +131,20 @@ class VertexStats:
 
 @dataclass
 class SolveResult:
-    displayed: bool
     instance: AugmentedInstance
     stats: list[VertexStats] = field(default_factory=list)
     tables: dict | None = None  # "above"/"below" -> vertex -> {signature: tag}
     accepting_key: tuple[int, ...] | None = None
-    final_vertex: str | None = None
+
+    @property
+    def displayed(self) -> bool:
+        return self.accepting_key is not None
+
+    @property
+    def final_vertex(self) -> str:
+        """The child of the network's fresh root, whose table above decides."""
+        inst = self.instance
+        return inst.network.children(inst.network_root)[0]
 
     def signature(self, key: tuple[int, ...]) -> tuple[tuple[Arc, Arc], ...]:
         """The sorted (tree arc, network arc) pairs of a table key."""
@@ -370,12 +378,10 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     top = tree_id[rho_t, t.children(rho_t)[0]]
     accepting = [k for k in above.get(final, {}) if len(k) == 1 and k[0] >> shift == top]
     return SolveResult(
-        displayed=bool(accepting),
         instance=inst,
         stats=stats,
         tables={"above": above, "below": below} if keep_tables else None,
         accepting_key=min(accepting) if accepting else None,
-        final_vertex=final,
     )
 
 

@@ -14,12 +14,14 @@ from stc import (
     TreeExtension,
     canonicalize,
     check_embedding,
+    default_extension,
     firm_display,
     preprocess,
     reconstruct_witness,
     reduce_network,
     soft_display,
     solve,
+    update_extension,
 )
 from stc.extension import InSplitStep
 from stc.reduction import tidy
@@ -64,10 +66,11 @@ def test_criterion_2_oracle_equivalence(suite, capsys):
 
 
 def _fold(host, steps, kind):
+    ext = default_extension(host)
     for step in steps:
         if isinstance(step, kind):
-            host = step.apply(host)
-    return host
+            ext = update_extension(ext, step)
+    return ext.host
 
 
 def test_criterion_3_reduction_preservation(suite, capsys):

@@ -10,6 +10,8 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stc
 from stc import (
@@ -360,6 +362,20 @@ def test_oracle_commands(files, capsys):
                  "-t", files["tree_d"], "--cap", "3"]) == 66
 
 
+def test_oracles_refuse_a_tree_that_is_no_out_tree(files, capsys):
+    # No verdict and no crash: net_a has a reticulation, and the other
+    # "tree" is tree_d beside a directed cycle that its root cannot reach.
+    cyclic = files["dir"] / "cyclic.txt"
+    cyclic.write_text(TREE_D + "A c1 c2\nA c2 c1\n")
+    for tree, reason in ((files["net_a"], "a vertex has two parents"),
+                         (str(cyclic), "cyclic")):
+        for command in ("firm", "soft"):
+            assert main(["oracle", command, "-n", files["net_a"], "-t", tree]) == 66
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: not an out-tree: {reason}\n"
+
+
 def test_gen_and_import(tmp_path, capsys):
     prefix = str(tmp_path / "inst")
     assert main(["gen", "--leaves", "4", "--reticulations", "1",
@@ -488,3 +504,80 @@ def test_captured_stdout_is_not_kept_alive():
         del out
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
+
+
+# -- fuzzing: every mutated document ends in a documented exit code ------------
+
+
+def _mutate(text, kind, i, j, vertices, taxa):
+    """`text` with one line dropped, an arc or label line added, or the taxa
+    of two label lines swapped; `i` and `j` pick the lines and names."""
+    lines = text.splitlines()
+    if kind == "drop" and lines:
+        del lines[i % len(lines)]
+    elif kind == "arc":
+        directive = "E" if lines and lines[-1].startswith("E ") else "A"
+        u, v = vertices[i % len(vertices)], vertices[j % len(vertices)]
+        lines.insert(i % (len(lines) + 1), f"{directive} {u} {v}")
+    elif kind == "label":
+        lines.append(f"L {vertices[i % len(vertices)]} {taxa[j % len(taxa)]}")
+    elif kind == "swap":
+        labeled = [k for k, line in enumerate(lines) if line.startswith("L ")]
+        if labeled:
+            a, b = labeled[i % len(labeled)], labeled[j % len(labeled)]
+            (_, va, ta), (_, vb, tb) = lines[a].split(), lines[b].split()
+            lines[a], lines[b] = f"L {va} {tb}", f"L {vb} {ta}"
+    return "\n".join(lines) + "\n"
+
+
+_FUZZ_COMMANDS = [
+    ["solve", "-n", "N", "-t", "T"],
+    ["solve", "-n", "N", "-t", "T", "--witness"],
+    ["solve", "-n", "N", "-t", "T", "-x", "X"],
+    ["solve", "-n", "N", "-t", "T", "-x", "X", "--witness"],
+    ["reduce", "-n", "N", "-t", "T", "-o", "P"],
+    ["reduce", "-n", "N", "-x", "X", "-o", "P"],
+    ["extension", "validate", "-n", "N", "-x", "X"],
+    ["extension", "width", "-n", "N", "-x", "X"],
+    ["extension", "canonicalize", "-n", "N", "-x", "X"],
+    ["extension", "default", "-n", "N"],
+    ["oracle", "firm", "-n", "N", "-t", "T"],
+    ["oracle", "soft", "-n", "N", "-t", "T"],
+]
+
+_mutations = st.lists(st.tuples(
+    st.sampled_from(["N", "T", "X"]),
+    st.sampled_from(["drop", "arc", "label", "swap"]),
+    st.integers(0, 50), st.integers(0, 50)), min_size=1, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=st.builds(GeneratorParams, leaves=st.integers(2, 5),
+                        reticulations=st.integers(0, 2),
+                        polytomy_rate=st.sampled_from([0.0, 0.5]),
+                        seed=st.integers(0, 10_000),
+                        target_answer=st.sampled_from(["yes-biased", "unlabeled"])),
+       mutations=_mutations)
+def test_mutated_documents_end_in_a_documented_exit_code(fuzz_dir, params, mutations):
+    inst = generate(params)
+    docs = {"N": inst.network_doc, "T": inst.tree_doc, "X": inst.extension_doc}
+    vertices = sorted({*inst.network.vertices, *inst.tree.vertices, "zz"})
+    taxa = sorted({*inst.network.taxa, "tz"})
+    for doc, kind, i, j in mutations:
+        docs[doc] = _mutate(docs[doc], kind, i, j, vertices, taxa)
+    where = {"P": str(fuzz_dir / "reduced")}
+    for key, text in docs.items():
+        where[key] = str(fuzz_dir / key)
+        with open(where[key], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    for argv in _FUZZ_COMMANDS:
+        argv = [where.get(arg, arg) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 64, 65, 66), (argv, docs, err.getvalue())

@@ -11,8 +11,7 @@ from stc import (
     firm_display_switching,
     soft_display,
 )
-from stc.digraph import canonical_tree_form
-from stc.oracle import binary_shapes
+from stc.oracle import _tree_target, binary_shapes
 
 
 def test_firm_display_golden(net_a, tree_b, tree_c, tree_d):
@@ -56,7 +55,7 @@ def test_binary_input_resolves_to_itself(net_a):
 def test_out_resolutions_of_a_polytomy(tree_d):
     out = list(enumerate_resolutions(tree_d, "out"))
     assert len(out) == 3
-    forms = {canonical_tree_form(t) for t in out}
+    forms = {_tree_target(t) for t in out}
     assert len(forms) == 3
     for t in out:
         assert t.max_out_degree == 2
