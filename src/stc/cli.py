@@ -20,7 +20,7 @@ from .digraph import classify
 from .errors import InternalError, ParseError, SemanticError, STCError
 from .extension import canonicalize, default_extension
 from .generator import GeneratorParams, generate
-from .reduction import preprocess, reduce_network
+from .reduction import _require_network, preprocess, reduce_network
 from .solver import reconstruct_witness, solve
 
 EXIT_YES = 0
@@ -37,6 +37,9 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise SemanticError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte offset {exc.start}: not UTF-8 "
+                         f"(byte 0x{exc.object[exc.start]:02x})")
 
 
 def _write(path, text):
@@ -229,7 +232,9 @@ def extension_default(network_path):
 def _oracle_inputs(network_path, tree_path, cap, method):
     if cap is not None and method != "subsets":
         raise UsageError(f"--cap bounds --method subsets only, not {method}")
-    return _load_network(network_path), _load_network(tree_path)
+    n = _load_network(network_path)
+    _require_network(n)
+    return n, _load_network(tree_path)
 
 
 def oracle_firm(network_path, tree_path, cap, method):

@@ -307,7 +307,7 @@ def classify(d: Digraph) -> PhyloClass:
     if len(d.leaves) < 2:
         return _invalid("fewer than 2 leaves")
     if root_out == 1:
-        return PhyloClass(PhyloKind.ROOTED_DAG_DEG1_ROOT)
+        return PhyloClass(PhyloKind.ROOTED_DAG_DEG1_ROOT, "root out-degree 1")
     if reticulations == 0:
         return PhyloClass(PhyloKind.TREE)
     return PhyloClass(PhyloKind.NETWORK)

@@ -186,15 +186,21 @@ def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
     return state.canonical_extension(), trace
 
 
+def _require_network(n: Digraph) -> None:
+    """Raise `SemanticError` unless `n` is a phylogenetic network (a tree is
+    one)."""
+    n_class = classify(n)
+    if n_class.kind not in (PhyloKind.NETWORK, PhyloKind.TREE):
+        raise SemanticError(f"not a phylogenetic network: {n_class.reason}")
+
+
 def preprocess(n: Digraph, t: Digraph,
                ext: TreeExtension | None = None) -> AugmentedInstance:
     """Produce a solver-ready instance from a network, tree, and extension.
 
     The returned instance has passed `AugmentedInstance.check`.
     """
-    n_class = classify(n)
-    if n_class.kind not in (PhyloKind.NETWORK, PhyloKind.TREE):
-        raise SemanticError(f"not a phylogenetic network: {n_class.reason}")
+    _require_network(n)
     t_class = classify(t)
     if t_class.kind is not PhyloKind.TREE:
         raise SemanticError(f"not a phylogenetic tree: {t_class.reason}")

@@ -126,7 +126,6 @@ class VertexStats:
     vertex: str
     cells_above: int
     cells_below: int
-    max_bundle: int  # largest preimage of a single network arc in any signature
 
 
 @dataclass
@@ -165,7 +164,7 @@ def _post_order(gamma: Digraph) -> list[str]:
     while stack:
         v = stack.pop()
         out.append(v)
-        stack.extend(sorted(gamma.children(v)))
+        stack.extend(gamma.children(v))
     return out[::-1]
 
 
@@ -230,8 +229,8 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     Arcs are numbered by their index in the sorted `arcs` of their graph, and
     a pair is the int `tree_index << shift | network_index`, so a signature is
     a sorted tuple of ints in the order of its pairs.  Tables keep insertion
-    order.  Each tag holds its kind, then its signature's largest preimage of
-    a single network arc, which the steps below carry from cell to cell.
+    order.  Each tag records how its cell was made: its kind, then what
+    `_replay` needs to unfold that step.
 
     At a vertex of out-degree 3 or more, a signature whose pairs use three
     or more of its out-arcs takes the outcomes of `_resolutions`: at most
@@ -255,13 +254,12 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
 
     above: dict[str, dict] = {}
     below: dict[str, dict] = {}
-    bundle_above: dict[str, int] = {}  # the largest multiplicity in above[v]
     stats: list[VertexStats] = []
 
     for v in _post_order(gamma):
         if v == rho_n:
             continue
-        qs = sorted(gamma.children(v))
+        qs = gamma.children(v)
         ins = n_ins[v]
 
         if not qs:
@@ -271,15 +269,10 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
             tl = t_leaf_of[taxon]
             (tp,) = t.parents(tl)
             (a,) = ins
-            above[v] = {(tree_id[tp, tl] << shift | a,): ("leaf", 1)}
+            above[v] = {(tree_id[tp, tl] << shift | a,): ("leaf",)}
             below[v] = {}
-            bundle_above[v] = 1
-            bundle_below = 0
         else:
-            if len(qs) == 1:
-                below_v = above[qs[0]]
-                bundle_below = bundle_above[qs[0]]
-            else:
+            if len(qs) > 1:
                 seen: set[int] = set()
                 for q in qs:
                     arcs_q = {p >> shift for k in above[q] for p in k}
@@ -288,86 +281,59 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
                             "sibling signatures share a tree arc; "
                             "the extension cannot be canonical")
                     seen |= arcs_q
-                # The cut arcs above distinct children head into disjoint
-                # subtrees of gamma, so no network arc bundles arcs of two,
-                # and a joined signature's largest multiplicity is the
-                # largest of its parts'.  More than two children fold in one
-                # at a time, each adding its (child, key) to the tag.
-                q1, q2, *more = qs
-                cells2 = [(k2, tag2[1]) for k2, tag2 in above[q2].items()]
-                below_v = {}
-                for k1, tag1 in above[q1].items():
-                    m1 = tag1[1]
-                    for k2, m2 in cells2:
-                        below_v.setdefault(tuple(sorted(k1 + k2)), (
-                            "join", m1 if m1 > m2 else m2, q1, k1, q2, k2))
-                for q in more:
-                    cells2 = [(k2, tag2[1]) for k2, tag2 in above[q].items()]
-                    joined = {}
-                    for k1, tag1 in below_v.items():
-                        m1, parts = tag1[1], tag1[2:]
-                        for k2, m2 in cells2:
-                            joined.setdefault(tuple(sorted(k1 + k2)), (
-                                "join", m1 if m1 > m2 else m2, *parts, q, k2))
-                    below_v = joined
-                bundle_below = (max(bundle_above[q] for q in qs)
-                                if below_v else 0)
+            # The children fold in one at a time, each adding its (child,
+            # key) to the tag.  No above table holds a "join" tag, so one
+            # marks a cell that an earlier fold made.
+            below_v = above[qs[0]]
+            for q in qs[1:]:
+                keys2 = list(above[q])
+                joined = {}
+                for k1, tag1 in below_v.items():
+                    parts = tag1[1:] if tag1[0] == "join" else (qs[0], k1)
+                    for k2 in keys2:
+                        joined.setdefault(tuple(sorted(k1 + k2)), ("join", *parts, q, k2))
+                below_v = joined
 
             outs = n_outs.get(v, ())
             polytomy = len(outs) > 2
             above_v: dict = {}
-            for key, tag in below_v.items():
-                m = tag[1]
+            for key in below_v:
                 bundle = [p for p in key if p & mask in outs]
                 if not bundle:
-                    above_v.setdefault(key, ("up", m, v))
+                    above_v.setdefault(key, ("up", v))
                     continue
                 resolve = polytomy and len({p & mask for p in bundle}) > 2
                 if not resolve:
                     if len(bundle) > 1 and len({t_tail[p >> shift] for p in bundle}) > 1:
                         continue
                     # Extend: the bundle's arcs all cross one in-arc of v now.
-                    extended_m = m if m > len(bundle) else len(bundle)
                     for a in ins:
                         extended = tuple([p >> shift << shift | a if p & mask in outs
                                           else p for p in key])
-                        above_v.setdefault(extended, ("extend", extended_m, v, key, a))
+                        above_v.setdefault(extended, ("extend", v, key, a))
                     y = t_tail[bundle[0] >> shift]
                     if y == rho_t or len(bundle) != t_fanout[y]:
                         continue
-                # Grow, or resolve: the bundle leaves the key, and so does
-                # its count.  A grow puts y's parent arc in its place, the
-                # bundle being every out-arc of y; a resolution puts each
-                # outcome of `_resolutions` there.
-                rest, counts = [], {}
-                for p in key:
-                    b = p & mask
-                    if b not in outs:
-                        rest.append(p)
-                        counts[b] = counts.get(b, 0) + 1
-                rest_m = max(counts.values(), default=1)
+                # Grow, or resolve: the bundle leaves the key.  A grow puts
+                # y's parent arc in its place, the bundle being every out-arc
+                # of y; a resolution puts each outcome of `_resolutions` there.
+                rest = [p for p in key if p & mask not in outs]
                 if not resolve:
                     parent = t_parent_pair[y]
                     for a in ins:
                         grown = tuple(sorted(rest + [parent | a]))
-                        above_v.setdefault(grown, ("grow", rest_m, v, key, parent | a))
+                        above_v.setdefault(grown, ("grow", v, key, parent | a))
                     continue
                 for ids, plan in _resolutions(bundle, shift, mask, t_tail, t_fanout,
                                               t_parent_pair, rho_t):
-                    new_m = rest_m if rest_m > len(ids) else len(ids)
                     for a in ins:
                         new = tuple(sorted(rest + [i << shift | a for i in ids]))
-                        above_v.setdefault(new, ("resolve", new_m, v, key, a, plan))
+                        above_v.setdefault(new, ("resolve", v, key, a, plan))
             above[v] = above_v
             below[v] = below_v
-            bundle_above[v] = max((tag[1] for tag in above_v.values()), default=0)
 
         stats.append(VertexStats(
-            vertex=v,
-            cells_above=len(above[v]),
-            cells_below=len(below[v]),
-            max_bundle=max(bundle_above[v], bundle_below),
-        ))
+            vertex=v, cells_above=len(above[v]), cells_below=len(below[v])))
 
         if not keep_tables:
             for q in qs:
@@ -416,16 +382,20 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
     """Unfold the provenance tags under the accepting cell into paths.
 
     The walk runs top-down with an explicit stack, so its depth is not bound
-    by the interpreter's.  The "up", "extend", "grow" and "resolve" tags name
-    the vertex they were made at, since one table may be both above a vertex
-    and below its parent.  An "extend" tag prepends the tail of its in-arc to
-    the paths of the tree arcs that its inner signature maps to out-arcs of
-    its vertex, and it is met before the "leaf" or "grow" tag that starts
-    those paths, so every path is built by appending.  A "resolve" tag does
-    the same at each node of its plan, top-down, with a fresh vertex for
-    each node below its own vertex; each out-arc it resolves then has that
-    out-arc's node as its tail for the tags below.  Packed ids are decoded
-    here.
+    by the interpreter's.  The tags are `("leaf",)`, `("up", v)`,
+    `("extend", v, key, a)`, `("grow", v, key, pair)`,
+    `("resolve", v, key, a, plan)` and `("join", q1, k1, q2, k2, ...)`: `v`
+    is the vertex a tag was made at, since one table may be both above a
+    vertex and below its parent, `key` the cell of `below[v]` it was made
+    from, `a` an in-arc of `v`, `pair` the packed pair it grew, and each
+    `(q, k)` of a join a cell of `above[q]`.  An "extend" tag prepends the
+    tail of its in-arc to the paths of the tree arcs that its inner
+    signature maps to out-arcs of its vertex, and it is met before the
+    "leaf" or "grow" tag that starts those paths, so every path is built by
+    appending.  A "resolve" tag does the same at each node of its plan,
+    top-down, with a fresh vertex for each node below its own vertex; each
+    out-arc it resolves then has that out-arc's node as its tail for the
+    tags below.  Packed ids are decoded here.
     """
     above, below = result.tables["above"], result.tables["below"]
     network = result.instance.network
@@ -455,10 +425,10 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
             (p,) = key
             start(t_arcs[p >> shift], tail_of(p & mask), n_arcs[p & mask][1])
         elif tag[0] == "up":
-            _, _, v = tag
+            _, v = tag
             stack.append((below[v], key))
         elif tag[0] == "extend":
-            _, _, v, inner, a = tag
+            _, v, inner, a = tag
             u = tail_of(a)
             for p in inner:
                 if n_arcs[p & mask][0] == v:
@@ -466,11 +436,11 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
             stack.append((below[v], inner))
         elif tag[0] == "grow":
             # The bundled arcs stay embedded; they merely stop being topmost.
-            _, _, v, inner, p = tag
+            _, v, inner, p = tag
             start(t_arcs[p >> shift], tail_of(p & mask), v)
             stack.append((below[v], inner))
         elif tag[0] == "resolve":
-            _, _, v, inner, a, plan = tag
+            _, v, inner, a, plan = tag
             nodes = [(plan, tail_of(a), v)]
             while nodes:
                 (ids, grown, *parts), u, w = nodes.pop()
@@ -489,7 +459,7 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
                         fresh += 1
             stack.append((below[v], inner))
         elif tag[0] == "join":
-            parts = tag[2:]
+            parts = tag[1:]
             for i in range(len(parts) - 2, -1, -2):
                 stack.append((above[parts[i]], parts[i + 1]))
         else:

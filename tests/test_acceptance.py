@@ -8,6 +8,7 @@ import math
 import random
 import statistics
 import time
+from collections import Counter
 
 from stc import (
     Digraph,
@@ -104,12 +105,16 @@ def test_criterion_5_signature_bounds(suite, capsys):
         delta_t = inst.tree.max_out_degree
         leaves = set(inst.network.leaves)
         cuts = inst.extension.cut_sizes()
+        tables = result.tables
         for s in result.stats:
             cut = cuts[s.vertex][0]
             bound = (4 * cut) ** (delta_t * cut)
             if s.cells_above > bound:
                 violations.append(f"{name}:{s.vertex}:cells")
-            if s.max_bundle > delta_t:
+            # the most tree arcs that one signature sends to one network arc
+            keys = [*tables["above"][s.vertex], *tables["below"][s.vertex]]
+            if any(max(Counter(b for _, b in result.signature(k)).values()) > delta_t
+                   for k in keys):
                 violations.append(f"{name}:{s.vertex}:bundle")
             if s.vertex in leaves and s.cells_above != 1:
                 violations.append(f"{name}:{s.vertex}:leaf")

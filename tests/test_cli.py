@@ -177,6 +177,21 @@ def test_parse_error_exit_code(tmp_path, capsys):
     good.write_text(TREE_D)
     assert main(["solve", "-n", str(bad), "-t", str(good)]) == 65
     assert "line 1" in capsys.readouterr().err
+    # A byte that is no UTF-8 is a parse error too, in batch mode as well.
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "i.network").write_bytes(b"A r x\xff\n")
+    (batch / "i.tree").write_text(TREE_D)
+    undecodable = str(batch / "i.network")
+    for argv in (["solve", "-n", undecodable, "-t", str(good)],
+                 ["import", "enewick", undecodable],
+                 ["extension", "validate", "-n", undecodable, "-x", undecodable]):
+        assert main(argv) == 65
+        assert capsys.readouterr().err == (
+            f"error: {undecodable}: byte offset 5: not UTF-8 (byte 0xff)\n")
+    assert main(["solve", "--batch", str(batch)]) == 66
+    assert capsys.readouterr().out == (
+        f"i ERROR {undecodable}: byte offset 5: not UTF-8 (byte 0xff)\n")
 
 
 def test_semantic_error_exit_code(tmp_path, files, capsys):
@@ -376,6 +391,27 @@ def test_oracles_refuse_a_tree_that_is_no_out_tree(files, capsys):
             assert captured.err == f"error: not an out-tree: {reason}\n"
 
 
+def test_oracles_refuse_a_network_that_solve_refuses(files, capsys):
+    # net_a beside a directed cycle that its root cannot reach, and net_a
+    # below a degree-1 root.
+    cyclic = files["dir"] / "cyclic_net.txt"
+    cyclic.write_text(NET_A + "A c1 c2\nA c2 c1\n")
+    deg1 = files["dir"] / "deg1_net.txt"
+    deg1.write_text(NET_A + "A g rho\n")
+    for network, reason in ((cyclic, "contains a directed cycle"),
+                            (deg1, "root out-degree 1")):
+        for command in (["solve"], ["oracle", "firm"], ["oracle", "soft"],
+                        ["oracle", "firm", "--method", "switching"]):
+            assert main([*command, "-n", str(network), "-t", files["tree_d"]]) == 66
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: not a phylogenetic network: {reason}\n"
+    deg1_tree = files["dir"] / "deg1_tree.txt"
+    deg1_tree.write_text(TREE_D + "A g x\n")
+    assert main(["solve", "-n", files["net_a"], "-t", str(deg1_tree)]) == 66
+    assert capsys.readouterr().err == "error: not a phylogenetic tree: root out-degree 1\n"
+
+
 def test_gen_and_import(tmp_path, capsys):
     prefix = str(tmp_path / "inst")
     assert main(["gen", "--leaves", "4", "--reticulations", "1",
@@ -510,8 +546,13 @@ def test_captured_stdout_is_not_kept_alive():
 
 
 def _mutate(text, kind, i, j, vertices, taxa):
-    """`text` with one line dropped, an arc or label line added, or the taxa
-    of two label lines swapped; `i` and `j` pick the lines and names."""
+    """`text` with one line dropped, an arc or label line added, the taxa
+    of two label lines swapped, or a byte that is no UTF-8 inserted; `i` and
+    `j` pick the lines and names, or the offset and the byte."""
+    if kind == "byte":
+        # a lone surrogate escape, written out as the byte 0xcd-0xff alone
+        k = i % (len(text) + 1)
+        return text[:k] + chr(0xdcff - j) + text[k:]
     lines = text.splitlines()
     if kind == "drop" and lines:
         del lines[i % len(lines)]
@@ -547,7 +588,7 @@ _FUZZ_COMMANDS = [
 
 _mutations = st.lists(st.tuples(
     st.sampled_from(["N", "T", "X"]),
-    st.sampled_from(["drop", "arc", "label", "swap"]),
+    st.sampled_from(["drop", "arc", "label", "swap", "byte"]),
     st.integers(0, 50), st.integers(0, 50)), min_size=1, max_size=3)
 
 
@@ -573,7 +614,7 @@ def test_mutated_documents_end_in_a_documented_exit_code(fuzz_dir, params, mutat
     where = {"P": str(fuzz_dir / "reduced")}
     for key, text in docs.items():
         where[key] = str(fuzz_dir / key)
-        with open(where[key], "w", encoding="utf-8") as fh:
+        with open(where[key], "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(text)
     for argv in _FUZZ_COMMANDS:
         argv = [where.get(arg, arg) for arg in argv]

@@ -265,12 +265,17 @@ def test_solver_matches_hand_answers(net_a, tree_b, tree_c, tree_d):
     assert answers == {"b": True, "c": False, "d": True}
 
 
-def test_decision_only_mode_agrees_and_blocks_witnesses(net_a, tree_b):
-    inst = preprocess(net_a, tree_b)
-    full = solve(inst)
-    lean = solve(inst, keep_tables=False)
-    assert full.displayed == lean.displayed is True
-    assert lean.tables is None
+def test_decision_only_mode_agrees_and_blocks_witnesses(suite, net_a, tree_b):
+    cases = [(n, t, ext) for _, n, t, ext in suite] + _polytomy_cases()
+    for n, t, ext in cases:
+        inst = preprocess(n, t, ext)
+        full = solve(inst)
+        lean = solve(inst, keep_tables=False)
+        assert (lean.displayed, lean.accepting_key, lean.stats) == (
+            full.displayed, full.accepting_key, full.stats)
+        assert lean.tables is None
+    lean = solve(preprocess(net_a, tree_b), keep_tables=False)
+    assert lean.displayed
     with pytest.raises(InputError):
         reconstruct_witness(lean)
 
@@ -370,8 +375,12 @@ def test_stats_are_collected(net_a, tree_b):
         assert s.cells_above >= 1
 
 
-def _largest_bundle(signatures):
-    return max((max(Counter(b for _, b in sig).values()) for sig in signatures),
+def _largest_bundle(result, v):
+    """The most tree arcs that one signature of `v`'s tables sends to a
+    single network arc, recounted from the kept tables."""
+    tables = result.tables
+    keys = [*tables["above"][v], *tables["below"][v]]
+    return max((max(Counter(b for _, b in result.signature(k)).values()) for k in keys),
                default=0)
 
 
@@ -380,15 +389,11 @@ def test_stats_equal_a_recount_of_the_tables(suite):
         inst = preprocess(n, t, ext)
         result = solve(inst)
         above, below = result.tables["above"], result.tables["below"]
+        assert [s.vertex for s in result.stats] == list(above)
         for s in result.stats:
             v = s.vertex
             assert s == VertexStats(
-                vertex=v,
-                cells_above=len(above[v]),
-                cells_below=len(below[v]),
-                max_bundle=max(_largest_bundle(map(result.signature, above[v])),
-                               _largest_bundle(map(result.signature, below[v]))),
-            )
+                vertex=v, cells_above=len(above[v]), cells_below=len(below[v]))
 
 
 # -- the string-keyed kernel, kept as the reference ---------------------------
@@ -414,8 +419,8 @@ def _reference_solve(inst):
     """`solve` as it was before signatures became int tuples, kept as it was
     for reference: signatures are sorted tuples of (tree arc, network arc)
     pairs, tables are sorted by `_signature_order`, and `_max_bundle`
-    recounts each above table.  Returns the verdict, the stats and the above
-    tables."""
+    recounts each above table.  Returns the verdict, the stats, the largest
+    bundle of each vertex's tables and the above tables."""
     n, t, gamma = inst.network, inst.tree, inst.extension.gamma
     rho_n, rho_t = inst.network_root, inst.tree_root
     if gamma.root() != rho_n:
@@ -426,6 +431,7 @@ def _reference_solve(inst):
     above: dict[str, dict] = {}
     below: dict[str, dict] = {}
     bundle_above: dict[str, int] = {}  # _max_bundle(above[v]), counted once
+    bundles: dict[str, int] = {}
     stats: list[VertexStats] = []
 
     for v in _post_order(gamma):
@@ -496,12 +502,12 @@ def _reference_solve(inst):
             vertex=v,
             cells_above=len(above[v]),
             cells_below=len(below[v]),
-            max_bundle=max(bundle_above[v], bundle_below),
         ))
+        bundles[v] = max(bundle_above[v], bundle_below)
 
     final = n.children(rho_n)[0]
     accepting = [k for k in above.get(final, {}) if len(k) == 1 and k[0][0] == top_arc]
-    return bool(accepting), stats, above
+    return bool(accepting), stats, bundles, above
 
 
 # -- the stretch gadget, kept as the reference for soft polytomies ------------
@@ -608,8 +614,8 @@ def _reference_preprocess(n, t, ext=None):
 
 # (leaves, polytomy rate, seed, raw out-degree) of `GeneratorParams(leaves, 2,
 # rate, seed, "yes-biased")`: reduced widths 6-8, beyond the suite's 12 arcs.
-# On (8, 0.4, 9, 3), a grow whose new cell counts 1 for its largest
-# multiplicity, where the rest of its signature holds 2, changes the stats.
+# On (8, 0.4, 9, 3), a grow makes a cell whose largest bundle, 2, lies in
+# the rest of its signature, beside the grown pair's 1.
 _POLYTOMY_CASES = (
     (8, 0.4, 9, 3),
     (9, 0.5, 1, 5), (9, 0.5, 2, 4), (9, 0.5, 3, 3), (9, 0.5, 6, 4),
@@ -644,8 +650,9 @@ def test_kernel_matches_the_string_keyed_reference(suite):
     for n, t, ext in cases:
         inst = _reference_preprocess(n, t, ext)
         result = solve(inst)
-        displayed, stats, above = _reference_solve(inst)
+        displayed, stats, bundles, above = _reference_solve(inst)
         assert (result.displayed, result.stats) == (displayed, stats)
+        assert bundles == {v: _largest_bundle(result, v) for v in bundles}
         for v, table in result.tables["above"].items():
             assert set(map(result.signature, table)) == set(above[v])
         verdicts[result.displayed] += 1
