@@ -20,7 +20,7 @@ from .digraph import classify
 from .errors import InternalError, ParseError, SemanticError, STCError
 from .extension import canonicalize, default_extension
 from .generator import GeneratorParams, generate
-from .reduction import _require_network, preprocess, reduce_network
+from .reduction import _require_network, _require_tree, preprocess, reduce_network
 from .solver import reconstruct_witness, solve
 
 EXIT_YES = 0
@@ -190,10 +190,11 @@ def reduce_cmd(network_path, extension_path, tree_path, prefix):
     its vertices of out-degree 3+ stay, as the solver resolves them."""
     n = _load_network(network_path)
     ext = _load_extension(extension_path, n) if extension_path else None
-    taxa = None
-    if tree_path:
-        taxa = _load_network(tree_path).taxa
-    ext, trace = reduce_network(n, ext, taxa=taxa)
+    t = _load_network(tree_path) if tree_path else None
+    _require_network(n)
+    if t is not None:
+        _require_tree(t)
+    ext, trace = reduce_network(n, ext, taxa=None if t is None else t.taxa)
     _write(f"{prefix}.network", formats.serialize_edgelist(ext.host))
     _write(f"{prefix}.extension", formats.serialize_extension(ext))
     for step, before, after in zip(trace.steps, trace.widths, trace.widths[1:]):
@@ -233,8 +234,10 @@ def _oracle_inputs(network_path, tree_path, cap, method):
     if cap is not None and method != "subsets":
         raise UsageError(f"--cap bounds --method subsets only, not {method}")
     n = _load_network(network_path)
+    t = _load_network(tree_path)
     _require_network(n)
-    return n, _load_network(tree_path)
+    _require_tree(t)
+    return n, t
 
 
 def oracle_firm(network_path, tree_path, cap, method):

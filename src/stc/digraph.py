@@ -277,7 +277,8 @@ def classify(d: Digraph) -> PhyloClass:
 
     Rules are checked in a fixed order so the reported violation is
     deterministic: multiple roots, cycle, root degree, degree pattern,
-    label placement, leaf count.
+    label placement, leaf count.  The reason names the violation, and for a
+    network its first reticulation.
     """
     roots = d.roots
     if len(roots) == 0:
@@ -291,7 +292,7 @@ def classify(d: Digraph) -> PhyloClass:
     root_out = len(children[root])
     if root_out == 0:
         return _invalid("root out-degree 0")
-    reticulations = 0
+    reticulation = None     # the first, named as the reason of a network
     for v, ps in parents.items():
         din, dout = len(ps), len(children[v])
         if din == 1 and dout == 1:
@@ -299,7 +300,8 @@ def classify(d: Digraph) -> PhyloClass:
         if din >= 2:
             if dout != 1:
                 return _invalid(f"vertex {v!r} has in-degree {din} and out-degree {dout}")
-            reticulations += 1
+            if reticulation is None:
+                reticulation = f"vertex {v!r} has in-degree {din}"
     labels = d._labels
     for v in d.leaves:
         if labels.get(v) is None:
@@ -308,9 +310,9 @@ def classify(d: Digraph) -> PhyloClass:
         return _invalid("fewer than 2 leaves")
     if root_out == 1:
         return PhyloClass(PhyloKind.ROOTED_DAG_DEG1_ROOT, "root out-degree 1")
-    if reticulations == 0:
+    if reticulation is None:
         return PhyloClass(PhyloKind.TREE)
-    return PhyloClass(PhyloKind.NETWORK)
+    return PhyloClass(PhyloKind.NETWORK, reticulation)
 
 
 # -- extended reachability -------------------------------------------------

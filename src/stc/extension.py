@@ -8,7 +8,6 @@ there; the maximum cut size is the width driving the dynamic program.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -131,21 +130,12 @@ class TreeExtension:
         # vertices, so a bottom-up union-find over out-arcs sees each
         # subtree's weak components when its top vertex is done.
         link: dict[str, str] = {}
-
-        def find(v: str) -> str:
-            root = v
-            while link[root] != root:
-                root = link[root]
-            while link[v] != root:
-                link[v], v = root, link[v]
-            return root
-
         components: dict[str, int] = {}
         for t in reversed(index.order):
             link[t] = t
             count = 1 + sum(components[c] for c in gamma_children[t])
             for w in host_children[t]:
-                a, b = find(t), find(w)
+                a, b = _find(link, t), _find(link, w)
                 if a != b:
                     link[b] = a
                     count -= 1
@@ -162,6 +152,16 @@ class TreeExtension:
 # -- canonicalization ------------------------------------------------------
 
 
+def _find(link: dict[str, str], v: str) -> str:
+    """The root of `v` in the union-find forest `link`, compressing the path."""
+    root = v
+    while link[root] != root:
+        root = link[root]
+    while link[v] != root:
+        link[v], v = root, link[v]
+    return root
+
+
 def _canonical_parent(children, order) -> dict[str, str]:
     """The parent map of the canonical extension built from a children-first
     vertex order, `children[v]` being the sorted host children of `v`.
@@ -171,31 +171,27 @@ def _canonical_parent(children, order) -> dict[str, str]:
     one of its host children.  Components coincide with the weakly connected
     components of the host induced on the prefix, which yields the canonical
     connectivity property and never enlarges any scan cut.
+
+    For a valid extension, every children-first order of its tree gives the
+    same map: when `v` comes, the components holding its host children are
+    the weak components of the host below `v` in the tree, and each has one
+    topmost vertex in the tree, which is its root whatever the order.
     """
-    comp_parent: dict[str, str] = {}
+    link: dict[str, str] = {}
     comp_root: dict[str, str] = {}
     tree_parent: dict[str, str] = {}
-
-    def find(v: str) -> str:
-        root = v
-        while comp_parent[root] != root:
-            root = comp_parent[root]
-        while comp_parent[v] != root:
-            comp_parent[v], v = root, comp_parent[v]
-        return root
-
     for v in order:
-        comp_parent[v] = v
+        link[v] = v
         comp_root[v] = v
         adopted = []
         for c in children[v]:
-            rep = find(c)
+            rep = _find(link, c)
             root = comp_root[rep]
             if root != v and root not in adopted:
                 adopted.append(root)
                 tree_parent[root] = v
-                comp_parent[rep] = v
-        comp_root[find(v)] = v
+                link[rep] = v
+        comp_root[_find(link, v)] = v
     return tree_parent
 
 
@@ -207,10 +203,10 @@ def _extension(host: Digraph, parent) -> TreeExtension:
 
 def canonicalize(ext: TreeExtension) -> TreeExtension:
     """A canonical extension of the same host with no larger width."""
-    ext.require_valid()
+    index = ext._valid_index()
     if len(ext.host.roots) != 1:
         raise InputError("canonicalization needs a rooted host")
-    order = reversed(ext.gamma.topological_order())
+    order = reversed(index.order)
     return _extension(ext.host, _canonical_parent(ext.host._children, order))
 
 
@@ -225,25 +221,19 @@ def default_extension(host: Digraph) -> TreeExtension:
     return _extension(host, _default_parent(host))
 
 
-def _tree_order(vertices, parent) -> list[str]:
-    """The vertices of the tree `parent` (child -> parent) root first, always
-    taking the smallest vertex whose parent is taken: the order that
-    `Digraph.topological_order` gives for that tree."""
+def _root_first(vertices, parent) -> list[str]:
+    """The vertices of the tree `parent` (child -> parent), breadth first
+    from the root."""
     kids: dict[str, list[str]] = {v: [] for v in vertices}
-    heap = []
+    order = []
     for v in vertices:
         p = parent.get(v)
         if p is None:
-            heap.append(v)
+            order.append(v)
         else:
             kids[p].append(v)
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for c in kids[v]:
-            heapq.heappush(heap, c)
+    for v in order:     # the loop meets what it appends
+        order.extend(kids[v])
     return order
 
 
@@ -278,29 +268,27 @@ class RewriteState:
     entry) and `above` (the size of the cut just above each vertex).
     """
 
-    def __init__(self, host: Digraph, parent, above):
-        self.take(host)
-        self.parent = parent
-        self.above = above
+    def __init__(self, host: Digraph, parent):
+        self.take(host, parent)
 
     @classmethod
     def carrying(cls, host: Digraph, ext: TreeExtension | None = None) -> "RewriteState":
         """`host` with `ext` and its cut sizes; by default the extension is
         `default_extension(host)`."""
         if ext is None:
-            parent = _default_parent(host)
-            order = host.topological_order()   # root first for that extension
-        else:
-            index = ext._valid_index()
-            order, parent = index.order, dict(index.parent)
-        return cls(host, parent, _cut_above(order, parent, host._parents, host._children))
+            return cls(host, _default_parent(host))
+        return cls(host, dict(ext._valid_index().parent))
 
-    def take(self, host: Digraph) -> None:
-        """Make `host` the state's host; fresh ids count on from its own."""
+    def take(self, host: Digraph, parent) -> None:
+        """Make `host` the state's host and `parent` its extension, and count
+        the cuts; fresh ids count on from the host's own."""
         self.parents = {v: set(ps) for v, ps in host._parents.items()}
         self.children = {v: set(cs) for v, cs in host._children.items()}
         self.labels = host.labels
         self._fresh = host._fresh_counter
+        self.parent = parent
+        order = _root_first(host.vertices, parent)
+        self.above = _cut_above(order, parent, host._parents, host._children)
 
     def fresh_id(self) -> str:
         """The id that `Digraph.fresh_ids(1)` gives, if every vertex added
@@ -319,7 +307,7 @@ class RewriteState:
         """The host, built once, with the canonical form of the carried
         extension: what `canonicalize` returns for that extension."""
         host = self.host()
-        order = reversed(_tree_order(host.vertices, self.parent))
+        order = reversed(_root_first(host.vertices, self.parent))
         return _extension(host, _canonical_parent(host._children, order))
 
 
@@ -388,10 +376,7 @@ class RestrictStep:
     def rewrite(self, state: RewriteState) -> None:
         # `prune_to_leafset` computed the pruned host from the state's host.
         host = self.new_host
-        state.parent = _restricted_parent(state.parent, state.parents, host)
-        state.take(host)
-        order = _tree_order(host.vertices, state.parent)
-        state.above = _cut_above(order, state.parent, host._parents, host._children)
+        state.take(host, _restricted_parent(state.parent, state.parents, host))
 
 
 def update_extension(ext: TreeExtension, step) -> TreeExtension:

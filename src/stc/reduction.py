@@ -194,6 +194,13 @@ def _require_network(n: Digraph) -> None:
         raise SemanticError(f"not a phylogenetic network: {n_class.reason}")
 
 
+def _require_tree(t: Digraph) -> None:
+    """Raise `SemanticError` unless `t` is a phylogenetic tree."""
+    t_class = classify(t)
+    if t_class.kind is not PhyloKind.TREE:
+        raise SemanticError(f"not a phylogenetic tree: {t_class.reason}")
+
+
 def preprocess(n: Digraph, t: Digraph,
                ext: TreeExtension | None = None) -> AugmentedInstance:
     """Produce a solver-ready instance from a network, tree, and extension.
@@ -201,9 +208,7 @@ def preprocess(n: Digraph, t: Digraph,
     The returned instance has passed `AugmentedInstance.check`.
     """
     _require_network(n)
-    t_class = classify(t)
-    if t_class.kind is not PhyloKind.TREE:
-        raise SemanticError(f"not a phylogenetic tree: {t_class.reason}")
+    _require_tree(t)
     if not t.taxa <= n.taxa:
         raise SemanticError(
             f"tree taxa missing from the network: {sorted(t.taxa - n.taxa)}")

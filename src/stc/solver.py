@@ -158,16 +158,6 @@ def _pair_bits(network: Digraph) -> tuple[int, int]:
     return shift, (1 << shift) - 1
 
 
-def _post_order(gamma: Digraph) -> list[str]:
-    """The extension's vertices in post-order, children in sorted order."""
-    out, stack = [], [gamma.root()]
-    while stack:
-        v = stack.pop()
-        out.append(v)
-        stack.extend(gamma.children(v))
-    return out[::-1]
-
-
 def _resolutions(bundle: list[int], shift: int, mask: int, t_tail: list[str],
                  t_fanout: dict[str, int], t_parent_pair: dict[str, int],
                  rho_t: str) -> list[tuple[tuple[int, ...], tuple]]:
@@ -222,9 +212,11 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     With `keep_tables` the full signature tables and provenance tags are
     retained for witness reconstruction; without it, child tables are freed
     as soon as they have been combined, which bounds memory by the tables
-    along one root-to-leaf slice.  Per-vertex stats are always collected.
-    A vertex with one extension child `q` uses `q`'s above table as its
-    below; with more, the below table joins their above tables.
+    along one root-to-leaf slice.  The sweep visits the extension's vertices
+    in the reverse of its pre-order index (`TreeIndex.order`), children
+    first, and per-vertex stats are always collected in that order.  A
+    vertex with one extension child `q` uses `q`'s above table as its below;
+    with more, the below table joins their above tables.
 
     Arcs are numbered by their index in the sorted `arcs` of their graph, and
     a pair is the int `tree_index << shift | network_index`, so a signature is
@@ -238,7 +230,8 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     """
     n, t, gamma = inst.network, inst.tree, inst.extension.gamma
     rho_n, rho_t = inst.network_root, inst.tree_root
-    if gamma.root() != rho_n:
+    order = inst.extension._valid_index().order
+    if order[0] != rho_n:
         raise InternalError("extension root differs from the network root")
     t_leaf_of = t.leaf_by_taxon
     shift, mask = _pair_bits(n)
@@ -256,9 +249,7 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     below: dict[str, dict] = {}
     stats: list[VertexStats] = []
 
-    for v in _post_order(gamma):
-        if v == rho_n:
-            continue
+    for v in reversed(order[1:]):
         qs = gamma.children(v)
         ins = n_ins[v]
 

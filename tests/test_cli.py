@@ -382,13 +382,13 @@ def test_oracles_refuse_a_tree_that_is_no_out_tree(files, capsys):
     # "tree" is tree_d beside a directed cycle that its root cannot reach.
     cyclic = files["dir"] / "cyclic.txt"
     cyclic.write_text(TREE_D + "A c1 c2\nA c2 c1\n")
-    for tree, reason in ((files["net_a"], "a vertex has two parents"),
-                         (str(cyclic), "cyclic")):
+    for tree, reason in ((files["net_a"], "vertex 'r' has in-degree 2"),
+                         (str(cyclic), "contains a directed cycle")):
         for command in ("firm", "soft"):
             assert main(["oracle", command, "-n", files["net_a"], "-t", tree]) == 66
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == f"error: not an out-tree: {reason}\n"
+            assert captured.err == f"error: not a phylogenetic tree: {reason}\n"
 
 
 def test_oracles_refuse_a_network_that_solve_refuses(files, capsys):
@@ -410,6 +410,64 @@ def test_oracles_refuse_a_network_that_solve_refuses(files, capsys):
     deg1_tree.write_text(TREE_D + "A g x\n")
     assert main(["solve", "-n", files["net_a"], "-t", str(deg1_tree)]) == 66
     assert capsys.readouterr().err == "error: not a phylogenetic tree: root out-degree 1\n"
+
+
+# net_a with in-1/out-1 vertices (s and u), and net_a beside a directed
+# cycle that its root cannot reach.
+PASSTHROUGH_NET = """\
+A rho s
+A rho t
+A s u
+A u p
+A p a
+A p b
+A t c
+A t d
+L a a
+L b b
+L c c
+L d d
+"""
+CYCLIC_NET = NET_A + "A c1 c2\nA c2 c1\n"
+DEG1_NET = NET_A + "A g rho\n"
+DEG1_TREE = TREE_D + "A g x\n"
+RETICULATE_TREE = "not a phylogenetic tree: vertex 'r' has in-degree 2"
+
+
+@pytest.mark.parametrize("command, network, tree, reason", [
+    (["solve"], NET_A, NET_A, RETICULATE_TREE),
+    (["reduce"], NET_A, NET_A, RETICULATE_TREE),
+    (["reduce"], NET_A, DEG1_TREE, "not a phylogenetic tree: root out-degree 1"),
+    (["reduce"], PASSTHROUGH_NET, None,
+     "not a phylogenetic network: vertex 's' has in-degree 1 and out-degree 1"),
+    (["reduce"], CYCLIC_NET, None, "not a phylogenetic network: contains a directed cycle"),
+    (["reduce"], DEG1_NET, None, "not a phylogenetic network: root out-degree 1"),
+    *[(["oracle", *oracle], NET_A, DEG1_TREE, "not a phylogenetic tree: root out-degree 1")
+      for oracle in (["firm"], ["soft"], ["firm", "--method", "switching"],
+                     ["soft", "--method", "subsets"])],
+], ids=["solve-network-as-tree", "reduce-network-as-tree", "reduce-deg1-tree",
+        "reduce-passthrough-net", "reduce-cyclic-net", "reduce-deg1-net",
+        "firm-deg1-tree", "soft-deg1-tree", "firm-switching-deg1-tree",
+        "soft-subsets-deg1-tree"])
+def test_commands_refuse_what_solve_refuses(command, network, tree, reason,
+                                            tmp_path, capsys):
+    (tmp_path / "net").write_text(network)
+    argv = [*command, "-n", str(tmp_path / "net")]
+    if tree is not None:
+        (tmp_path / "tree").write_text(tree)
+        argv += ["-t", str(tmp_path / "tree")]
+    if command == ["reduce"]:
+        argv += ["-o", str(tmp_path / "out")]
+    assert main(argv) == 66
+    assert capsys.readouterr() == ("", f"error: {reason}\n")
+    assert not list(tmp_path.glob("out.*"))
+
+
+def test_batch_names_why_it_refuses_a_tree(tmp_path, capsys):
+    (tmp_path / "i.network").write_text(NET_A)
+    (tmp_path / "i.tree").write_text(NET_A)
+    assert main(["solve", "--batch", str(tmp_path)]) == 66
+    assert capsys.readouterr().out == f"i ERROR {RETICULATE_TREE}\n"
 
 
 def test_gen_and_import(tmp_path, capsys):

@@ -84,6 +84,11 @@ def test_classify_network_tree_and_near_misses(net_a, tree_b):
     assert "unlabeled" in classify(unlabeled).reason
 
 
+def test_a_network_is_classified_with_its_first_reticulation(net_a, tree_b):
+    assert classify(net_a).reason == "vertex 'r' has in-degree 2"
+    assert classify(tree_b).reason is None
+
+
 def test_reaches_vertices_and_arcs(net_a):
     assert reaches(net_a, "s", "c")
     assert not reaches(net_a, "s", "s")          # strict on vertices

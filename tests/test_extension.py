@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stc import (
     CUT_ABOVE,
@@ -17,7 +19,13 @@ from stc import (
     generate,
     update_extension,
 )
-from stc.extension import AttachRootStep, InSplitStep, RestrictStep
+from stc.extension import (
+    AttachRootStep,
+    InSplitStep,
+    RestrictStep,
+    RewriteState,
+    _canonical_parent,
+)
 
 
 @pytest.fixture()
@@ -227,6 +235,58 @@ def _chain_extension(host, rng):
             if indeg[w] == 0:
                 ready.append(w)
     return TreeExtension(host, Digraph(list(zip(order, order[1:]))))
+
+
+def _lifted(ext, rng, tries):
+    """`ext` after `tries` attempts to move a random vertex up to its
+    grandparent, each move kept if the extension stays valid."""
+    host = ext.host
+    parent = {c: p for p, c in ext.gamma.arcs}
+    for _ in range(tries):
+        v = rng.choice(sorted(parent))
+        if parent[v] not in parent:
+            continue
+        moved = {**parent, v: parent[parent[v]]}
+        gamma = Digraph([(p, c) for c, p in moved.items()], vertices=host.vertices)
+        if TreeExtension(host, gamma).is_valid():
+            parent = moved
+    return TreeExtension(host, Digraph([(p, c) for c, p in parent.items()],
+                                       vertices=host.vertices))
+
+
+def _children_first(gamma, rng):
+    """A random order of the vertices of `gamma` with every child before its
+    parent."""
+    frontier, order = [gamma.root()], []
+    while frontier:
+        v = frontier.pop(rng.randrange(len(frontier)))
+        order.append(v)
+        frontier.extend(gamma.children(v))
+    return order[::-1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), leaves=st.integers(3, 8),
+       reticulations=st.integers(0, 3), rate=st.sampled_from([0.0, 0.3]),
+       chain=st.booleans(), lifts=st.integers(0, 16))
+def test_canonical_form_depends_only_on_the_extension(seed, leaves, reticulations,
+                                                      rate, chain, lifts):
+    # Chains along random topological orders are valid and mostly not
+    # canonical; lifting vertices gives them branches, and so many
+    # children-first orders.
+    host = generate(GeneratorParams(leaves, reticulations, rate, seed)).network
+    rng = random.Random(seed)
+    start = _chain_extension(host, rng) if chain else default_extension(host)
+    ext = _lifted(start, rng, lifts)
+    assert ext.is_valid()
+    first, second = (_canonical_parent(host._children, _children_first(ext.gamma, rng))
+                     for _ in range(2))
+    assert first == second
+    canonical = canonicalize(ext)
+    assert canonical == RewriteState.carrying(host, ext).canonical_extension()
+    assert canonical.gamma == Digraph([(p, c) for c, p in first.items()],
+                                      vertices=host.vertices)
+    assert not canonical.canonicality_violations()
 
 
 def _generated_extensions():

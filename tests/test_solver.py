@@ -29,7 +29,7 @@ from stc import (
     solve,
     update_extension,
 )
-from stc.solver import VertexStats, _post_order, _require_path, _resolutions
+from stc.solver import VertexStats, _require_path, _resolutions
 
 
 def test_eventually_arc_disjoint_prefix_then_split(net_a):
@@ -434,7 +434,7 @@ def _reference_solve(inst):
     bundles: dict[str, int] = {}
     stats: list[VertexStats] = []
 
-    for v in _post_order(gamma):
+    for v in reversed(inst.extension._valid_index().order):  # `solve`'s sweep
         if v == rho_n:
             continue
         qs = sorted(gamma.children(v))
