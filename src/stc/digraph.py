@@ -5,24 +5,58 @@ fresh graph and never mutates its input, so graphs can be shared freely
 between threads.  Iteration order is sorted everywhere to keep downstream
 output reproducible.
 
-The adjacency maps `_parents` and `_children` (vertex -> sorted tuple) are
-read directly by the package's own whole-graph passes, which would
-otherwise pay a checked method call per vertex.
+`Digraph(arcs, labels, vertices)` checks the invariants and sorts.
+`Digraph._of(vertices, parents, children, labels)` takes sorted maps that
+meet them already, as the parsers (which check with line and column) and
+the reduction's rewrites hold them; both fill the fields through `_fill`.
+The adjacency maps `_parents` and `_children` (vertex -> sorted tuple, keyed
+in sorted vertex order) are read directly by the package's own whole-graph
+passes, which would otherwise pay a checked method call per vertex.
+
+Derived facts are computed on first access and stored in the instance dict
+by `_cached`, which takes no lock (unlike `functools.cached_property` before
+Python 3.12): threads racing on a first access may each compute the same
+value, which is harmless.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
 from enum import Enum
-from functools import cached_property
 
 from .errors import InputError, RewriteError
 
 Arc = tuple[str, str]
 
 _FRESH_ID_RE = re.compile(r"^g(\d+)$")
+
+
+class _cached:
+    """A lazily computed attribute: the first access stores the value in the
+    instance dict, which then shadows this non-data descriptor."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
+def _adjacency(vertices, arcs) -> tuple[dict, dict]:
+    """The parent and child maps of `vertices` (sorted) for `arcs` (sorted,
+    distinct, between those vertices): each vertex's tuple comes out sorted."""
+    parents: dict = {v: [] for v in vertices}
+    children: dict = {v: [] for v in vertices}
+    for u, v in arcs:
+        children[u].append(v)
+        parents[v].append(u)
+    return ({v: tuple(ps) for v, ps in parents.items()},
+            {v: tuple(cs) for v, cs in children.items()})
 
 
 class Digraph:
@@ -34,38 +68,41 @@ class Digraph:
     """
 
     def __init__(self, arcs, labels=None, vertices=()):
-        arcset = set(arcs)
+        arcs = sorted(set(arcs))
         verts = set(vertices)
-        verts.update(chain.from_iterable(arcset))
+        for (u, v) in arcs:
+            if u == v:
+                raise InputError(f"self-loop on {u!r}")
+            verts.add(u)
+            verts.add(v)
         if not verts:
             raise InputError("a digraph needs at least one vertex")
-        self._vertices = tuple(sorted(verts))
-        # Sorting each tail's heads lists the arcs in sorted order, and each
-        # head's tails in sorted order too, with no sort over all arcs.
-        children = {v: [] for v in self._vertices}
-        for (u, v) in arcset:
-            children[u].append(v)
-        parents = {v: [] for v in self._vertices}
-        ordered = []
-        for u, heads in children.items():
-            heads.sort()
-            for v in heads:
-                if u == v:
-                    raise InputError(f"self-loop on {u!r}")
-                parents[v].append(u)
-                ordered.append((u, v))
-        self._arcs = tuple(ordered)
-        self._parents = {v: tuple(ps) for v, ps in parents.items()}
-        self._children = {v: tuple(cs) for v, cs in children.items()}
+        vertices = tuple(sorted(verts))
+        parents, children = _adjacency(vertices, arcs)
         labels = dict(labels or {})
         for v, taxon in labels.items():
-            if v not in parents:
+            if v not in children:
                 raise InputError(f"label on unknown vertex {v!r}")
             if children[v]:
                 raise InputError(f"label {taxon!r} on non-leaf vertex {v!r}")
         if len(set(labels.values())) != len(labels):
             raise InputError("duplicate taxon labels")
-        self._labels = dict(sorted(labels.items()))
+        self._fill(vertices, parents, children, dict(sorted(labels.items())))
+
+    @classmethod
+    def _of(cls, vertices, parents, children, labels) -> "Digraph":
+        """The graph of `vertices` (a sorted tuple), `parents` and `children`
+        (keyed in that order, sorted tuples) and `labels` (sorted by vertex),
+        taken as they are: nobody may mutate them afterwards."""
+        graph = cls.__new__(cls)
+        graph._fill(vertices, parents, children, labels)
+        return graph
+
+    def _fill(self, vertices, parents, children, labels) -> None:
+        self._vertices = vertices
+        self._parents = parents
+        self._children = children
+        self._labels = labels
 
     # -- basic accessors ---------------------------------------------------
 
@@ -73,9 +110,11 @@ class Digraph:
     def vertices(self) -> tuple[str, ...]:
         return self._vertices
 
-    @property
+    @_cached
     def arcs(self) -> tuple[Arc, ...]:
-        return self._arcs
+        """Every arc, sorted."""
+        children = self._children
+        return tuple([(u, v) for u in self._vertices for v in children[u]])
 
     @property
     def labels(self) -> dict[str, str]:
@@ -93,14 +132,14 @@ class Digraph:
         if not isinstance(other, Digraph):
             return NotImplemented
         return (self._vertices == other._vertices
-                and self._arcs == other._arcs
+                and self._children == other._children
                 and self._labels == other._labels)
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._arcs, tuple(self._labels.items())))
+        return hash((self._vertices, self.arcs, tuple(self._labels.items())))
 
     def __repr__(self) -> str:
-        return f"Digraph({len(self._vertices)} vertices, {len(self._arcs)} arcs)"
+        return f"Digraph({len(self._vertices)} vertices, {len(self.arcs)} arcs)"
 
     def _require(self, v) -> None:
         if v not in self._parents:
@@ -126,19 +165,19 @@ class Digraph:
     def out_degree(self, v) -> int:
         return len(self.children(v))
 
-    @cached_property
+    @_cached
     def max_out_degree(self) -> int:
         return max(len(cs) for cs in self._children.values())
 
-    @cached_property
+    @_cached
     def max_in_degree(self) -> int:
         return max(len(ps) for ps in self._parents.values())
 
-    @cached_property
+    @_cached
     def leaves(self) -> tuple[str, ...]:
         return tuple(v for v in self._vertices if not self._children[v])
 
-    @cached_property
+    @_cached
     def roots(self) -> tuple[str, ...]:
         return tuple(v for v in self._vertices if not self._parents[v])
 
@@ -151,18 +190,18 @@ class Digraph:
         self._require(v)
         return self._labels.get(v)
 
-    @cached_property
+    @_cached
     def taxa(self) -> frozenset[str]:
         """The set of taxon labels present on leaves."""
         return frozenset(self._labels.values())
 
-    @cached_property
+    @_cached
     def leaf_by_taxon(self) -> dict[str, str]:
         return {taxon: v for v, taxon in self._labels.items()}
 
     # -- reachability ------------------------------------------------------
 
-    @cached_property
+    @_cached
     def _topo_order(self) -> tuple[str, ...] | None:
         """A sorted-tie-break topological order, or None if cyclic."""
         import heapq
@@ -181,15 +220,27 @@ class Digraph:
             return None
         return tuple(order)
 
+    @_cached
+    def _acyclic(self) -> bool:
+        """Kahn's pass without a heap: no order is kept, so none is sorted."""
+        indeg = {v: len(ps) for v, ps in self._parents.items()}
+        ready = [v for v, d in indeg.items() if not d]
+        for v in ready:     # the loop meets what it appends
+            for w in self._children[v]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    ready.append(w)
+        return len(ready) == len(indeg)
+
     def is_acyclic(self) -> bool:
-        return self._topo_order is not None
+        return self._acyclic
 
     def topological_order(self) -> tuple[str, ...]:
         if self._topo_order is None:
             raise InputError("graph is not acyclic")
         return self._topo_order
 
-    @cached_property
+    @_cached
     def _descendants(self) -> dict[str, frozenset[str]]:
         """Strict descendants of every vertex (requires acyclicity)."""
         order = self.topological_order()
@@ -214,7 +265,7 @@ class Digraph:
 
     # -- rewriting ---------------------------------------------------------
 
-    @cached_property
+    @_cached
     def _fresh_counter(self) -> int:
         best = 0
         for v in self._vertices:
@@ -237,7 +288,7 @@ class Digraph:
         if not self.has_arc(u, v):
             raise RewriteError(f"cannot contract missing arc ({u!r}, {v!r})")
         arcs = []
-        for (a, b) in self._arcs:
+        for (a, b) in self.arcs:
             if (a, b) == (u, v):
                 continue
             a2 = u if a == v else a

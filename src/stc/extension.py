@@ -9,9 +9,8 @@ there; the maximum cut size is the width driving the dynamic program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .digraph import Arc, Digraph, TreeIndex
+from .digraph import Arc, Digraph, TreeIndex, _cached
 from .errors import InputError, InternalError, RewriteError
 
 CUT_ABOVE = "above"
@@ -37,7 +36,7 @@ class TreeExtension:
     def __repr__(self):
         return f"TreeExtension({len(self.gamma)} vertices)"
 
-    @cached_property
+    @_cached
     def _violations(self) -> tuple[str, ...]:
         out = []
         host, gamma = self.host, self.gamma
@@ -62,7 +61,7 @@ class TreeExtension:
         return tuple(f"arc ({u}, {v}) not inside the strict ancestor relation"
                      for (u, v) in host.arcs if not pre[u] < pre[v] < end[u])
 
-    @cached_property
+    @_cached
     def _index(self) -> TreeIndex | None:
         """The pre-order index of `gamma`, or None if `gamma` is no out-tree."""
         try:
@@ -104,7 +103,7 @@ class TreeExtension:
         return tuple((u, v) for (u, v) in self.host.arcs
                      if inside(t, v) and not inside(t, u))
 
-    @cached_property
+    @_cached
     def _cut_sizes(self) -> dict[str, tuple[int, int]]:
         index = self._valid_index()
         parents, children = self.host._parents, self.host._children
@@ -196,9 +195,17 @@ def _canonical_parent(children, order) -> dict[str, str]:
 
 
 def _extension(host: Digraph, parent) -> TreeExtension:
-    """The extension of `host` whose tree is `parent` (child -> parent)."""
-    arcs = [(p, c) for c, p in parent.items()]
-    return TreeExtension(host, Digraph(arcs, vertices=host.vertices))
+    """The extension of `host` whose tree is `parent` (child -> parent), a
+    tree over the host's vertices."""
+    vertices = host.vertices
+    children: dict = {v: [] for v in vertices}
+    for v in vertices:  # sorted, so each child list comes out sorted
+        if v in parent:
+            children[parent[v]].append(v)
+    parents = {v: (parent[v],) if v in parent else () for v in vertices}
+    gamma = Digraph._of(vertices, parents,
+                        {v: tuple(cs) for v, cs in children.items()}, {})
+    return TreeExtension(host, gamma)
 
 
 def canonicalize(ext: TreeExtension) -> TreeExtension:
@@ -263,9 +270,12 @@ def _cut_above(order, parent, parents, children) -> dict[str, int]:
 class RewriteState:
     """A host and a tree extension of it, as mutable maps.
 
-    The host is `parents` and `children` (vertex -> set of vertices) and
-    `labels`.  The extension is `parent` (child -> parent; the root has no
-    entry) and `above` (the size of the cut just above each vertex).
+    The host is `parents` and `children` (vertex -> sorted tuple of
+    vertices) and `labels`: copies of the maps of the host last taken, in
+    which a rewrite replaces the tuples of the vertices it touches, so
+    `host()` builds a graph from them without sorting a tuple.  The
+    extension is `parent` (child -> parent; the root has no entry) and
+    `above` (the size of the cut just above each vertex).
     """
 
     def __init__(self, host: Digraph, parent):
@@ -282,9 +292,9 @@ class RewriteState:
     def take(self, host: Digraph, parent) -> None:
         """Make `host` the state's host and `parent` its extension, and count
         the cuts; fresh ids count on from the host's own."""
-        self.parents = {v: set(ps) for v, ps in host._parents.items()}
-        self.children = {v: set(cs) for v, cs in host._children.items()}
-        self.labels = host.labels
+        self.parents = dict(host._parents)
+        self.children = dict(host._children)
+        self.labels = host._labels
         self._fresh = host._fresh_counter
         self.parent = parent
         order = _root_first(host.vertices, parent)
@@ -300,8 +310,11 @@ class RewriteState:
         return max(self.above.values())
 
     def host(self) -> Digraph:
-        arcs = [(u, v) for u, cs in self.children.items() for v in cs]
-        return Digraph(arcs, self.labels, self.parents)
+        # New vertices were added last: only the keys need sorting.
+        vertices = tuple(sorted(self.parents))
+        parents, children = self.parents, self.children
+        return Digraph._of(vertices, {v: parents[v] for v in vertices},
+                           {v: children[v] for v in vertices}, self.labels)
 
     def canonical_extension(self) -> TreeExtension:
         """The host, built once, with the canonical form of the carried
@@ -325,8 +338,8 @@ class AttachRootStep:
         if len(roots) != 1:
             raise InputError(f"graph has {len(roots)} roots, expected 1")
         (root,) = roots
-        state.parents[new], state.children[new] = set(), {root}
-        state.parents[root].add(new)
+        state.parents[new], state.children[new] = (), (root,)
+        state.parents[root] = (new,)
         state.parent[root] = new    # the host root tops a valid extension
         # The new arc enters only the subtree of the old root.
         state.above[new] = 0
@@ -352,12 +365,11 @@ class InSplitStep:
             raise RewriteError(f"in-split needs two distinct parents of {v!r}")
         if new in state.parents:
             raise RewriteError(f"split vertex {new!r} already exists")
-        ps -= {p1, p2}
-        ps.add(new)
+        state.parents[v] = tuple(sorted([p for p in ps if p != p1 and p != p2] + [new]))
         for p in (p1, p2):
-            state.children[p].remove(v)
-            state.children[p].add(new)
-        state.parents[new], state.children[new] = {p1, p2}, {v}
+            state.children[p] = tuple(sorted([new if c == v else c
+                                              for c in state.children[p]]))
+        state.parents[new], state.children[new] = tuple(sorted((p1, p2))), (v,)
         # `v` has parents, so it is no root of the valid extension.
         state.parent[new] = state.parent[v]
         state.parent[v] = new

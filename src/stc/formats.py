@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .digraph import Digraph
+from .digraph import Digraph, _adjacency
 from .errors import ParseError
 from .extension import TreeExtension
 
@@ -32,8 +32,7 @@ def _column(line, index):
 def parse_edgelist(text: str) -> Digraph:
     """The graph of an edge-list document; its header is checked, and its
     name is not kept."""
-    arcs: list = []
-    arc_lines: dict = {}
+    arc_lines: dict = {}       # arc -> line number
     labels: dict = {}         # vertex -> (taxon, line number, line)
     taxa: set = set()
     first = True
@@ -58,7 +57,6 @@ def parse_edgelist(text: str) -> Digraph:
                     f"duplicate arc ({tail}, {head}), first seen on line "
                     f"{arc_lines[(tail, head)]}", lineno, _column(line, 0))
             arc_lines[(tail, head)] = lineno
-            arcs.append((tail, head))
         elif kind == "L":
             if len(toks) != 3:
                 raise ParseError("label line needs a vertex and a taxon", lineno,
@@ -74,10 +72,10 @@ def parse_edgelist(text: str) -> Digraph:
         else:
             raise ParseError(f"unknown directive {kind!r}", lineno, _column(line, 0))
         first = False
-    if not arcs:
+    if not arc_lines:
         raise ParseError("document contains no arcs", 1, 1)
-    mentioned = {x for a in arcs for x in a}
-    out_tails = {a[0] for a in arcs}
+    mentioned = {x for a in arc_lines for x in a}
+    out_tails = {a[0] for a in arc_lines}
     for vertex, (taxon, lineno, line) in labels.items():
         if vertex not in mentioned:
             raise ParseError(f"label on unknown vertex {vertex!r}", lineno,
@@ -85,7 +83,10 @@ def parse_edgelist(text: str) -> Digraph:
         if vertex in out_tails:
             raise ParseError(f"label on non-leaf vertex {vertex!r}", lineno,
                              _column(line, 1))
-    return Digraph(arcs, {v: t for v, (t, _, _) in labels.items()})
+    # Every invariant of a `Digraph` is checked above, with its line.
+    vertices = tuple(sorted(mentioned))
+    return Digraph._of(vertices, *_adjacency(vertices, sorted(arc_lines)),
+                       {v: labels[v][0] for v in sorted(labels)})
 
 
 def serialize_edgelist(graph: Digraph, name: str | None = None) -> str:
@@ -103,8 +104,7 @@ def serialize_edgelist(graph: Digraph, name: str | None = None) -> str:
 
 
 def parse_extension(text: str, host: Digraph) -> TreeExtension:
-    arcs = []
-    seen: dict = {}
+    seen: dict = {}           # arc -> line number
     for lineno, line in _lines(text):
         toks = line.split()
         kind = toks[0]
@@ -123,10 +123,11 @@ def parse_extension(text: str, host: Digraph) -> TreeExtension:
             raise ParseError(f"duplicate line for ({parent}, {child})", lineno,
                              _column(line, 0))
         seen[(parent, child)] = lineno
-        arcs.append((parent, child))
-    if not arcs:
+    if not seen:
         raise ParseError("extension document contains no lines", 1, 1)
-    gamma = Digraph(arcs)
+    # The lines are checked above for every invariant of an unlabeled graph.
+    vertices = tuple(sorted({v for arc in seen for v in arc}))
+    gamma = Digraph._of(vertices, *_adjacency(vertices, sorted(seen)), {})
     ext = TreeExtension(host, gamma)
     ext.require_valid()
     return ext

@@ -91,7 +91,8 @@ def prune_to_leafset(n: Digraph, taxa) -> tuple[Digraph, RestrictStep]:
     """Restrict a network to the given taxa (at least two of them)."""
     taxa = set(taxa)
     if not taxa <= n.taxa:
-        raise SemanticError(f"taxa not present in the network: {sorted(taxa - n.taxa)}")
+        raise SemanticError(
+            f"tree taxa missing from the network: {sorted(taxa - n.taxa)}")
     if len(taxa) < 2:
         raise InputError("need at least 2 taxa")
     pruned = tidy(n, taxa)
@@ -163,24 +164,27 @@ def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
     """Run the network side of the pipeline; returns the canonical extension
     of the augmented network (whose root is fresh) and the trace.
 
-    `ext`, if given, is validated here; the result is not, as
+    `taxa`, if given, must be taxa of `n`: that is checked first, and
+    `ext`, if given, is validated next; the result is not, as
     `AugmentedInstance.check` does that once."""
+    prune = None
+    if taxa is not None and set(taxa) != n.taxa:
+        _, prune = prune_to_leafset(n, taxa)
     if ext is not None:
         if ext.host != n:
             raise InputError("extension does not belong to the given network")
         ext.require_valid()
     state = RewriteState.carrying(n, ext)
     trace = ReductionTrace(widths=[state.width()])
-    if taxa is not None and set(taxa) != n.taxa:
-        _, step = prune_to_leafset(n, taxa)
-        _carry(state, step, trace)
+    if prune is not None:
+        _carry(state, prune, trace)
     # An in-split lowers only its target's in-degree, and the new vertex has
     # in-degree 2, so one sorted pass meets the targets in the same order as
     # a rescan for the first in-degree-3+ vertex before every split would.
     high = sorted(v for v, ps in state.parents.items() if len(ps) >= 3)
     for v in high:
         while len(state.parents[v]) >= 3:
-            pair = tuple(sorted(state.parents[v])[:2])
+            pair = state.parents[v][:2]
             _carry(state, InSplitStep(v, pair, state.fresh_id()), trace)
     _carry(state, AttachRootStep(state.fresh_id()), trace)
     return state.canonical_extension(), trace
@@ -201,6 +205,17 @@ def _require_tree(t: Digraph) -> None:
         raise SemanticError(f"not a phylogenetic tree: {t_class.reason}")
 
 
+def _with_degree_1_root(t: Digraph) -> Digraph:
+    """`t` with a fresh root above its root, built from `t`'s maps."""
+    (root,), rho = t.roots, t.fresh_ids(1)[0]
+    vertices = tuple(sorted((*t.vertices, rho)))
+    parents = {v: t._parents.get(v, ()) for v in vertices}
+    parents[root] = (rho,)
+    children = {v: t._children.get(v, ()) for v in vertices}
+    children[rho] = (root,)
+    return Digraph._of(vertices, parents, children, t._labels)
+
+
 def preprocess(n: Digraph, t: Digraph,
                ext: TreeExtension | None = None) -> AugmentedInstance:
     """Produce a solver-ready instance from a network, tree, and extension.
@@ -209,12 +224,7 @@ def preprocess(n: Digraph, t: Digraph,
     """
     _require_network(n)
     _require_tree(t)
-    if not t.taxa <= n.taxa:
-        raise SemanticError(
-            f"tree taxa missing from the network: {sorted(t.taxa - n.taxa)}")
     ext, trace = reduce_network(n, ext, taxa=t.taxa)
-    rho_t = t.fresh_ids(1)[0]
-    t_aug = Digraph(list(t.arcs) + [(rho_t, t.root())], t.labels)
-    inst = AugmentedInstance(t_aug, ext, trace)
+    inst = AugmentedInstance(_with_degree_1_root(t), ext, trace)
     inst.check()
     return inst

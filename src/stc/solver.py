@@ -234,10 +234,12 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     if order[0] != rho_n:
         raise InternalError("extension root differs from the network root")
     t_leaf_of = t.leaf_by_taxon
+    # The loop reads the maps directly: every vertex it meets is known.
+    gamma_children, n_labels, t_parents = gamma._children, n._labels, t._parents
     shift, mask = _pair_bits(n)
     tree_id = {a: i for i, a in enumerate(t.arcs)}
     t_tail = [x for x, _ in t.arcs]
-    t_fanout = {y: t.out_degree(y) for y in t.vertices}
+    t_fanout = {y: len(cs) for y, cs in t._children.items()}
     t_parent_pair = {y: i << shift for (_, y), i in tree_id.items()}
     n_outs: dict[str, set[int]] = {}
     n_ins: dict[str, list[int]] = {}  # in sorted(parents) order, as arcs are
@@ -250,15 +252,15 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     stats: list[VertexStats] = []
 
     for v in reversed(order[1:]):
-        qs = gamma.children(v)
+        qs = gamma_children[v]
         ins = n_ins[v]
 
         if not qs:
-            taxon = n.label_of(v)
+            taxon = n_labels.get(v)
             if taxon is None or taxon not in t_leaf_of:
                 raise InternalError(f"network leaf {v!r} has no matching tree leaf")
             tl = t_leaf_of[taxon]
-            (tp,) = t.parents(tl)
+            (tp,) = t_parents[tl]
             (a,) = ins
             above[v] = {(tree_id[tp, tl] << shift | a,): ("leaf",)}
             below[v] = {}

@@ -432,12 +432,16 @@ CYCLIC_NET = NET_A + "A c1 c2\nA c2 c1\n"
 DEG1_NET = NET_A + "A g rho\n"
 DEG1_TREE = TREE_D + "A g x\n"
 RETICULATE_TREE = "not a phylogenetic tree: vertex 'r' has in-degree 2"
+FOREIGN_TREE = TREE_D + "A x e\nA x f\nL e e\nL f f\n"
+FOREIGN_TAXA = "tree taxa missing from the network: ['e', 'f']"
 
 
 @pytest.mark.parametrize("command, network, tree, reason", [
     (["solve"], NET_A, NET_A, RETICULATE_TREE),
     (["reduce"], NET_A, NET_A, RETICULATE_TREE),
     (["reduce"], NET_A, DEG1_TREE, "not a phylogenetic tree: root out-degree 1"),
+    (["solve"], NET_A, FOREIGN_TREE, FOREIGN_TAXA),
+    (["reduce"], NET_A, FOREIGN_TREE, FOREIGN_TAXA),
     (["reduce"], PASSTHROUGH_NET, None,
      "not a phylogenetic network: vertex 's' has in-degree 1 and out-degree 1"),
     (["reduce"], CYCLIC_NET, None, "not a phylogenetic network: contains a directed cycle"),
@@ -446,6 +450,7 @@ RETICULATE_TREE = "not a phylogenetic tree: vertex 'r' has in-degree 2"
       for oracle in (["firm"], ["soft"], ["firm", "--method", "switching"],
                      ["soft", "--method", "subsets"])],
 ], ids=["solve-network-as-tree", "reduce-network-as-tree", "reduce-deg1-tree",
+        "solve-foreign-taxa", "reduce-foreign-taxa",
         "reduce-passthrough-net", "reduce-cyclic-net", "reduce-deg1-net",
         "firm-deg1-tree", "soft-deg1-tree", "firm-switching-deg1-tree",
         "soft-subsets-deg1-tree"])

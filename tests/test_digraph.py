@@ -1,9 +1,25 @@
-"""Core digraph invariants, rewrites, classification, reachability, and the
-oracle's canonical tree form."""
+"""Core digraph invariants, rewrites, classification, reachability, the
+oracle's canonical tree form, and the graphs built by `Digraph._of`."""
 
 import pytest
 
-from stc import Digraph, InputError, PhyloKind, classify, reaches
+from stc import (
+    Digraph,
+    GeneratorParams,
+    InputError,
+    PhyloKind,
+    classify,
+    default_extension,
+    generate,
+    parse_edgelist,
+    parse_extension,
+    preprocess,
+    reaches,
+    reduce_network,
+    serialize_edgelist,
+    serialize_extension,
+    update_extension,
+)
 from stc.oracle import _tree_target
 
 
@@ -144,3 +160,53 @@ def test_canonical_form_of_a_deep_caterpillar():
     # the two deepest leaves form a cherry, so swapping them changes nothing
     cherry = taxa[:-2] + [taxa[-1], taxa[-2]]
     assert _tree_target(t1) == _tree_target(_caterpillar(cherry, "d"))
+
+
+# -- graphs built from sorted maps ---------------------------------------------
+
+
+def _assert_built_as_checked(g):
+    """`g` is the graph that the checking constructor builds from its arcs,
+    down to the order of every map."""
+    checked = Digraph(g.arcs, g.labels, g.vertices)
+    assert g == checked
+    for field in ("_parents", "_children", "_labels"):
+        assert list(getattr(g, field).items()) == list(getattr(checked, field).items())
+
+
+def _reversed_lines(text):
+    return "".join(reversed(text.splitlines(keepends=True)))
+
+
+def test_parsed_documents_are_built_as_checked(suite):
+    # Reversed, so that the lines come in no sorted order.
+    for _, n, t, ext in suite[::4]:
+        parsed = parse_edgelist(_reversed_lines(serialize_edgelist(n)))
+        _assert_built_as_checked(parsed)
+        _assert_built_as_checked(parse_edgelist(_reversed_lines(serialize_edgelist(t))))
+        doc = _reversed_lines(serialize_extension(ext))
+        _assert_built_as_checked(parse_extension(doc, parsed).gamma)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 9, 11])
+def test_rewritten_graphs_are_built_as_checked(seed):
+    inst = generate(GeneratorParams(12, 6, 0.5, seed, "yes-biased"))
+    n = parse_edgelist(inst.network_doc)
+    assert n.max_in_degree >= 4
+    taxa = sorted(n.taxa)[:-3]
+    ext, trace = reduce_network(n, taxa=taxa)
+    kinds = [step.kind for step in trace.steps]
+    assert kinds[0] == "prune" and "insplit" in kinds
+    # Each step's host and extension tree, as `RewriteState.host()` and
+    # `_extension` build them, and the canonical result.
+    carried = default_extension(n)
+    for step in trace.steps:
+        carried = update_extension(carried, step)
+        _assert_built_as_checked(carried.host)
+        _assert_built_as_checked(carried.gamma)
+    _assert_built_as_checked(ext.host)
+    _assert_built_as_checked(ext.gamma)
+    tree = parse_edgelist(inst.tree_doc)
+    augmented = preprocess(n, tree).tree
+    _assert_built_as_checked(augmented)
+    assert len(augmented.arcs) == len(tree.arcs) + 1
