@@ -48,8 +48,10 @@ class _cached:
 
 
 def _adjacency(vertices, arcs) -> tuple[dict, dict]:
-    """The parent and child maps of `vertices` (sorted) for `arcs` (sorted,
-    distinct, between those vertices): each vertex's tuple comes out sorted."""
+    """The parent and child maps of `vertices` (sorted) for `arcs` (distinct,
+    between those vertices), keyed in vertex order.  Each tuple keeps the
+    order of `arcs`, so each tail's heads and each head's tails must come in
+    sorted order, as they do when `arcs` is sorted."""
     parents: dict = {v: [] for v in vertices}
     children: dict = {v: [] for v in vertices}
     for u, v in arcs:
@@ -220,20 +222,8 @@ class Digraph:
             return None
         return tuple(order)
 
-    @_cached
-    def _acyclic(self) -> bool:
-        """Kahn's pass without a heap: no order is kept, so none is sorted."""
-        indeg = {v: len(ps) for v, ps in self._parents.items()}
-        ready = [v for v, d in indeg.items() if not d]
-        for v in ready:     # the loop meets what it appends
-            for w in self._children[v]:
-                indeg[w] -= 1
-                if not indeg[w]:
-                    ready.append(w)
-        return len(ready) == len(indeg)
-
     def is_acyclic(self) -> bool:
-        return self._acyclic
+        return self._topo_order is not None
 
     def topological_order(self) -> tuple[str, ...]:
         if self._topo_order is None:

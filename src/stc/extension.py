@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Arc, Digraph, TreeIndex, _cached
+from .digraph import Arc, Digraph, TreeIndex, _adjacency, _cached
 from .errors import InputError, InternalError, RewriteError
 
 CUT_ABOVE = "above"
@@ -198,13 +198,8 @@ def _extension(host: Digraph, parent) -> TreeExtension:
     """The extension of `host` whose tree is `parent` (child -> parent), a
     tree over the host's vertices."""
     vertices = host.vertices
-    children: dict = {v: [] for v in vertices}
-    for v in vertices:  # sorted, so each child list comes out sorted
-        if v in parent:
-            children[parent[v]].append(v)
-    parents = {v: (parent[v],) if v in parent else () for v in vertices}
-    gamma = Digraph._of(vertices, parents,
-                        {v: tuple(cs) for v, cs in children.items()}, {})
+    arcs = [(parent[v], v) for v in vertices if v in parent]
+    gamma = Digraph._of(vertices, *_adjacency(vertices, arcs), {})
     return TreeExtension(host, gamma)
 
 
