@@ -1,9 +1,8 @@
 """Immutable directed graphs with leaf labels.
 
-Vertices are opaque string ids.  A graph is a value: every rewrite returns a
-fresh graph and never mutates its input, so graphs can be shared freely
-between threads.  Iteration order is sorted everywhere to keep downstream
-output reproducible.
+Vertices are opaque string ids.  A graph is a value that nothing changes
+after construction, so it can be shared freely between threads.  Iteration
+order is sorted everywhere to keep downstream output reproducible.
 
 `Digraph(arcs, labels, vertices)` checks the invariants and sorts.
 `Digraph._of(vertices, parents, children, labels)` takes sorted maps that
@@ -25,7 +24,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InputError, RewriteError
+from .errors import InputError
 
 Arc = tuple[str, str]
 
@@ -201,7 +200,7 @@ class Digraph:
     def leaf_by_taxon(self) -> dict[str, str]:
         return {taxon: v for v, taxon in self._labels.items()}
 
-    # -- reachability ------------------------------------------------------
+    # -- topological order -------------------------------------------------
 
     @_cached
     def _topo_order(self) -> tuple[str, ...] | None:
@@ -230,30 +229,7 @@ class Digraph:
             raise InputError("graph is not acyclic")
         return self._topo_order
 
-    @_cached
-    def _descendants(self) -> dict[str, frozenset[str]]:
-        """Strict descendants of every vertex (requires acyclicity)."""
-        order = self.topological_order()
-        desc: dict[str, frozenset[str]] = {}
-        for v in reversed(order):
-            acc: set[str] = set()
-            for w in self._children[v]:
-                acc.add(w)
-                acc.update(desc[w])
-            desc[v] = frozenset(acc)
-        return desc
-
-    def descendants(self, v) -> frozenset[str]:
-        self._require(v)
-        return self._descendants[v]
-
-    def reachable(self, u, v) -> bool:
-        """Vertex-to-vertex reachability, length 0 allowed."""
-        self._require(u)
-        self._require(v)
-        return u == v or v in self._descendants[u]
-
-    # -- rewriting ---------------------------------------------------------
+    # -- fresh ids ---------------------------------------------------------
 
     @_cached
     def _fresh_counter(self) -> int:
@@ -268,26 +244,6 @@ class Digraph:
         """`count` ids of the form g<n> that do not collide with existing ones."""
         start = self._fresh_counter
         return tuple(f"g{start + i}" for i in range(count))
-
-    def contract(self, arc) -> "Digraph":
-        """Contract (u, v): v's neighbors move to u, v disappears.
-
-        Duplicate arcs collapse by set semantics.
-        """
-        (u, v) = arc
-        if not self.has_arc(u, v):
-            raise RewriteError(f"cannot contract missing arc ({u!r}, {v!r})")
-        arcs = []
-        for (a, b) in self.arcs:
-            if (a, b) == (u, v):
-                continue
-            a2 = u if a == v else a
-            b2 = u if b == v else b
-            if a2 != b2:
-                arcs.append((a2, b2))
-        labels = {x: t for x, t in self._labels.items() if x != v}
-        vertices = [x for x in self._vertices if x != v]
-        return Digraph(arcs, labels, vertices)
 
 
 # -- classification --------------------------------------------------------
@@ -363,12 +319,30 @@ def _is_arc(x) -> bool:
     return isinstance(x, tuple)
 
 
+def _reaches(children, u, v) -> bool:
+    """Whether `u` weakly reaches `v` along `children`, a child map that may
+    be cyclic and may leave out childless vertices."""
+    seen = {u}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        if x == v:
+            return True
+        for w in children.get(x, ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
 def reaches(d: Digraph, a, b) -> bool:
     """Strict reachability extended to arcs.
 
-    Vertex-to-vertex is ordinary strict reachability.  An arc relates
-    through its head: (w, x) reaches whatever x weakly reaches, and a
-    vertex reaches an arc if it weakly reaches the arc's tail.
+    Vertex-to-vertex is ordinary strict reachability, and a vertex never
+    reaches itself.  An arc relates through its head: (w, x) reaches
+    whatever x weakly reaches, and a vertex reaches an arc if it weakly
+    reaches the arc's tail.  Each call runs its own search, and a cyclic
+    graph gets an answer too.
     """
     for x in (a, b):
         if _is_arc(x):
@@ -377,13 +351,14 @@ def reaches(d: Digraph, a, b) -> bool:
         else:
             if x not in d:
                 raise InputError(f"unknown vertex {x!r}")
+    children = d._children
     if _is_arc(a):
         if _is_arc(b):
-            return d.reachable(a[1], b[0])
-        return d.reachable(a[1], b)
+            return _reaches(children, a[1], b[0])
+        return _reaches(children, a[1], b)
     if _is_arc(b):
-        return d.reachable(a, b[0])
-    return a != b and d.reachable(a, b)
+        return _reaches(children, a, b[0])
+    return a != b and _reaches(children, a, b)
 
 
 # -- subtree tests on out-trees --------------------------------------------

@@ -4,14 +4,19 @@ Instances are built constructively: grow a random binary tree, add cross
 arcs to create reticulations, extract a displayed tree, and optionally
 contract arcs on either side to create polytomies.  Output is byte-stable
 for a fixed parameter set.
+
+The steps edit a sorted arc list or adjacency maps, not a `Digraph`; each
+keeps the graph a network, so `generate` classifies it once.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 
-from .digraph import Digraph, PhyloKind, classify
+from .digraph import Digraph, PhyloKind, _reaches, classify
 from .errors import InputError, SemanticError
 from .extension import TreeExtension, default_extension
 from .formats import serialize_edgelist, serialize_extension
@@ -49,7 +54,8 @@ class GeneratedInstance:
     extension_doc: str
 
 
-def _random_binary_tree(rng, leaves, counter):
+def _random_binary_tree(rng, leaves, counter) -> list:
+    """The sorted arcs of a random binary tree with `leaves` leaves."""
     def fresh():
         counter[0] += 1
         return f"v{counter[0] - 1}"
@@ -57,48 +63,63 @@ def _random_binary_tree(rng, leaves, counter):
     root = fresh()
     arcs = [(root, fresh()), (root, fresh())]
     for _ in range(leaves - 2):
-        (u, v) = rng.choice(sorted(arcs))
+        (u, v) = rng.choice(arcs)
         mid, leaf = fresh(), fresh()
-        arcs.remove((u, v))
-        arcs += [(u, mid), (mid, v), (mid, leaf)]
+        del arcs[bisect_left(arcs, (u, v))]
+        for arc in ((u, mid), (mid, v), (mid, leaf)):
+            insort(arcs, arc)
     return arcs
 
 
 def _add_reticulation(rng, arcs, counter) -> list | None:
-    """One attempt at adding a cross arc; None when the result is invalid."""
-    pool = sorted(arcs)
+    """One attempt at adding a cross arc to the sorted `arcs` of a network:
+    the new sorted arcs, or None when it would leave no network, that is
+    when it draws one arc twice, aims a parallel arc or closes a cycle."""
+    children: dict = {}
+    for u, v in arcs:
+        children.setdefault(u, []).append(v)
+    indegree = Counter(v for _, v in arcs)
+    retics = sorted(v for v, k in indegree.items() if k >= 2)
     trial = list(arcs)
-    graph = Digraph(trial)
-    retics = sorted(v for v in graph.vertices if graph.in_degree(v) >= 2)
     if retics and rng.random() < 0.3:
         # aim at an existing reticulation, raising its in-degree
         r = rng.choice(retics)
-        (a, b) = rng.choice(pool)
-        if b == r or a == r or graph.reachable(r, a):
+        (a, b) = rng.choice(arcs)
+        if b == r or _reaches(children, r, a):   # parallel arcs, or a cycle
             return None
         mid = f"v{counter[0]}"
         counter[0] += 1
-        trial.remove((a, b))
-        trial += [(a, mid), (mid, b), (mid, r)]
+        del trial[bisect_left(trial, (a, b))]
+        added = [(a, mid), (mid, b), (mid, r)]
     else:
-        (a, b) = rng.choice(pool)
-        (c, d) = rng.choice(pool)
+        (a, b) = rng.choice(arcs)
+        (c, d) = rng.choice(arcs)
         if (a, b) == (c, d):
             return None
         x, y = f"v{counter[0]}", f"v{counter[0] + 1}"
-        counter[0] += 2
-        trial.remove((a, b))
-        trial.remove((c, d))
-        trial += [(a, x), (x, b), (c, y), (y, d), (x, y)]
-    # Each leaf is labelled by its own id, so only the shape is judged.
-    tails = {u for u, _ in trial}
-    labels = {v: v for _, v in trial if v not in tails}
-    if classify(Digraph(trial, labels)).kind not in (PhyloKind.NETWORK, PhyloKind.TREE):
-        return None
+        counter[0] += 2     # spent even on a rejection: later ids depend on it
+        if _reaches(children, d, a):    # the cycle x -> y -> d ~> a -> x
+            return None
+        for arc in ((a, b), (c, d)):
+            del trial[bisect_left(trial, arc)]
+        added = [(a, x), (x, b), (c, y), (y, d), (x, y)]
+    for arc in added:
+        insort(trial, arc)
     return trial
 
 
 def _contract_marked(work: Digraph, marked) -> Digraph:
+    """`work` with each marked arc (u, v) contracted in turn, where u stands
+    for the vertex it was merged into, when that tail t is v's one parent
+    and shares no child with v (that child's two in-arcs would merge).
+
+    Marks as `generate` draws them keep `work` a network or tree.  v has one
+    parent, so no cycle closes.  v has out-degree 2 or more, so t keeps out-
+    degree 2 or more.  No other in-degree changes, so t keeps the in-degree
+    at most 1 that marks require and never becomes a reticulation.
+    """
+    parents = {x: set(ps) for x, ps in work._parents.items()}
+    children = {x: set(cs) for x, cs in work._children.items()}
     merged: dict = {}
 
     def find(v):
@@ -108,16 +129,18 @@ def _contract_marked(work: Digraph, marked) -> Digraph:
 
     for (u, v) in marked:
         tail = find(u)
-        if v not in work or not work.has_arc(tail, v):
+        if parents.get(v) != {tail} or children[tail] & children[v]:
             continue
-        if set(work.children(tail)) & set(work.children(v)):
-            continue  # would delete a parallel arc and derail a reticulation
-        candidate = work.contract((tail, v))
-        if not classify(candidate):
-            continue
-        work = candidate
+        del parents[v]
+        moved = children.pop(v)
+        children[tail].remove(v)
+        children[tail] |= moved
+        for w in moved:
+            parents[w].remove(v)
+            parents[w].add(tail)
         merged[v] = tail
-    return work
+    return Digraph([(x, w) for x, ws in children.items() for w in ws],
+                   work._labels, children)
 
 
 def generate(params: GeneratorParams) -> GeneratedInstance:

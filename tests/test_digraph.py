@@ -60,28 +60,20 @@ def test_topological_order_is_deterministic(net_a):
     assert order == net_a.topological_order()
 
 
-def test_descendants(net_a):
-    assert net_a.descendants("t") == frozenset({"r", "c", "d"})
-    assert net_a.descendants("a") == frozenset()
-
-
 def test_cycle_detected():
     d = Digraph([("a", "b"), ("b", "c"), ("c", "a"), ("x", "a")])
     assert not d.is_acyclic()
     with pytest.raises(InputError):
         d.topological_order()
+    assert reaches(d, "x", "c") and reaches(d, "b", "a")
+    assert not reaches(d, "a", "x")
+    assert not reaches(d, "a", "a")              # strict on vertices
+    assert reaches(d, ("a", "b"), ("a", "b"))    # b reaches a round the cycle
 
 
 def test_fresh_ids_never_collide():
     d = Digraph([("g3", "g7"), ("g3", "x")])
     assert d.fresh_ids(2) == ("g8", "g9")
-
-
-def test_contract_collapses_parallel_arcs():
-    d = Digraph([("a", "b"), ("a", "c"), ("b", "c")])
-    d2 = d.contract(("a", "b"))
-    assert d2.arcs == (("a", "c"),)
-    assert "b" not in d2
 
 
 def test_classify_network_tree_and_near_misses(net_a, tree_b):
@@ -114,6 +106,34 @@ def test_reaches_vertices_and_arcs(net_a):
     assert not reaches(net_a, ("p", "a"), ("p", "b"))
     with pytest.raises(InputError):
         reaches(net_a, ("a", "b"), "c")
+
+
+def _closure(d):
+    """Warshall's closure: each vertex's set of vertices it weakly reaches."""
+    reach = {v: {v, *d.children(v)} for v in d.vertices}
+    for w in d.vertices:
+        for v in d.vertices:
+            if w in reach[v]:
+                reach[v] |= reach[w]
+    return reach
+
+
+def test_reaches_matches_a_transitive_closure():
+    """Every vertex/vertex, vertex/arc and arc/arc pair of small generated
+    networks and of their extension trees."""
+    for seed in range(4):
+        for leaves, retics, rate in ((4, 1, 0.0), (5, 2, 0.3), (6, 3, 0.5)):
+            network = generate(GeneratorParams(leaves, retics, rate, seed)).network
+            for d in (network, default_extension(network).gamma):
+                reach = _closure(d)
+                items = d.vertices + d.arcs
+                for a in items:
+                    head = a[1] if isinstance(a, tuple) else a
+                    for b in items:
+                        tail = b[0] if isinstance(b, tuple) else b
+                        strict = isinstance(a, str) and a == b
+                        assert reaches(d, a, b) == (tail in reach[head] and not strict), \
+                            (seed, leaves, a, b)
 
 
 def test_canonical_form_ignores_child_order():

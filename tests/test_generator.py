@@ -1,8 +1,12 @@
-"""Seeded instance generation: determinism, structure, and answer bias."""
+"""Seeded instance generation: determinism, structure, answer bias, and
+the generator's steps against the whole-graph versions they replace."""
+
+import random
 
 import pytest
 
 from stc import (
+    Digraph,
     GeneratorParams,
     InputError,
     PhyloKind,
@@ -11,6 +15,7 @@ from stc import (
     generate,
     soft_display,
 )
+from stc.generator import _add_reticulation, _contract_marked, _random_binary_tree
 
 
 def test_params_validated():
@@ -83,3 +88,143 @@ def test_unlabeled_permutes_taxa_only():
     assert a.network == b.network
     assert a.tree.arcs == b.tree.arcs
     assert a.tree.taxa == b.tree.taxa
+
+
+# -- reference steps ---------------------------------------------------------
+#
+# The generator's steps as first written on `Digraph`: each reticulation
+# attempt built the graph, tested reachability on its descendant closure and
+# classified the result, and each contraction rebuilt and classified the
+# graph.  The steps on arc lists and maps must draw, count and decide alike.
+
+
+def _reference_descendants(d):
+    """Strict descendants of every vertex of the acyclic `d`."""
+    desc: dict = {}
+    for v in reversed(d.topological_order()):
+        desc[v] = set(d.children(v)).union(*(desc[w] for w in d.children(v)))
+    return desc
+
+
+def _reference_contract(d, arc):
+    """Contract (u, v): v's neighbours move to u, v disappears, and
+    duplicate arcs collapse."""
+    (u, v) = arc
+    arcs = [(u if a == v else a, u if b == v else b)
+            for (a, b) in d.arcs if (a, b) != arc]
+    return Digraph([(a, b) for (a, b) in arcs if a != b],
+                   {x: t for x, t in d.labels.items() if x != v},
+                   [x for x in d.vertices if x != v])
+
+
+def _reference_random_binary_tree(rng, leaves, counter):
+    def fresh():
+        counter[0] += 1
+        return f"v{counter[0] - 1}"
+
+    root = fresh()
+    arcs = [(root, fresh()), (root, fresh())]
+    for _ in range(leaves - 2):
+        (u, v) = rng.choice(sorted(arcs))
+        mid, leaf = fresh(), fresh()
+        arcs.remove((u, v))
+        arcs += [(u, mid), (mid, v), (mid, leaf)]
+    return arcs
+
+
+def _reference_add_reticulation(rng, arcs, counter):
+    pool = sorted(arcs)
+    trial = list(arcs)
+    graph = Digraph(trial)
+    retics = sorted(v for v in graph.vertices if graph.in_degree(v) >= 2)
+    if retics and rng.random() < 0.3:
+        r = rng.choice(retics)
+        (a, b) = rng.choice(pool)
+        if b == r or a == r or a in _reference_descendants(graph)[r]:
+            return None
+        mid = f"v{counter[0]}"
+        counter[0] += 1
+        trial.remove((a, b))
+        trial += [(a, mid), (mid, b), (mid, r)]
+    else:
+        (a, b) = rng.choice(pool)
+        (c, d) = rng.choice(pool)
+        if (a, b) == (c, d):
+            return None
+        x, y = f"v{counter[0]}", f"v{counter[0] + 1}"
+        counter[0] += 2
+        trial.remove((a, b))
+        trial.remove((c, d))
+        trial += [(a, x), (x, b), (c, y), (y, d), (x, y)]
+    tails = {u for u, _ in trial}
+    labels = {v: v for _, v in trial if v not in tails}
+    if classify(Digraph(trial, labels)).kind not in (PhyloKind.NETWORK, PhyloKind.TREE):
+        return None
+    return trial
+
+
+def _reference_contract_marked(work, marked):
+    merged: dict = {}
+
+    def find(v):
+        while v in merged:
+            v = merged[v]
+        return v
+
+    for (u, v) in marked:
+        tail = find(u)
+        if v not in work or not work.has_arc(tail, v):
+            continue
+        if set(work.children(tail)) & set(work.children(v)):
+            continue
+        candidate = _reference_contract(work, (tail, v))
+        if not classify(candidate):
+            continue
+        work = candidate
+        merged[v] = tail
+    return work
+
+
+def _marks(graph, rng, rate):
+    """Arcs drawn as `generate` draws them for contraction."""
+    return [(u, v) for (u, v) in graph.arcs
+            if graph.children(v) and graph.in_degree(v) == 1
+            and graph.in_degree(u) <= 1 and rng.random() < rate]
+
+
+def test_steps_match_their_whole_graph_references():
+    rejected = {"cycle": 0, "other": 0}
+    contracted = 0
+    for leaves, retics in ((4, 2), (6, 5), (10, 8), (16, 14)):
+        for seed in range(20):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            counter, ref_counter = [0], [0]
+            arcs = _random_binary_tree(rng, leaves, counter)
+            ref_arcs = _reference_random_binary_tree(ref_rng, leaves, ref_counter)
+            assert arcs == sorted(ref_arcs)
+            assert rng.getstate() == ref_rng.getstate() and counter == ref_counter
+            added = 0
+            for _ in range(10 * retics):
+                if added == retics:
+                    break
+                before = counter[0]
+                trial = _add_reticulation(rng, arcs, counter)
+                ref = _reference_add_reticulation(ref_rng, ref_arcs, ref_counter)
+                assert rng.getstate() == ref_rng.getstate(), (leaves, seed)
+                assert counter == ref_counter, (leaves, seed)
+                if ref is None:
+                    assert trial is None, (leaves, seed)
+                    rejected["cycle" if counter[0] > before else "other"] += 1
+                else:
+                    assert trial == sorted(ref), (leaves, seed)
+                    arcs, ref_arcs = trial, ref
+                    added += 1
+            tails = {u for u, _ in arcs}
+            network = Digraph(arcs, {v: v for _, v in arcs if v not in tails})
+            tree = generate(GeneratorParams(leaves, retics, 0.0, seed)).tree
+            for graph in (network, tree):
+                marks = _marks(graph, random.Random(seed), 0.6)
+                out = _contract_marked(graph, marks)
+                assert out == _reference_contract_marked(graph, marks), (leaves, seed)
+                contracted += len(graph) - len(out)
+    assert min(rejected.values()) >= 40 and contracted >= 500, (rejected, contracted)

@@ -201,12 +201,16 @@ def _outcome(check, phi, tree, network):
         return type(exc)
 
 
+def _reachable(d, u, v):
+    return u == v or reaches(d, u, v)
+
+
 def _random_path(network, start, end, rng):
     """A uniformly chosen next hop at each step of a path from start to end."""
     path = [start]
     while path[-1] != end:
         path.append(rng.choice([w for w in network.children(path[-1])
-                                if network.reachable(w, end)]))
+                                if _reachable(network, w, end)]))
     return tuple(path)
 
 
@@ -229,7 +233,7 @@ def _mutations(phi, network, rng):
         out.append({a: _random_path(network, p[0], p[-1], rng) if rng.random() < 0.5
                     else p for a, p in phi.items()})
     for a in rng.sample(arcs, min(3, len(arcs))):
-        leaf = rng.choice([v for v in network.leaves if network.reachable(phi[a][0], v)])
+        leaf = rng.choice([v for v in network.leaves if _reachable(network, phi[a][0], v)])
         out.append({**phi, a: _random_path(network, phi[a][0], leaf, rng)})
         out.append({**phi, a: phi[a][:-1] or phi[a]})
     out.append({**phi, arcs[0]: phi[arcs[0]][::-1]})
