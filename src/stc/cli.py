@@ -108,7 +108,7 @@ def solve_cmd(network_path, tree_path, extension_path, witness, decision_only,
     t = _load_network(tree_path)
     ext = _load_extension(extension_path, n) if extension_path else None
     inst = preprocess(n, t, ext)
-    result = solve(inst, keep_tables=not decision_only)
+    result = solve(inst, keep_tables=witness)
     if not result.displayed:
         print("NO")
         return EXIT_NO
@@ -309,7 +309,8 @@ def _build_parser():
     sub = command(commands, "solve", solve_cmd, optional="ntx")
     sub.add_argument("--witness", action="store_true", help="print an embedding on yes")
     sub.add_argument("--decision-only", action="store_true",
-                     help="free tables eagerly; excludes --witness")
+                     help="free tables eagerly, the default without --witness; "
+                          "excludes --witness")
     sub.add_argument("--batch", dest="batch_dir", metavar="DIR",
                      help="solve every NAME.network/NAME.tree pair in a directory")
     sub.add_argument("--jobs", type=int, default=1, metavar="N",

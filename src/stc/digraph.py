@@ -20,7 +20,9 @@ value, which is harmless.
 
 from __future__ import annotations
 
+import itertools
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -231,19 +233,15 @@ class Digraph:
 
     # -- fresh ids ---------------------------------------------------------
 
-    @_cached
-    def _fresh_counter(self) -> int:
-        best = 0
-        for v in self._vertices:
-            m = _FRESH_ID_RE.match(v)
-            if m:
-                best = max(best, int(m.group(1)) + 1)
-        return best
+    def fresh_names(self) -> Iterator[str]:
+        """A new endless iterator of the ids g<n>, n counting up from past
+        every such id of the graph, so that none collides with a vertex."""
+        used = [int(m[1]) for m in map(_FRESH_ID_RE.match, self._vertices) if m]
+        return (f"g{n}" for n in itertools.count(max(used, default=-1) + 1))
 
     def fresh_ids(self, count) -> tuple[str, ...]:
-        """`count` ids of the form g<n> that do not collide with existing ones."""
-        start = self._fresh_counter
-        return tuple(f"g{start + i}" for i in range(count))
+        """The first `count` of `fresh_names()`."""
+        return tuple(itertools.islice(self.fresh_names(), count))
 
 
 # -- classification --------------------------------------------------------

@@ -256,21 +256,20 @@ def _cut_above(order, parent, parents, children) -> dict[str, int]:
 # -- maintenance under pipeline rewrites ------------------------------------
 #
 # Each step of the reduction owns one rewrite, `step.rewrite(state)`, which
-# changes a `RewriteState` in place: the host, the extension tree and its
-# cut sizes.  `update_extension(ext, step)` runs that rewrite on a fresh
-# state and builds the result once.  A step's `kind` names it in the output
-# of `stc reduce`.
+# changes a `RewriteState` in place: the host and the extension tree.
+# `update_extension(ext, step)` runs that rewrite on a new state and builds
+# the result once.  A step's `kind` names it in the output of `stc reduce`.
 
 
 class RewriteState:
-    """A host and a tree extension of it, as mutable maps.
+    """A host and a tree extension of it, as mutable maps, and its width.
 
     The host is `parents` and `children` (vertex -> sorted tuple of
     vertices) and `labels`: copies of the maps of the host last taken, in
     which a rewrite replaces the tuples of the vertices it touches, so
     `host()` builds a graph from them without sorting a tuple.  The
-    extension is `parent` (child -> parent; the root has no entry) and
-    `above` (the size of the cut just above each vertex).
+    extension is `parent` (child -> parent; the root has no entry).
+    `width` is measured by `take`, the only rewrite that can change it.
     """
 
     def __init__(self, host: Digraph, parent):
@@ -278,31 +277,26 @@ class RewriteState:
 
     @classmethod
     def carrying(cls, host: Digraph, ext: TreeExtension | None = None) -> "RewriteState":
-        """`host` with `ext` and its cut sizes; by default the extension is
-        `default_extension(host)`."""
+        """`host` with `ext`, by default `default_extension(host)`."""
         if ext is None:
             return cls(host, _default_parent(host))
         return cls(host, dict(ext._valid_index().parent))
 
     def take(self, host: Digraph, parent) -> None:
-        """Make `host` the state's host and `parent` its extension, and count
-        the cuts; fresh ids count on from the host's own."""
+        """Make `host` the state's host and `parent` its extension, and
+        measure the width; fresh ids are the host's `fresh_names()`."""
         self.parents = dict(host._parents)
         self.children = dict(host._children)
         self.labels = host._labels
-        self._fresh = host._fresh_counter
+        self._names = host.fresh_names()
         self.parent = parent
         order = _root_first(host.vertices, parent)
-        self.above = _cut_above(order, parent, host._parents, host._children)
+        self.width = max(_cut_above(order, parent, host._parents, host._children).values())
 
     def fresh_id(self) -> str:
-        """The id that `Digraph.fresh_ids(1)` gives, if every vertex added
-        since the last `take` came from here."""
-        self._fresh += 1
-        return f"g{self._fresh - 1}"
-
-    def width(self) -> int:
-        return max(self.above.values())
+        """The next of the host's `fresh_names()` from the last `take`: no
+        vertex has it, if every vertex added since came from here."""
+        return next(self._names)
 
     def host(self) -> Digraph:
         # New vertices were added last: only the keys need sorting.
@@ -326,6 +320,10 @@ class AttachRootStep:
     new_root: str
 
     def rewrite(self, state: RewriteState) -> None:
+        """Leaves the width as it is: the new arc enters only the subtree of
+        the old root, whose cut was empty, and every arc of the host (a
+        network has one) crosses the cut above its head, so the width is
+        already at least 1."""
         new = self.new_root
         if new in state.parents:
             raise InputError(f"root id {new!r} already present")
@@ -336,9 +334,6 @@ class AttachRootStep:
         state.parents[new], state.children[new] = (), (root,)
         state.parents[root] = (new,)
         state.parent[root] = new    # the host root tops a valid extension
-        # The new arc enters only the subtree of the old root.
-        state.above[new] = 0
-        state.above[root] += 1
 
 
 @dataclass(frozen=True)
@@ -350,6 +345,10 @@ class InSplitStep:
     new_vertex: str
 
     def rewrite(self, state: RewriteState) -> None:
+        """Leaves the width as it is: `p1` and `p2` lie above `new` in a
+        valid extension, so the cut above `new` is the old cut above `v`,
+        the cut above `v` loses one arc, as one arc enters `v` where two
+        did, and no other cut changes."""
         v, (p1, p2), new = self.vertex, self.parents, self.new_vertex
         ps = state.parents.get(v)
         if ps is None:
@@ -368,10 +367,6 @@ class InSplitStep:
         # `v` has parents, so it is no root of the valid extension.
         state.parent[new] = state.parent[v]
         state.parent[v] = new
-        # p1 and p2 lie above `new`, so the cut above `new` is the old cut
-        # above `v`, and one arc enters `v` where two did.
-        state.above[new] = state.above[v]
-        state.above[v] -= 1
 
 
 @dataclass(frozen=True)
@@ -381,6 +376,7 @@ class RestrictStep:
     new_host: Digraph
 
     def rewrite(self, state: RewriteState) -> None:
+        """The one rewrite that can change the width; `take` measures it."""
         # `prune_to_leafset` computed the pruned host from the state's host.
         host = self.new_host
         state.take(host, _restricted_parent(state.parent, state.parents, host))

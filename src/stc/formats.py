@@ -156,7 +156,7 @@ class _Newick:
         self.text = text
         self.pos = 0
         self.counter = 0
-        self.arcs: list = []
+        self.arcs: set = set()
         self.labels: dict = {}
         self.hybrids: dict = {}       # tag -> vertex id
         self.has_children: set = set()
@@ -189,14 +189,16 @@ class _Newick:
         if self.pos != len(self.text):
             self.error("trailing characters after ';'")
         root = self.assign(tree)
-        labels = {v: t for v, t in self.labels.items()
+        labels = {v: t for v, t in sorted(self.labels.items())
                   if v not in self.has_children}
         seen = set()
-        for v, t in sorted(labels.items()):
+        for t in labels.values():
             if t in seen:
                 raise ParseError(f"taxon {t!r} on two distinct leaves", 1, 1)
             seen.add(t)
-        return Digraph(self.arcs, labels, (root,))
+        # Every invariant of a `Digraph` is checked here and by `assign`.
+        vertices = tuple(sorted({root, *(x for arc in self.arcs for x in arc)}))
+        return Digraph._of(vertices, *_adjacency(vertices, sorted(self.arcs)), labels)
 
     def subtree(self) -> dict:
         # `open_nodes` holds the children read so far and the start of every
@@ -248,8 +250,14 @@ class _Newick:
                     self.labels[vid] = node["name"]
             if parent is None:
                 root_id = vid
+            elif vid == parent:
+                raise ParseError(f"hybrid {tag!r} is a child of itself",
+                                 1, node["pos"] + 1)
+            elif (parent, vid) in self.arcs:
+                raise ParseError(f"hybrid {tag!r} is a child of one parent twice",
+                                 1, node["pos"] + 1)
             else:
-                self.arcs.append((parent, vid))
+                self.arcs.add((parent, vid))
             if node["children"]:
                 self.has_children.add(vid)
                 stack += [(child, vid) for child in reversed(node["children"])]

@@ -246,7 +246,7 @@ def _resolve(n: Digraph, side: str):
         options.append([(v, s) for s in _shapes(tuple(ends))])
     for combo in itertools.product(*options):
         arcs = list(n.arcs)
-        counter = [n._fresh_counter]
+        names = n.fresh_names()
         for (v, shape) in combo:
             if side == "in":
                 arcs = [a for a in arcs if a[1] != v]
@@ -254,19 +254,18 @@ def _resolve(n: Digraph, side: str):
                 arcs = [a for a in arcs if a[0] != v]
             a, b = shape
             for half in (a, b):
-                top = _materialize(half, arcs, counter, side)
+                top = _materialize(half, arcs, names, side)
                 arcs.append((top, v) if side == "in" else (v, top))
         yield Digraph(arcs, n.labels)
 
 
-def _materialize(shape, arcs, counter, side):
+def _materialize(shape, arcs, names, side):
     if not isinstance(shape, tuple):
         return shape
     a, b = shape
-    nid = f"g{counter[0]}"
-    counter[0] += 1
+    nid = next(names)
     for half in (a, b):
-        top = _materialize(half, arcs, counter, side)
+        top = _materialize(half, arcs, names, side)
         arcs.append((top, nid) if side == "in" else (nid, top))
     return nid
 

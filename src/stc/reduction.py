@@ -4,18 +4,17 @@ Order of operations: prune the network down to the tree's taxa, resolve high
 in-degrees by caterpillar in-splitting, attach degree-1 roots to both sides,
 and finally canonicalize the tree extension.  The network and the extension
 go through those steps as one set of mutable maps (`RewriteState`), which
-also keeps the extension's cut sizes, so the width after each step costs
-no rebuild; the reduced network and its canonical extension are built once,
-at the end, and `AugmentedInstance.check` validates them once.  Vertices of
-out-degree 3+ stay as they are: the solver resolves each soft polytomy
-itself.
+also keeps the extension's width, measured only where it can change; the
+reduced network and its canonical extension are built once, at the end,
+and `AugmentedInstance.check` validates them once.  Vertices of out-degree
+3+ stay as they are: the solver resolves each soft polytomy itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .digraph import Digraph, PhyloKind, classify
+from .digraph import Digraph, PhyloKind, _adjacency, classify
 from .errors import InputError, InternalError, SemanticError
 from .extension import (
     AttachRootStep,
@@ -83,8 +82,10 @@ def tidy(d: Digraph, keep_taxa) -> Digraph:
             break
     if not alive:
         raise SemanticError("pruning removed the entire graph")
-    arcs = [(u, v) for u in sorted(alive) for v in sorted(children[u])]
-    return Digraph(arcs, labels, alive)
+    # Sorted arcs, no self-loop (see `p != c`), and labels of `d`'s leaves.
+    vertices = tuple(sorted(alive))
+    arcs = [(u, v) for u in vertices for v in sorted(children[u])]
+    return Digraph._of(vertices, *_adjacency(vertices, arcs), labels)
 
 
 def prune_to_leafset(n: Digraph, taxa) -> tuple[Digraph, RestrictStep]:
@@ -156,13 +157,13 @@ class AugmentedInstance:
 def _carry(state: RewriteState, step, trace: ReductionTrace) -> None:
     step.rewrite(state)
     trace.steps.append(step)
-    trace.widths.append(state.width())
+    trace.widths.append(state.width)
 
 
 def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
                    taxa=None) -> tuple[TreeExtension, ReductionTrace]:
-    """Run the network side of the pipeline; returns the canonical extension
-    of the augmented network (whose root is fresh) and the trace.
+    """Run the network side of the pipeline on a network; returns the
+    canonical extension of the augmented network (fresh root) and the trace.
 
     `taxa`, if given, must be taxa of `n`: that is checked first, and
     `ext`, if given, is validated next; the result is not, as
@@ -175,7 +176,7 @@ def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
             raise InputError("extension does not belong to the given network")
         ext.require_valid()
     state = RewriteState.carrying(n, ext)
-    trace = ReductionTrace(widths=[state.width()])
+    trace = ReductionTrace(widths=[state.width])
     if prune is not None:
         _carry(state, prune, trace)
     # An in-split lowers only its target's in-degree, and the new vertex has
@@ -207,7 +208,7 @@ def _require_tree(t: Digraph) -> None:
 
 def _with_degree_1_root(t: Digraph) -> Digraph:
     """`t` with a fresh root above its root, built from `t`'s maps."""
-    (root,), rho = t.roots, t.fresh_ids(1)[0]
+    (root,), rho = t.roots, next(t.fresh_names())
     vertices = tuple(sorted((*t.vertices, rho)))
     parents = {v: t._parents.get(v, ()) for v in vertices}
     parents[root] = (rho,)

@@ -399,7 +399,7 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
     overlap: set[Arc] = set()
     tail: dict[int, str] = {}  # network arc id -> its tail in the resolution
     resolution: list[Arc] = []
-    fresh = int(network.fresh_ids(1)[0][1:])
+    names = network.fresh_names()
 
     def start(arc, u, v):
         if arc in started:
@@ -447,9 +447,9 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
                         tail[part] = w
                         resolution.append((w, n_arcs[part][1]))
                     else:
-                        resolution.append((w, f"g{fresh}"))
-                        nodes.append((part, w, f"g{fresh}"))
-                        fresh += 1
+                        fresh = next(names)
+                        resolution.append((w, fresh))
+                        nodes.append((part, w, fresh))
             stack.append((below[v], inner))
         elif tag[0] == "join":
             parts = tag[1:]

@@ -87,10 +87,19 @@ def test_criterion_3_reduction_preservation(suite, capsys):
 
 
 def test_criterion_4_width_bounds(suite, capsys):
+    # The widths are measured on every step's extension, built afresh from
+    # the reduction's starting one, and the trace must report them.
     violations = []
     for name, n, t, ext in suite:
         trace = preprocess(n, t, ext).trace
-        for step, before, after in zip(trace.steps, trace.widths, trace.widths[1:]):
+        carried = ext or default_extension(n)
+        widths = [carried.width()]
+        for step in trace.steps:
+            carried = update_extension(carried, step)
+            widths.append(carried.width())
+        if widths != trace.widths:
+            violations.append(f"{name}:trace")
+        for step, before, after in zip(trace.steps, widths, widths[1:]):
             if isinstance(step, InSplitStep) and after > before:
                 violations.append(f"{name}:{step.vertex}")
     _report(capsys, 4, "width bounds along the reduction", not violations,

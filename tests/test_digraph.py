@@ -12,6 +12,7 @@ from stc import (
     default_extension,
     generate,
     parse_edgelist,
+    parse_enewick,
     parse_extension,
     preprocess,
     reaches,
@@ -206,6 +207,12 @@ def test_parsed_documents_are_built_as_checked(suite):
         _assert_built_as_checked(parse_edgelist(_reversed_lines(serialize_edgelist(t))))
         doc = _reversed_lines(serialize_extension(ext))
         _assert_built_as_checked(parse_extension(doc, parsed).gamma)
+    # Ids n0, n1, ... past n9, so that parse order is not sorted order, and
+    # hybrids reached first as leaves or with their children.
+    for doc in ("((a,b),c);", "(((a,b),(c)#H1),(#H1,d));",
+                "((#H1,(e,(f,g))),((x,y)#H1,(#H2,z)),(w)#H2);",
+                "((a,(b)#H1),(#H1,(c,(d,(e,(f,(g,h)))))));"):
+        _assert_built_as_checked(parse_enewick(doc))
 
 
 @pytest.mark.parametrize("seed", [2, 3, 9, 11])
@@ -217,6 +224,8 @@ def test_rewritten_graphs_are_built_as_checked(seed):
     ext, trace = reduce_network(n, taxa=taxa)
     kinds = [step.kind for step in trace.steps]
     assert kinds[0] == "prune" and "insplit" in kinds
+    # The pruned host, as `tidy` builds it.
+    _assert_built_as_checked(trace.steps[0].new_host)
     # Each step's host and extension tree, as `RewriteState.host()` and
     # `_extension` build them, and the canonical result.
     carried = default_extension(n)

@@ -222,6 +222,13 @@ def test_enewick_errors():
         parse_enewick("((a)#H1,(b)#H1);")   # two child sets for one hybrid
     with pytest.raises(ParseError):
         parse_enewick("(a:x,b);")
+    # A hybrid twice below one parent, and a hybrid below itself: each is
+    # refused at the occurrence that makes the arc again or the self-loop.
+    for doc, column, what in (("(#H1,#H1,(a,b)#H1);", 6, "of one parent twice"),
+                              ("((#H1,b)#H1,c);", 3, "of itself")):
+        with pytest.raises(ParseError, match=what) as info:
+            parse_enewick(doc)
+        assert (info.value.line, info.value.column) == (1, column)
 
 
 def test_serialize_is_sorted(net_a):
