@@ -223,8 +223,28 @@ class Digraph:
             return None
         return tuple(order)
 
+    @_cached
+    def _acyclic(self) -> bool:
+        """Whether no directed cycle exists: read off the sorted order if it
+        is cached, else found by a Kahn pass on a plain stack, whose
+        visiting order does not matter here."""
+        if "_topo_order" in self.__dict__:
+            return self._topo_order is not None
+        children = self._children
+        indeg = {v: len(ps) for v, ps in self._parents.items()}
+        stack = [v for v, d in indeg.items() if not d]
+        seen = 0
+        while stack:
+            v = stack.pop()
+            seen += 1
+            for w in children[v]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    stack.append(w)
+        return seen == len(self._vertices)
+
     def is_acyclic(self) -> bool:
-        return self._topo_order is not None
+        return self._acyclic
 
     def topological_order(self) -> tuple[str, ...]:
         if self._topo_order is None:
@@ -308,6 +328,14 @@ def classify(d: Digraph) -> PhyloClass:
     if reticulation is None:
         return PhyloClass(PhyloKind.TREE)
     return PhyloClass(PhyloKind.NETWORK, reticulation)
+
+
+def _classify_acyclic(d: Digraph) -> PhyloClass:
+    """`classify(d)` for a graph already proven acyclic, for example by a
+    valid tree extension of it: the fact is recorded, so the cycle search
+    is skipped."""
+    d.__dict__.setdefault("_acyclic", True)
+    return classify(d)
 
 
 # -- extended reachability -------------------------------------------------

@@ -270,6 +270,9 @@ class RewriteState:
     `host()` builds a graph from them without sorting a tuple.  The
     extension is `parent` (child -> parent; the root has no entry).
     `width` is measured by `take`, the only rewrite that can change it.
+    `canonical` says whether `parent` is canonical by construction: it is
+    when it came from `_default_parent`, and the in-splits and the root
+    attachment keep it so; a map given to `take` is not known to be.
     """
 
     def __init__(self, host: Digraph, parent):
@@ -279,7 +282,9 @@ class RewriteState:
     def carrying(cls, host: Digraph, ext: TreeExtension | None = None) -> "RewriteState":
         """`host` with `ext`, by default `default_extension(host)`."""
         if ext is None:
-            return cls(host, _default_parent(host))
+            state = cls(host, _default_parent(host))
+            state.canonical = True
+            return state
         return cls(host, dict(ext._valid_index().parent))
 
     def take(self, host: Digraph, parent) -> None:
@@ -290,6 +295,7 @@ class RewriteState:
         self.labels = host._labels
         self._names = host.fresh_names()
         self.parent = parent
+        self.canonical = False
         order = _root_first(host.vertices, parent)
         self.width = max(_cut_above(order, parent, host._parents, host._children).values())
 
@@ -307,10 +313,16 @@ class RewriteState:
 
     def canonical_extension(self) -> TreeExtension:
         """The host, built once, with the canonical form of the carried
-        extension: what `canonicalize` returns for that extension."""
+        extension: what `canonicalize` returns for that extension.  When
+        `canonical` holds, that is the carried extension itself: on a
+        canonical extension, the subtrees of a vertex's children are the
+        weak components that `_canonical_parent` meets there."""
         host = self.host()
-        order = reversed(_root_first(host.vertices, self.parent))
-        return _extension(host, _canonical_parent(host._children, order))
+        parent = self.parent
+        if not self.canonical:
+            order = reversed(_root_first(host.vertices, parent))
+            parent = _canonical_parent(host._children, order)
+        return _extension(host, parent)
 
 
 @dataclass(frozen=True)
@@ -323,7 +335,11 @@ class AttachRootStep:
         """Leaves the width as it is: the new arc enters only the subtree of
         the old root, whose cut was empty, and every arc of the host (a
         network has one) crosses the cut above its head, so the width is
-        already at least 1."""
+        already at least 1.
+
+        Keeps a canonical extension canonical: the host below the new root
+        is the old host plus the new arc, so it is weakly connected; the new
+        root has one child in both graphs; and no other subtree changes."""
         new = self.new_root
         if new in state.parents:
             raise InputError(f"root id {new!r} already present")
@@ -348,7 +364,13 @@ class InSplitStep:
         """Leaves the width as it is: `p1` and `p2` lie above `new` in a
         valid extension, so the cut above `new` is the old cut above `v`,
         the cut above `v` loses one arc, as one arc enters `v` where two
-        did, and no other cut changes."""
+        did, and no other cut changes.
+
+        Keeps a canonical extension canonical: the host below `new` is the
+        host below `v` plus the arc `new -> v`, so it is weakly connected; in
+        a larger subtree, a walk along `p1 -> v` or `p2 -> v` now runs
+        through `new`; `new` has one child in both graphs, every other
+        out-degree stays, and no leaf changes."""
         v, (p1, p2), new = self.vertex, self.parents, self.new_vertex
         ps = state.parents.get(v)
         if ps is None:

@@ -238,7 +238,9 @@ class _Newick:
             tag = node["tag"]
             if tag is not None:
                 known = tag in self.hybrids
-                vid = self.hybrids.setdefault(tag, self.fresh())
+                if not known:
+                    self.hybrids[tag] = self.fresh()
+                vid = self.hybrids[tag]
                 if node["children"] and vid in self.has_children:
                     raise ParseError(f"hybrid {tag!r} given two child sets",
                                      1, node["pos"] + 1)

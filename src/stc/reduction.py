@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .digraph import Digraph, PhyloKind, _adjacency, classify
+from .digraph import Digraph, PhyloKind, _adjacency, _classify_acyclic, classify
 from .errors import InputError, InternalError, SemanticError
 from .extension import (
     AttachRootStep,
@@ -138,7 +138,13 @@ class AugmentedInstance:
         return self.tree.root()
 
     def check(self) -> None:
-        if classify(self.network).kind is not PhyloKind.ROOTED_DAG_DEG1_ROOT:
+        """Raise unless the instance has the form `solve` relies on.
+
+        The extension is checked first: a valid one proves its host
+        acyclic, as pre-order numbers increase along every host arc, so the
+        network is classified without a cycle search."""
+        self.extension.require_valid()
+        if _classify_acyclic(self.network).kind is not PhyloKind.ROOTED_DAG_DEG1_ROOT:
             raise InternalError("reduced network misses the degree-1-root form")
         if classify(self.tree).kind is not PhyloKind.ROOTED_DAG_DEG1_ROOT:
             raise InternalError("reduced tree misses the degree-1-root form")
@@ -148,7 +154,6 @@ class AugmentedInstance:
             raise InternalError("reduced tree is not an out-tree")
         if self.network.taxa != self.tree.taxa:
             raise InternalError("network and tree taxa differ after reduction")
-        self.extension.require_valid()
         problems = self.extension.canonicality_violations()
         if problems:
             raise InternalError("extension is not canonical: " + "; ".join(problems))

@@ -214,9 +214,12 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     as soon as they have been combined, which bounds memory by the tables
     along one root-to-leaf slice.  The sweep visits the extension's vertices
     in the reverse of its pre-order index (`TreeIndex.order`), children
-    first, and per-vertex stats are always collected in that order.  A
-    vertex with one extension child `q` uses `q`'s above table as its below;
-    with more, the below table joins their above tables.
+    first, and per-vertex stats are collected in that order.  A vertex with
+    one extension child `q` uses `q`'s above table as its below; with more,
+    the below table joins their above tables.  So every table above an
+    empty one is empty, up to the final one: the sweep stops at the first
+    vertex whose above table is empty, with the answer NO, and `stats` and
+    `tables` run up to and including that vertex.
 
     Arcs are numbered by their index in the sorted `arcs` of their graph, and
     a pair is the int `tree_index << shift | network_index`, so a signature is
@@ -332,6 +335,8 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
             for q in qs:
                 above.pop(q, None)
                 below.pop(q, None)
+        if not above[v]:
+            break   # so is every table above it, up to the final one: NO
 
     final = n.children(rho_n)[0]
     top = tree_id[rho_t, t.children(rho_t)[0]]

@@ -15,13 +15,17 @@ from hypothesis import strategies as st
 
 import stc
 from stc import (
+    Digraph,
     GeneratorParams,
+    TreeExtension,
     check_embedding,
+    default_extension,
     generate,
     parse_edgelist,
     preprocess,
     prune_to_leafset,
     serialize_edgelist,
+    serialize_extension,
     solve,
 )
 from stc.cli import main
@@ -257,6 +261,50 @@ def test_reduce_output_is_pinned(seed, dropped, tmp_path, capsys):
                (tmp_path / "out.extension").read_text(), stdout)
     assert tuple(hashlib.sha256(text.encode()).hexdigest()
                  for text in outputs) == _REDUCE_GOLDEN[seed, dropped]
+
+
+# sha256 of PREFIX.network, PREFIX.extension and stdout of `stc reduce -x -t`
+# on `GeneratorParams(12, 6, 0.5, 5, "yes-biased")`, given an extension that
+# the reduction must canonicalize: a chain along the network's topological
+# order, or the default extension against a tree without its last six taxa,
+# whose pruned host it no longer fits canonically.
+_REDUCE_X_GOLDEN = {
+    ("chain", 0): ("2cb8cf4ae098dcf05f7e91868d98dbac5928932525a8564eac8f374f08c24a82",
+                   "20841c458ca43fda58a90c850a4ae7bb95b1cb25ee054d09f4aa9c251e2e0495",
+                   "03ac1199906c015e2898f230eb9bd945fc1f1bfbcc6328edf7c0b2cd252e6ba5"),
+    ("chain", 6): ("eab961a311cd776c8e0ca2ce6c2b40d6af1b5f14eb1636a4aad5d5c4c60378dc",
+                   "ace73472be2b8e5781434496bdf1502573c99b8763bd8277ff83fd1cc2561993",
+                   "7245b5c8834abca161c2f62fa93a2f33e40ce80635fbfa07fbb474e17b804a31"),
+    ("default", 6): ("eab961a311cd776c8e0ca2ce6c2b40d6af1b5f14eb1636a4aad5d5c4c60378dc",
+                     "ace73472be2b8e5781434496bdf1502573c99b8763bd8277ff83fd1cc2561993",
+                     "f718ca5d14604d7f9d95b790392465f62930110e2250334fa9ab35e3ffdf5cc8"),
+}
+
+
+@pytest.mark.parametrize("given, dropped", sorted(_REDUCE_X_GOLDEN))
+def test_reduce_canonicalizes_a_given_extension(given, dropped, tmp_path, capsys):
+    inst = generate(GeneratorParams(12, 6, 0.5, 5, "yes-biased"))
+    network, tree = inst.network, inst.tree
+    if dropped:
+        tree, _ = prune_to_leafset(tree, sorted(tree.taxa)[:-dropped])
+    ext = default_extension(network)
+    if given == "chain":
+        order = network.topological_order()
+        ext = TreeExtension(network, Digraph(list(zip(order, order[1:]))))
+    files = {"net": inst.network_doc, "tree": serialize_edgelist(tree),
+             "ext": serialize_extension(ext)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    prefix = tmp_path / "out"
+    assert main(["reduce", "-n", str(tmp_path / "net"), "-x", str(tmp_path / "ext"),
+                 "-t", str(tmp_path / "tree"), "-o", str(prefix)]) == 0
+    stdout = capsys.readouterr().out
+    kinds = [line.split()[1] for line in stdout.splitlines()]
+    assert ("prune" in kinds) == bool(dropped)
+    outputs = ((tmp_path / "out.network").read_text(),
+               (tmp_path / "out.extension").read_text(), stdout)
+    assert tuple(hashlib.sha256(text.encode()).hexdigest()
+                 for text in outputs) == _REDUCE_X_GOLDEN[given, dropped]
 
 
 # sha256 of `stc solve --witness` stdout on two of the instances above.  The

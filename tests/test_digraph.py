@@ -70,6 +70,11 @@ def test_cycle_detected():
     assert not reaches(d, "a", "x")
     assert not reaches(d, "a", "a")              # strict on vertices
     assert reaches(d, ("a", "b"), ("a", "b"))    # b reaches a round the cycle
+    # read off a cached sorted order instead of a pass of its own
+    for arcs, acyclic in ((d.arcs, False), (d.arcs[1:], True)):
+        fresh = Digraph(arcs)
+        fresh._topo_order
+        assert fresh.is_acyclic() is acyclic
 
 
 def test_fresh_ids_never_collide():

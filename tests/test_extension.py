@@ -1,6 +1,7 @@
 """Tree extensions: validity, scan cuts, canonical form, and maintenance."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,14 +18,17 @@ from stc import (
     canonicalize,
     default_extension,
     generate,
+    reduce_network,
     update_extension,
 )
+from stc import reduction
 from stc.extension import (
     AttachRootStep,
     InSplitStep,
     RestrictStep,
     RewriteState,
     _canonical_parent,
+    _root_first,
 )
 
 
@@ -330,3 +334,47 @@ def test_extension_machinery_matches_the_reference():
     assert sum(kinds.values()) == 450
     assert min(kinds.values()) >= 100
     assert max(widths) >= 5
+
+
+def test_in_splits_and_the_root_keep_the_default_extension_canonical(suite, monkeypatch):
+    # A state that claims a canonical map must hold its own canonical form
+    # after every step, since `canonical_extension` then builds it as it is.
+    carry, claimed = reduction._carry, Counter()
+
+    def spy(state, step, trace):
+        carry(state, step, trace)
+        if state.canonical:
+            claimed[step.kind] += 1
+            order = reversed(_root_first(sorted(state.parents), state.parent))
+            assert state.parent == _canonical_parent(state.children, order)
+
+    monkeypatch.setattr(reduction, "_carry", spy)
+    networks = [n for _, n, _, _ in suite]
+    for seed in (2, 3, 9, 11):
+        n = generate(GeneratorParams(12, 6, 0.5, seed, "yes-biased")).network
+        assert n.max_in_degree >= 4
+        networks.append(n)
+    for n in networks:
+        before = claimed.total()
+        ext, trace = reduce_network(n)
+        assert claimed.total() - before == len(trace.steps)
+        assert ext == canonicalize(ext)
+    assert claimed["attach_root"] == len(networks) and claimed["insplit"] >= 20
+    # A pruned host and a chain extension given with `-x` are maps not known
+    # to be canonical, so they are canonicalized, as a fold of the steps and
+    # `canonicalize` would do.
+    rng, changed = random.Random(5), Counter()
+    for seed in range(40):
+        n = generate(GeneratorParams(12, 6, 0.5, seed, "yes-biased")).network
+        half = sorted(n.taxa)[:len(n.taxa) // 2]
+        for kind, ext, taxa in (("pruned", None, half),
+                                ("chain", _chain_extension(n, rng), None)):
+            before = claimed.total()
+            got, trace = reduce_network(n, ext, taxa=taxa)
+            assert claimed.total() == before
+            carried = ext or default_extension(n)
+            for step in trace.steps:
+                carried = update_extension(carried, step)
+            assert got == canonicalize(carried)
+            changed[kind] += got != carried
+    assert changed["pruned"] >= 5 and changed["chain"] >= 30

@@ -204,6 +204,11 @@ def test_enewick_hybrid_merges_occurrences(net_a):
     assert n.taxa == frozenset("abcd")
     retics = [v for v in n.vertices if n.in_degree(v) >= 2]
     assert len(retics) == 1
+    # ids follow parse order, and a repeated hybrid takes none of its own
+    want = Digraph([("n0", "n1"), ("n1", "n2"), ("n2", "n3"), ("n2", "n4"),
+                    ("n1", "n5"), ("n5", "n6"), ("n0", "n7"), ("n7", "n5"),
+                    ("n7", "n8")], {"n3": "a", "n4": "b", "n6": "c", "n8": "d"})
+    assert n == want
 
 
 def test_enewick_discards_branch_lengths():

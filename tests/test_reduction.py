@@ -207,6 +207,21 @@ def test_check_allows_polytomies_and_rejects_the_rest(net_a, tree_d):
     renamed = Digraph(inst.tree.arcs, {**inst.tree.labels, "d": "e"})
     with pytest.raises(InternalError, match="taxa differ"):
         _with(inst, tree=renamed).check()
+    # net_a's root has out-degree 2, and so has tree_d's
+    with pytest.raises(InternalError,
+                       match="^reduced network misses the degree-1-root form$"):
+        _with(inst, extension=default_extension(net_a)).check()
+    with pytest.raises(InternalError, match="^reduced tree misses the degree-1-root form$"):
+        _with(inst, tree=tree_d).check()
+    # the reduced network has the degree-1-root form and a vertex of in-degree 2
+    with pytest.raises(InternalError, match="^reduced tree is not an out-tree$"):
+        _with(inst, tree=inst.network).check()
+    # a star below the root leaves out every host arc between two other vertices
+    root = inst.network_root
+    star = Digraph([(root, v) for v in inst.network.vertices if v != root])
+    with pytest.raises(InputError, match="^invalid tree extension: arc .* not inside "
+                                         "the strict ancestor relation"):
+        _with(inst, extension=TreeExtension(inst.network, star)).check()
 
 
 def test_preprocess_rejects_bad_inputs(net_a, tree_d):

@@ -419,12 +419,14 @@ def _max_bundle(table) -> int:
     return out
 
 
-def _reference_solve(inst):
+def _reference_solve(inst, *, full=False):
     """`solve` as it was before signatures became int tuples, kept as it was
     for reference: signatures are sorted tuples of (tree arc, network arc)
     pairs, tables are sorted by `_signature_order`, and `_max_bundle`
-    recounts each above table.  Returns the verdict, the stats, the largest
-    bundle of each vertex's tables and the above tables."""
+    recounts each above table.  Like `solve`, it stops at the first empty
+    above table, unless `full` asks for the whole sweep.  Returns the
+    verdict, the stats, the largest bundle of each vertex's tables and the
+    above tables."""
     n, t, gamma = inst.network, inst.tree, inst.extension.gamma
     rho_n, rho_t = inst.network_root, inst.tree_root
     if gamma.root() != rho_n:
@@ -508,6 +510,8 @@ def _reference_solve(inst):
             cells_below=len(below[v]),
         ))
         bundles[v] = max(bundle_above[v], bundle_below)
+        if not (above[v] or full):
+            break
 
     final = n.children(rho_n)[0]
     accepting = [k for k in above.get(final, {}) if len(k) == 1 and k[0][0] == top_arc]
@@ -667,6 +671,41 @@ def test_kernel_matches_the_string_keyed_reference(suite):
             assert network == inst.network
             assert check_embedding(phi, inst.tree, network)
     assert verdicts[True] > 200 and verdicts[False] > 100
+
+
+# `GeneratorParams(leaves, reticulations, rate, seed, "unlabeled")` rows whose
+# seeds 0-39 are all no-instances.
+_UNLABELED_CONFIGS = ((6, 2, 0.0), (8, 3, 0.0), (10, 4, 0.0), (12, 4, 0.0),
+                      (8, 2, 0.2), (8, 2, 0.3))
+
+
+def test_the_sweep_stops_at_its_first_empty_table(suite):
+    # The reference's full sweep shows what the stop skips: every table
+    # above the first empty one, up to the final one, is empty.  Tables of
+    # other vertices later in the sweep need not be.
+    cases = [(n, t, ext) for _, n, t, ext in suite]
+    for params in _UNLABELED_CONFIGS:
+        for seed in range(40):
+            g = generate(GeneratorParams(*params, seed, "unlabeled"))
+            cases.append((g.network, g.tree, None))
+    stopped = Counter()
+    for n, t, ext in cases:
+        inst = _reference_preprocess(n, t, ext)
+        result = solve(inst, keep_tables=False)
+        displayed, stats, _, above = _reference_solve(inst, full=True)
+        assert result.displayed == displayed
+        assert result.stats == stats[:len(result.stats)]
+        assert all(s.cells_above for s in result.stats[:-1])
+        early = result.stats[-1].cells_above == 0
+        assert early == (not result.displayed)
+        assert early or len(result.stats) == len(stats)
+        if early:
+            parent, v = inst.extension._valid_index().parent, result.stats[-1].vertex
+            while v != inst.network_root:
+                assert not above[v]
+                v = parent[v]
+        stopped[early] += 1
+    assert stopped[True] >= 340 and stopped[False] >= 150
 
 
 # `GeneratorParams(leaves, reticulations, rate, seed, target)` with a raw
