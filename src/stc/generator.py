@@ -162,7 +162,7 @@ def generate(params: GeneratorParams) -> GeneratedInstance:
         arcs = trial
         added += 1
 
-    leaf_ids = sorted(v for v in Digraph(arcs).leaves)
+    leaf_ids = sorted({v for _, v in arcs} - {u for u, _ in arcs})
     labels = {v: f"t{i + 1}" for i, v in enumerate(leaf_ids)}
     network = Digraph(arcs, labels)
     if classify(network).kind not in (PhyloKind.NETWORK, PhyloKind.TREE):

@@ -274,8 +274,7 @@ def _materialize(shape, arcs, names, side):
 
 
 def soft_display(n: Digraph, t: Digraph, method: str = "switching",
-                 cap: int | None = None,
-                 resolution_cap: int | None = None) -> bool:
+                 cap: int | None = None) -> bool:
     """Whether some binary resolution of `n` firmly displays one of `t`.
 
     `method` selects the firm-display backend: "switching" (default) or
@@ -285,8 +284,8 @@ def soft_display(n: Digraph, t: Digraph, method: str = "switching",
         raise InputError(f"unknown oracle method {method!r}")
     if not t.taxa <= n.taxa:
         return False
-    tree_resolutions = list(enumerate_resolutions(t, "out", cap=resolution_cap))
-    for n2 in enumerate_resolutions(n, "both", cap=resolution_cap):
+    tree_resolutions = list(enumerate_resolutions(t, "out"))
+    for n2 in enumerate_resolutions(n, "both"):
         for t2 in tree_resolutions:
             if method == "switching":
                 if firm_display_switching(n2, t2):

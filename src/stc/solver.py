@@ -224,8 +224,9 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     Arcs are numbered by their index in the sorted `arcs` of their graph, and
     a pair is the int `tree_index << shift | network_index`, so a signature is
     a sorted tuple of ints in the order of its pairs.  Tables keep insertion
-    order.  Each tag records how its cell was made: its kind, then what
-    `_replay` needs to unfold that step.
+    order.  A tag records only how a step changed its cell's key: its kind,
+    then what `_replay` needs to unfold that step.  A key that passes a
+    vertex unchanged keeps its tag, and the cells of a join share one.
 
     At a vertex of out-degree 3 or more, a signature whose pairs use three
     or more of its out-arcs takes the outcomes of `_resolutions`: at most
@@ -268,6 +269,7 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
             above[v] = {(tree_id[tp, tl] << shift | a,): ("leaf",)}
             below[v] = {}
         else:
+            below_v = above[qs[0]]
             if len(qs) > 1:
                 seen: set[int] = set()
                 for q in qs:
@@ -277,26 +279,20 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
                             "sibling signatures share a tree arc; "
                             "the extension cannot be canonical")
                     seen |= arcs_q
-            # The children fold in one at a time, each adding its (child,
-            # key) to the tag.  No above table holds a "join" tag, so one
-            # marks a cell that an earlier fold made.
-            below_v = above[qs[0]]
-            for q in qs[1:]:
-                keys2 = list(above[q])
-                joined = {}
-                for k1, tag1 in below_v.items():
-                    parts = tag1[1:] if tag1[0] == "join" else (qs[0], k1)
-                    for k2 in keys2:
-                        joined.setdefault(tuple(sorted(k1 + k2)), ("join", *parts, q, k2))
-                below_v = joined
+                # The joined cells share one tag: `_replay` splits a key by subtree.
+                joined = ("join", v)
+                for q in qs[1:]:
+                    below_v = dict.fromkeys(
+                        (tuple(sorted(k1 + k2)) for k1 in below_v for k2 in above[q]),
+                        joined)
 
             outs = n_outs.get(v, ())
             polytomy = len(outs) > 2
             above_v: dict = {}
-            for key in below_v:
+            for key, tag in below_v.items():
                 bundle = [p for p in key if p & mask in outs]
                 if not bundle:
-                    above_v.setdefault(key, ("up", v))
+                    above_v.setdefault(key, tag)
                     continue
                 resolve = polytomy and len({p & mask for p in bundle}) > 2
                 if not resolve:
@@ -338,14 +334,15 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
         if not above[v]:
             break   # so is every table above it, up to the final one: NO
 
+    # The one key that can accept: the tree's root arc on the final vertex's in-arc.
     final = n.children(rho_n)[0]
-    top = tree_id[rho_t, t.children(rho_t)[0]]
-    accepting = [k for k in above.get(final, {}) if len(k) == 1 and k[0] >> shift == top]
+    (a,) = n_ins[final]
+    accepting = (tree_id[rho_t, t.children(rho_t)[0]] << shift | a,)
     return SolveResult(
         instance=inst,
         stats=stats,
         tables={"above": above, "below": below} if keep_tables else None,
-        accepting_key=min(accepting) if accepting else None,
+        accepting_key=accepting if accepting in above.get(final, ()) else None,
     )
 
 
@@ -380,25 +377,29 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
     """Unfold the provenance tags under the accepting cell into paths.
 
     The walk runs top-down with an explicit stack, so its depth is not bound
-    by the interpreter's.  The tags are `("leaf",)`, `("up", v)`,
+    by the interpreter's.  The tags are `("leaf",)`,
     `("extend", v, key, a)`, `("grow", v, key, pair)`,
-    `("resolve", v, key, a, plan)` and `("join", q1, k1, q2, k2, ...)`: `v`
-    is the vertex a tag was made at, since one table may be both above a
-    vertex and below its parent, `key` the cell of `below[v]` it was made
-    from, `a` an in-arc of `v`, `pair` the packed pair it grew, and each
-    `(q, k)` of a join a cell of `above[q]`.  An "extend" tag prepends the
-    tail of its in-arc to the paths of the tree arcs that its inner
-    signature maps to out-arcs of its vertex, and it is met before the
-    "leaf" or "grow" tag that starts those paths, so every path is built by
-    appending.  A "resolve" tag does the same at each node of its plan,
-    top-down, with a fresh vertex for each node below its own vertex; each
-    out-arc it resolves then has that out-arc's node as its tail for the
-    tags below.  Packed ids are decoded here.
+    `("resolve", v, key, a, plan)` and `("join", v)`: `v` is the vertex a
+    tag was made at, since a tag passes up with an unchanged key, `key` the
+    cell of `below[v]` it was made from, `a` an in-arc of `v`, and `pair`
+    the packed pair it grew.  A joined key is split exactly: an arc has one
+    head, so the pairs whose network arc enters the subtree of a child `q`
+    of `v` are a key of `above[q]`.  An "extend" tag prepends the tail of
+    its in-arc to the paths of the tree arcs that its inner signature maps
+    to out-arcs of its vertex, and it is met before the "leaf" or "grow" tag
+    that starts those paths, so every path is built by appending.  A
+    "resolve" tag does the same at each node of its plan, top-down, with a
+    fresh vertex for each node below its own vertex; each out-arc it
+    resolves then has that out-arc's node as its tail for the tags below.
+    Packed ids are decoded here.
     """
     above, below = result.tables["above"], result.tables["below"]
-    network = result.instance.network
-    t_arcs, n_arcs = result.instance.tree.arcs, network.arcs
+    inst = result.instance
+    network, gamma_children = inst.network, inst.extension.gamma._children
+    t_arcs, n_arcs = inst.tree.arcs, network.arcs
     shift, mask = _pair_bits(network)
+    index = inst.extension._valid_index()
+    head_pre = [index.pre[h] for _, h in n_arcs]
     paths: dict[Arc, list[str]] = {}
     started: set[Arc] = set()
     overlap: set[Arc] = set()
@@ -422,9 +423,6 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
         if tag[0] == "leaf":
             (p,) = key
             start(t_arcs[p >> shift], tail_of(p & mask), n_arcs[p & mask][1])
-        elif tag[0] == "up":
-            _, v = tag
-            stack.append((below[v], key))
         elif tag[0] == "extend":
             _, v, inner, a = tag
             u = tail_of(a)
@@ -457,9 +455,11 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
                         nodes.append((part, w, fresh))
             stack.append((below[v], inner))
         elif tag[0] == "join":
-            parts = tag[1:]
-            for i in range(len(parts) - 2, -1, -2):
-                stack.append((above[parts[i]], parts[i + 1]))
+            _, v = tag
+            for q in reversed(gamma_children[v]):  # so they unfold in order
+                lo, hi = index.pre[q], index.end[q]
+                stack.append((above[q], tuple([p for p in key
+                                               if lo <= head_pre[p & mask] < hi])))
         else:
             raise InternalError(f"unknown provenance tag {tag!r}")
     if overlap:

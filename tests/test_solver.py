@@ -29,6 +29,7 @@ from stc import (
     solve,
     update_extension,
 )
+from stc.digraph import TreeIndex
 from stc.solver import VertexStats, _require_path, _resolutions
 
 
@@ -398,6 +399,39 @@ def test_stats_equal_a_recount_of_the_tables(suite):
             v = s.vertex
             assert s == VertexStats(
                 vertex=v, cells_above=len(above[v]), cells_below=len(below[v]))
+
+
+def test_cells_keep_only_the_tags_a_step_made(suite):
+    """Every cell of a join shares one `("join", v)` tag, and its key splits
+    by the extension subtree each pair's network arc enters into keys of the
+    children's above tables; a key that passes a vertex unchanged keeps the
+    tag it has below."""
+    cases = [(n, t, ext) for _, n, t, ext in suite] + _polytomy_cases()
+    joined = passed = 0
+    for n, t, ext in cases:
+        inst = preprocess(n, t, ext)
+        result = solve(inst)
+        above, below = result.tables["above"], result.tables["below"]
+        gamma = inst.extension.gamma
+        index = TreeIndex(gamma)
+        for v in above:
+            qs = gamma.children(v)
+            if len(qs) > 1:
+                tags = list(below[v].values())
+                assert len({id(tag) for tag in tags}) <= 1
+                assert all(tag == ("join", v) for tag in tags)
+                for key in below[v]:
+                    heads = [h for _, (_, h) in result.signature(key)]
+                    parts = [tuple(p for p, h in zip(key, heads) if index.in_subtree(q, h))
+                             for q in qs]
+                    assert all(part in above[q] for q, part in zip(qs, parts))
+                    assert sorted(p for part in parts for p in part) == list(key)
+                    joined += 1
+            for key, tag in above[v].items():
+                if key in below[v]:
+                    assert tag is below[v][key]
+                    passed += 1
+    assert joined and passed
 
 
 # -- the string-keyed kernel, kept as the reference ---------------------------
