@@ -117,9 +117,8 @@ def solve_cmd(network_path, tree_path, extension_path, witness, decision_only,
         network, embedding = reconstruct_witness(result)
         print("REDUCED-INSTANCE")
         sys.stdout.write(formats.serialize_edgelist(network))
-        for (x, y) in sorted(embedding):
-            path = " ".join(embedding[(x, y)])
-            print(f"EMBED {x} {y} : {path}")
+        sys.stdout.write("".join([f"EMBED {x} {y} : {' '.join(embedding[x, y])}\n"
+                                  for (x, y) in sorted(embedding)]))
     return EXIT_YES
 
 
@@ -191,7 +190,7 @@ def reduce_cmd(network_path, extension_path, tree_path, prefix):
     n = _load_network(network_path)
     ext = _load_extension(extension_path, n) if extension_path else None
     t = _load_network(tree_path) if tree_path else None
-    _require_network(n)
+    _require_network(n, ordered=ext is None)
     if t is not None:
         _require_tree(t)
     ext, trace = reduce_network(n, ext, taxa=None if t is None else t.taxa)

@@ -115,7 +115,7 @@ def parse_extension(text: str, host: Digraph) -> TreeExtension:
                              _column(line, 0))
         parent, child = toks[1], toks[2]
         for index, v in ((1, parent), (2, child)):
-            if v not in host:
+            if v not in host._parents:
                 raise ParseError(f"unknown vertex {v!r}", lineno, _column(line, index))
         if parent == child:
             raise ParseError(f"self-loop on {parent!r}", lineno, _column(line, 1))

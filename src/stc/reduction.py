@@ -36,9 +36,9 @@ def tidy(d: Digraph, keep_taxa) -> Digraph:
     a root of out-degree 1.
     """
     keep_taxa = set(keep_taxa)
-    parents = {v: set(d.parents(v)) for v in d.vertices}
-    children = {v: set(d.children(v)) for v in d.vertices}
-    labels = {v: t for v, t in d.labels.items() if t in keep_taxa}
+    parents = {v: set(ps) for v, ps in d._parents.items()}
+    children = {v: set(cs) for v, cs in d._children.items()}
+    labels = {v: t for v, t in d._labels.items() if t in keep_taxa}
     alive = set(d.vertices)
 
     def drop(v):
@@ -196,9 +196,15 @@ def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
     return state.canonical_extension(), trace
 
 
-def _require_network(n: Digraph) -> None:
+def _require_network(n: Digraph, *, ordered: bool = False) -> None:
     """Raise `SemanticError` unless `n` is a phylogenetic network (a tree is
-    one)."""
+    one).
+
+    `ordered` says that the default extension of `n` will be built, from
+    its sorted topological order: that order is then found first, and the
+    cycle check of `classify` reads it, so one Kahn pass answers both."""
+    if ordered:
+        n._topo_order  # computed and cached, so `_acyclic` reads it
     n_class = classify(n)
     if n_class.kind not in (PhyloKind.NETWORK, PhyloKind.TREE):
         raise SemanticError(f"not a phylogenetic network: {n_class.reason}")
@@ -228,7 +234,7 @@ def preprocess(n: Digraph, t: Digraph,
 
     The returned instance has passed `AugmentedInstance.check`.
     """
-    _require_network(n)
+    _require_network(n, ordered=ext is None)
     _require_tree(t)
     ext, trace = reduce_network(n, ext, taxa=t.taxa)
     inst = AugmentedInstance(_with_degree_1_root(t), ext, trace)

@@ -74,35 +74,49 @@ def check_embedding(phi: dict[Arc, tuple[str, ...]], tree: Digraph,
     fully arc-disjoint, and each leaf arc ends at the network leaf carrying
     the same taxon.
 
-    Two paths that share no network arc meet both pair conditions, so only
-    pairs sharing an arc are compared, each once.  The cost is linear in the
-    total path length and the size of `tree`, plus the pairs that share an
-    arc; valid embeddings share arcs only between siblings.
+    The checks read the graphs' adjacency and label maps directly.  The
+    keys are tested first to be tree arcs; then one pass over `phi` tests
+    each path against the network's child map and each domain for
+    downward closure, and indexes each network arc by the tree arcs whose
+    paths use it; a second pass tests leaf taxa and chaining.  So malformed
+    input raises `InputError`, naming the first fault in that order,
+    before any condition is judged.  Two paths that share no network arc
+    meet both pair conditions, so only pairs sharing an arc are compared,
+    each once.  The cost is linear in the total path length and the size
+    of `tree`, plus the pairs that share an arc; valid embeddings share
+    arcs only between siblings.
     """
     tree_arcs = set(tree.arcs)
-    for a in phi:
-        if a not in tree_arcs:
-            raise InputError(f"embedded arc {a!r} is not a tree arc")
-    for (x, y), path in phi.items():
-        _require_path(network, path)
-        for out in tree.out_arcs(y):
-            if out not in phi:
-                raise InputError(f"domain not downward closed: missing {out!r}")
-    for (x, y), path in phi.items():
-        taxon = tree.label_of(y)
-        if taxon is not None:
-            if network.label_of(path[-1]) != taxon:
-                return False
-        for out in tree.out_arcs(y):
-            if phi[out][0] != path[-1]:
-                return False
+    if not tree_arcs.issuperset(phi):
+        a = next(a for a in phi if a not in tree_arcs)
+        raise InputError(f"embedded arc {a!r} is not a tree arc")
+    t_children, n_children = tree._children, network._children
     users: dict[Arc, list[Arc]] = {}
     for a, path in phi.items():
+        if not path or path[0] not in n_children:
+            _require_path(network, path)  # raises, naming the fault
         for net_arc in zip(path, path[1:]):
+            if net_arc[1] not in n_children[net_arc[0]]:
+                _require_path(network, path)  # raises, naming the first fault
             users.setdefault(net_arc, []).append(a)
+        y = a[1]
+        for c in t_children[y]:
+            if (y, c) not in phi:
+                raise InputError(f"domain not downward closed: missing {(y, c)!r}")
+    t_labels, n_labels = tree._labels, network._labels
+    for (x, y), path in phi.items():
+        end = path[-1]
+        taxon = t_labels.get(y)
+        if taxon is not None and n_labels.get(end) != taxon:
+            return False
+        for c in t_children[y]:
+            if phi[y, c][0] != end:
+                return False
     index = TreeIndex(tree)
     compared: set[tuple[Arc, Arc]] = set()
     for sharing in users.values():
+        if len(sharing) < 2:
+            continue
         for i, a1 in enumerate(sharing):
             for a2 in sharing[i + 1:]:
                 # a1 == a2 when a path repeats an arc, in a cyclic network
@@ -384,14 +398,17 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
     cell of `below[v]` it was made from, `a` an in-arc of `v`, and `pair`
     the packed pair it grew.  A joined key is split exactly: an arc has one
     head, so the pairs whose network arc enters the subtree of a child `q`
-    of `v` are a key of `above[q]`.  An "extend" tag prepends the tail of
-    its in-arc to the paths of the tree arcs that its inner signature maps
-    to out-arcs of its vertex, and it is met before the "leaf" or "grow" tag
+    of `v` are a key of `above[q]`: those whose head's pre-order number
+    lies in `q`'s range.  An "extend" tag prepends the tail of its in-arc
+    to the paths of the tree arcs that its inner signature maps to
+    out-arcs of its vertex, and it is met before the "leaf" or "grow" tag
     that starts those paths, so every path is built by appending.  A
     "resolve" tag does the same at each node of its plan, top-down, with a
     fresh vertex for each node below its own vertex; each out-arc it
     resolves then has that out-arc's node as its tail for the tags below.
-    Packed ids are decoded here.
+    The fresh ids are the network's `fresh_names()`, taken at the first
+    "resolve" tag, so a run that resolves nothing never scans for them.
+    Packed ids are decoded here, by indexing the graphs' sorted `arcs`.
     """
     above, below = result.tables["above"], result.tables["below"]
     inst = result.instance
@@ -399,49 +416,59 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
     t_arcs, n_arcs = inst.tree.arcs, network.arcs
     shift, mask = _pair_bits(network)
     index = inst.extension._valid_index()
-    head_pre = [index.pre[h] for _, h in n_arcs]
+    pre, end = index.pre, index.end
     paths: dict[Arc, list[str]] = {}
     started: set[Arc] = set()
     overlap: set[Arc] = set()
     tail: dict[int, str] = {}  # network arc id -> its tail in the resolution
     resolution: list[Arc] = []
-    names = network.fresh_names()
-
-    def start(arc, u, v):
-        if arc in started:
-            overlap.add(arc)
-        started.add(arc)
-        paths.setdefault(arc, []).extend((u, v))
-
-    def tail_of(b):
-        return tail.get(b) or n_arcs[b][0]
+    names = None
 
     stack = [(above[result.final_vertex], result.accepting_key)]
     while stack:
         table, key = stack.pop()
         tag = table[key]
-        if tag[0] == "leaf":
-            (p,) = key
-            start(t_arcs[p >> shift], tail_of(p & mask), n_arcs[p & mask][1])
-        elif tag[0] == "extend":
+        kind = tag[0]
+        if kind == "extend":
             _, v, inner, a = tag
-            u = tail_of(a)
+            u = tail.get(a) or n_arcs[a][0]
             for p in inner:
                 if n_arcs[p & mask][0] == v:
                     paths.setdefault(t_arcs[p >> shift], []).append(u)
             stack.append((below[v], inner))
-        elif tag[0] == "grow":
-            # The bundled arcs stay embedded; they merely stop being topmost.
-            _, v, inner, p = tag
-            start(t_arcs[p >> shift], tail_of(p & mask), v)
-            stack.append((below[v], inner))
-        elif tag[0] == "resolve":
+        elif kind == "leaf" or kind == "grow":
+            # A path starts on the pair's network arc, which is an in-arc of
+            # v for a grow; the bundled arcs stay embedded, no longer topmost.
+            if kind == "leaf":
+                (p,) = key
+            else:
+                _, v, inner, p = tag
+                stack.append((below[v], inner))
+            arc, b = t_arcs[p >> shift], p & mask
+            if arc in started:
+                overlap.add(arc)
+            started.add(arc)
+            u, head = n_arcs[b]
+            paths.setdefault(arc, []).extend((tail.get(b) or u, head))
+        elif kind == "join":
+            _, v = tag
+            for q in reversed(gamma_children[v]):  # so they unfold in order
+                lo, hi = pre[q], end[q]
+                stack.append((above[q], tuple([p for p in key
+                                               if lo <= pre[n_arcs[p & mask][1]] < hi])))
+        elif kind == "resolve":
             _, v, inner, a, plan = tag
-            nodes = [(plan, tail_of(a), v)]
+            if names is None:
+                names = network.fresh_names()
+            nodes = [(plan, tail.get(a) or n_arcs[a][0], v)]
             while nodes:
                 (ids, grown, *parts), u, w = nodes.pop()
                 if grown:
-                    start(t_arcs[ids[0]], u, w)
+                    arc = t_arcs[ids[0]]
+                    if arc in started:
+                        overlap.add(arc)
+                    started.add(arc)
+                    paths.setdefault(arc, []).extend((u, w))
                 else:
                     for i in ids:
                         paths.setdefault(t_arcs[i], []).append(u)
@@ -454,12 +481,6 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
                         resolution.append((w, fresh))
                         nodes.append((part, w, fresh))
             stack.append((below[v], inner))
-        elif tag[0] == "join":
-            _, v = tag
-            for q in reversed(gamma_children[v]):  # so they unfold in order
-                lo, hi = index.pre[q], index.end[q]
-                stack.append((above[q], tuple([p for p in key
-                                               if lo <= head_pre[p & mask] < hi])))
         else:
             raise InternalError(f"unknown provenance tag {tag!r}")
     if overlap:

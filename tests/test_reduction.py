@@ -232,6 +232,34 @@ def test_preprocess_rejects_bad_inputs(net_a, tree_d):
         preprocess(net_a, net_a)  # second argument must classify as a tree
 
 
+def test_the_default_path_makes_one_kahn_pass(net_a, tree_d, monkeypatch):
+    # The sorted order that the default extension is built from also answers
+    # the cycle check, so no stack pass runs on the input network.
+    acyclic = Digraph.__dict__["_acyclic"]
+    compute, stack_passes = acyclic.compute, []
+
+    def counted(d):
+        if "_topo_order" not in d.__dict__:
+            stack_passes.append(d)
+        return compute(d)
+
+    monkeypatch.setattr(acyclic, "compute", counted)
+    n = Digraph(net_a.arcs, net_a.labels)
+    preprocess(n, tree_d)
+    assert stack_passes and all(d is not n for d in stack_passes)
+    # A given extension needs no sorted order, so the stack pass runs.
+    given = Digraph(net_a.arcs, net_a.labels)
+    preprocess(given, tree_d,
+               TreeExtension(given, Digraph(default_extension(net_a).gamma.arcs)))
+    assert any(d is given for d in stack_passes)
+    cyclic = Digraph([("r", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("r", "x"),
+                      ("r", "y")], {"x": "x", "y": "y"})
+    tree = Digraph([("s", "x"), ("s", "y")], {"x": "x", "y": "y"})
+    with pytest.raises(SemanticError,
+                       match="^not a phylogenetic network: contains a directed cycle$"):
+        preprocess(cyclic, tree)
+
+
 def test_replay_reproduces_reduced_network(suite):
     for _, n, t, ext in suite[:40]:
         inst = preprocess(n, t, ext)

@@ -198,8 +198,8 @@ def _all_pairs_check_embedding(phi, tree, network):
 def _outcome(check, phi, tree, network):
     try:
         return check(phi, tree, network)
-    except Exception as exc:  # compared by type against the reference
-        return type(exc)
+    except Exception as exc:  # compared by type and message against the reference
+        return type(exc), str(exc)
 
 
 def _reachable(d, u, v):
@@ -218,7 +218,9 @@ def _random_path(network, start, end, rng):
 def _mutations(phi, network, rng):
     """Corrupted copies of a valid embedding `phi`: a path swapped with a
     sibling's, paths rerouted between the same ends or off to a leaf, paths
-    cut short by one vertex, and a path run backwards (not a path)."""
+    cut short by one vertex, a path run backwards (not a path), a reversed
+    arc as an extra key (not a tree arc), a path through a vertex the
+    network lacks, and an empty path."""
     arcs = sorted(phi)
     siblings: dict = {}
     for a in arcs:
@@ -238,6 +240,12 @@ def _mutations(phi, network, rng):
         out.append({**phi, a: _random_path(network, phi[a][0], leaf, rng)})
         out.append({**phi, a: phi[a][:-1] or phi[a]})
     out.append({**phi, arcs[0]: phi[arcs[0]][::-1]})
+    a = rng.choice(arcs)
+    out.append({**phi, a[::-1]: phi[a]})
+    absent = "absent"
+    assert absent not in network
+    out.append({**phi, a: phi[a][:1] + (absent,) + phi[a][1:]})
+    out.append({**phi, a: ()})
     return out
 
 
@@ -259,7 +267,7 @@ def test_check_embedding_matches_the_all_pairs_reference(suite):
             assert got == want, (mutant, want, got)
             checked += 1
             rejected += want is False
-            raised += want is InputError
+            raised += type(want) is tuple and want[0] is InputError
     assert checked > 3000 and rejected > 1000 and raised > 100
 
 
