@@ -31,13 +31,6 @@ from .formats import (
     serialize_edgelist,
     serialize_extension,
 )
-from .generator import GeneratedInstance, GeneratorParams, generate
-from .oracle import (
-    enumerate_resolutions,
-    firm_display,
-    firm_display_switching,
-    soft_display,
-)
 from .reduction import (
     AugmentedInstance,
     ReductionTrace,
@@ -55,4 +48,30 @@ from .solver import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The generator and the oracles are off the solve path, so their modules
+# load on first use (PEP 562) and `import stc.cli` does not pay for them.
+_LAZY = {
+    "generator": "generator",
+    "GeneratedInstance": "generator",
+    "GeneratorParams": "generator",
+    "generate": "generator",
+    "oracle": "oracle",
+    "enumerate_resolutions": "oracle",
+    "firm_display": "oracle",
+    "firm_display_switching": "oracle",
+    "soft_display": "oracle",
+}
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_LAZY))
+
+
+def __getattr__(name):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = import_module(f".{home}", __name__)   # also binds `stc.<home>`
+    if name == home:
+        return module
+    value = globals()[name] = getattr(module, name)
+    return value

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 One `argparse` parser, built at import, reads every command line.  The
-commands reach the library through this module's globals when they run, so
-a caller may replace those (tests do).
+solve-path commands reach the library through this module's globals when
+they run, so a caller may replace those (tests do).  `oracle` and `gen`
+import the oracles and the generator when they run instead: neither module
+is on the solve path, so `import stc.cli` does not load them.
 
 Exit codes: 0 = yes, 1 = no, 64 = usage error, 65 = parse error,
 66 = semantic error (including oracle caps), 70 = internal error (including
@@ -15,11 +17,10 @@ import argparse
 import os
 import sys
 
-from . import formats, oracle
+from . import formats
 from .digraph import classify
 from .errors import InternalError, ParseError, SemanticError, STCError
 from .extension import canonicalize, default_extension
-from .generator import GeneratorParams, generate
 from .reduction import _require_network, _require_tree, preprocess, reduce_network
 from .solver import reconstruct_witness, solve
 
@@ -240,24 +241,27 @@ def _oracle_inputs(network_path, tree_path, cap, method):
 
 
 def oracle_firm(network_path, tree_path, cap, method):
+    from .oracle import firm_display, firm_display_switching
     n, t = _oracle_inputs(network_path, tree_path, cap, method)
     if method == "subsets":
-        answer = oracle.firm_display(n, t, cap=cap)
+        answer = firm_display(n, t, cap=cap)
     else:
-        answer = oracle.firm_display_switching(n, t)
+        answer = firm_display_switching(n, t)
     print("true" if answer else "false")
     return EXIT_YES if answer else EXIT_NO
 
 
 def oracle_soft(network_path, tree_path, cap, method):
+    from .oracle import soft_display
     n, t = _oracle_inputs(network_path, tree_path, cap, method)
-    answer = oracle.soft_display(n, t, method=method, cap=cap)
+    answer = soft_display(n, t, method=method, cap=cap)
     print("true" if answer else "false")
     return EXIT_YES if answer else EXIT_NO
 
 
 def gen_cmd(leaves, reticulations, polytomy_rate, seed, yes_biased, prefix):
     """Generate a seeded random instance."""
+    from .generator import GeneratorParams, generate
     params = GeneratorParams(
         leaves=leaves, reticulations=reticulations,
         polytomy_rate=polytomy_rate, seed=seed,

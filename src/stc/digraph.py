@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InputError
@@ -274,10 +274,10 @@ class PhyloKind(Enum):
     INVALID = "invalid"
 
 
-@dataclass(frozen=True)
-class PhyloClass:
-    kind: PhyloKind
-    reason: str | None = None
+class PhyloClass(namedtuple("PhyloClass", "kind reason", defaults=(None,))):
+    """A `PhyloKind` and, for a near-miss or an invalid graph, the reason
+    (for a network, its first reticulation)."""
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.kind is not PhyloKind.INVALID

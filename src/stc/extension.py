@@ -8,7 +8,7 @@ there; the maximum cut size is the width driving the dynamic program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .digraph import Arc, Digraph, TreeIndex, _adjacency, _cached
 from .errors import InputError, InternalError, RewriteError
@@ -325,11 +325,10 @@ class RewriteState:
         return _extension(host, parent)
 
 
-@dataclass(frozen=True)
-class AttachRootStep:
+class AttachRootStep(namedtuple("AttachRootStep", "new_root")):
     """A fresh degree-1 root was attached above the host root."""
+    __slots__ = ()
     kind = "attach_root"
-    new_root: str
 
     def rewrite(self, state: RewriteState) -> None:
         """Leaves the width as it is: the new arc enters only the subtree of
@@ -352,13 +351,10 @@ class AttachRootStep:
         state.parent[root] = new    # the host root tops a valid extension
 
 
-@dataclass(frozen=True)
-class InSplitStep:
+class InSplitStep(namedtuple("InSplitStep", "vertex parents new_vertex")):
     """Two parents of `vertex` were moved above the fresh `new_vertex`."""
+    __slots__ = ()
     kind = "insplit"
-    vertex: str
-    parents: tuple[str, str]
-    new_vertex: str
 
     def rewrite(self, state: RewriteState) -> None:
         """Leaves the width as it is: `p1` and `p2` lie above `new` in a
@@ -391,11 +387,10 @@ class InSplitStep:
         state.parent[v] = new
 
 
-@dataclass(frozen=True)
-class RestrictStep:
+class RestrictStep(namedtuple("RestrictStep", "new_host")):
     """The host was pruned down to `new_host`; removed vertices contract away."""
+    __slots__ = ()
     kind = "prune"
-    new_host: Digraph
 
     def rewrite(self, state: RewriteState) -> None:
         """The one rewrite that can change the width; `take` measures it."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from collections import Counter
 from dataclasses import dataclass
 
 from .digraph import Digraph, PhyloKind, _reaches, classify
@@ -71,41 +70,41 @@ def _random_binary_tree(rng, leaves, counter) -> list:
     return arcs
 
 
-def _add_reticulation(rng, arcs, counter) -> list | None:
-    """One attempt at adding a cross arc to the sorted `arcs` of a network:
-    the new sorted arcs, or None when it would leave no network, that is
-    when it draws one arc twice, aims a parallel arc or closes a cycle."""
-    children: dict = {}
-    for u, v in arcs:
-        children.setdefault(u, []).append(v)
-    indegree = Counter(v for _, v in arcs)
-    retics = sorted(v for v, k in indegree.items() if k >= 2)
-    trial = list(arcs)
+def _add_reticulation(rng, arcs, children, retics, counter) -> bool:
+    """One attempt at adding a cross arc to a network given by its sorted
+    `arcs`, its child map `children` and its sorted reticulations `retics`,
+    which it edits in place.  False, with only `counter` changed, when the
+    arc would leave no network, that is when it draws one arc twice, aims a
+    parallel arc or closes a cycle."""
     if retics and rng.random() < 0.3:
         # aim at an existing reticulation, raising its in-degree
         r = rng.choice(retics)
         (a, b) = rng.choice(arcs)
         if b == r or _reaches(children, r, a):   # parallel arcs, or a cycle
-            return None
+            return False
         mid = f"v{counter[0]}"
         counter[0] += 1
-        del trial[bisect_left(trial, (a, b))]
+        removed = [(a, b)]
         added = [(a, mid), (mid, b), (mid, r)]
     else:
         (a, b) = rng.choice(arcs)
         (c, d) = rng.choice(arcs)
         if (a, b) == (c, d):
-            return None
+            return False
         x, y = f"v{counter[0]}", f"v{counter[0] + 1}"
         counter[0] += 2     # spent even on a rejection: later ids depend on it
         if _reaches(children, d, a):    # the cycle x -> y -> d ~> a -> x
-            return None
-        for arc in ((a, b), (c, d)):
-            del trial[bisect_left(trial, arc)]
+            return False
+        removed = [(a, b), (c, d)]
         added = [(a, x), (x, b), (c, y), (y, d), (x, y)]
-    for arc in added:
-        insort(trial, arc)
-    return trial
+        insort(retics, y)   # no other in-degree changes in either branch
+    for (u, v) in removed:
+        del arcs[bisect_left(arcs, (u, v))]
+        children[u].remove(v)
+    for (u, v) in added:
+        insort(arcs, (u, v))
+        children.setdefault(u, []).append(v)
+    return True
 
 
 def _contract_marked(work: Digraph, marked) -> Digraph:
@@ -148,6 +147,10 @@ def generate(params: GeneratorParams) -> GeneratedInstance:
     rng = random.Random(params.seed)
     counter = [0]
     arcs = _random_binary_tree(rng, params.leaves, counter)
+    children: dict = {}
+    for u, v in arcs:
+        children.setdefault(u, []).append(v)
+    retics: list = []   # a tree has none
     added = 0
     attempts = 0
     while added < params.reticulations:
@@ -156,11 +159,8 @@ def generate(params: GeneratorParams) -> GeneratedInstance:
             raise SemanticError(
                 f"could not place {params.reticulations} reticulations "
                 f"on {params.leaves} leaves")
-        trial = _add_reticulation(rng, arcs, counter)
-        if trial is None:
-            continue
-        arcs = trial
-        added += 1
+        if _add_reticulation(rng, arcs, children, retics, counter):
+            added += 1
 
     leaf_ids = sorted({v for _, v in arcs} - {u for u, _ in arcs})
     labels = {v: f"t{i + 1}" for i, v in enumerate(leaf_ids)}
@@ -169,10 +169,11 @@ def generate(params: GeneratorParams) -> GeneratedInstance:
         raise SemanticError("generator produced an invalid network")
 
     # extract a displayed tree by keeping one in-arc per reticulation
-    kept = list(network.arcs)
+    dropped = set()
     for r in sorted(v for v in network.vertices if network.in_degree(v) >= 2):
         keep = rng.choice(sorted(network.parents(r)))
-        kept = [a for a in kept if a[1] != r or a[0] == keep]
+        dropped.update((p, r) for p in network.parents(r) if p != keep)
+    kept = [a for a in network.arcs if a not in dropped]
     tree = tidy(Digraph(kept, labels), network.taxa)
 
     if params.polytomy_rate > 0:

@@ -12,8 +12,6 @@ and `AugmentedInstance.check` validates them once.  Vertices of out-degree
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .digraph import Digraph, PhyloKind, _adjacency, _classify_acyclic, classify
 from .errors import InputError, InternalError, SemanticError
 from .extension import (
@@ -103,27 +101,48 @@ def prune_to_leafset(n: Digraph, taxa) -> tuple[Digraph, RestrictStep]:
 # -- trace and the full pipeline --------------------------------------------
 
 
-@dataclass
-class ReductionTrace:
+class _Record:
+    """A mutable record over the attributes named in `_fields`: equal to a
+    record of its own class with equal fields, and shown as
+    `Name(field=value, ...)`."""
+    _fields = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, f) for f in self._fields]
+                == [getattr(other, f) for f in self._fields])
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class ReductionTrace(_Record):
     """The rewrites of the network in order, and the width of the carried
     extension: `widths[0]` before the first step, `widths[i + 1]` after
     `steps[i]`."""
-    steps: list = field(default_factory=list)
-    widths: list[int] = field(default_factory=list)
+    _fields = ("steps", "widths")
+
+    def __init__(self, steps: list | None = None, widths: list[int] | None = None):
+        self.steps = [] if steps is None else steps
+        self.widths = [] if widths is None else widths
 
 
-@dataclass
-class AugmentedInstance:
+class AugmentedInstance(_Record):
     """A solver-ready instance: a network of in-degree at most 2 and a tree,
     both with degree-1 roots, plus a canonical tree extension of the network.
 
     The network is the extension's host.  Built by `preprocess`, which runs
     `check` once; `solve` relies on it.
     """
+    _fields = ("tree", "extension", "trace")
 
-    tree: Digraph
-    extension: TreeExtension
-    trace: ReductionTrace
+    def __init__(self, tree: Digraph, extension: TreeExtension,
+                 trace: ReductionTrace):
+        self.tree = tree
+        self.extension = extension
+        self.trace = trace
 
     @property
     def network(self) -> Digraph:

@@ -20,11 +20,11 @@ through resolved by fresh vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .digraph import Arc, Digraph, TreeIndex
 from .errors import InputError, InternalError
-from .reduction import AugmentedInstance
+from .reduction import AugmentedInstance, _Record
 
 
 # -- eventual arc-disjointness and embedding checks --------------------------
@@ -135,19 +135,22 @@ def check_embedding(phi: dict[Arc, tuple[str, ...]], tree: Digraph,
 # -- the dynamic program -----------------------------------------------------
 
 
-@dataclass
-class VertexStats:
-    vertex: str
-    cells_above: int
-    cells_below: int
+class VertexStats(namedtuple("VertexStats", "vertex cells_above cells_below")):
+    """The table sizes just above and just below one swept vertex."""
+    __slots__ = ()
 
 
-@dataclass
-class SolveResult:
-    instance: AugmentedInstance
-    stats: list[VertexStats] = field(default_factory=list)
-    tables: dict | None = None  # "above"/"below" -> vertex -> {signature: tag}
-    accepting_key: tuple[int, ...] | None = None
+class SolveResult(_Record):
+    _fields = ("instance", "stats", "tables", "accepting_key")
+
+    def __init__(self, instance: AugmentedInstance,
+                 stats: list[VertexStats] | None = None,
+                 tables: dict | None = None,
+                 accepting_key: tuple[int, ...] | None = None):
+        self.instance = instance
+        self.stats = [] if stats is None else stats
+        self.tables = tables  # "above"/"below" -> vertex -> {signature: tag}
+        self.accepting_key = accepting_key
 
     @property
     def displayed(self) -> bool:
@@ -338,8 +341,7 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
             above[v] = above_v
             below[v] = below_v
 
-        stats.append(VertexStats(
-            vertex=v, cells_above=len(above[v]), cells_below=len(below[v])))
+        stats.append(VertexStats(v, len(above[v]), len(below[v])))
 
         if not keep_tables:
             for q in qs:

@@ -174,6 +174,28 @@ def test_importing_the_cli_loads_no_click():
     assert out == "False\n"
 
 
+def test_the_solve_path_loads_neither_the_generator_nor_dataclasses(files):
+    # `-S`: a `site` hook may preload modules that the program never asks for.
+    src = os.path.dirname(os.path.dirname(stc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys\n"
+        "from stc.cli import main\n"
+        "def loaded():\n"
+        "    return [m for m in ('dataclasses', 'inspect', 'stc.generator',"
+        " 'stc.oracle') if m in sys.modules]\n"
+        "print(loaded())\n"
+        "print(main(['solve', '-n', sys.argv[1], '-t', sys.argv[2]]), loaded())\n"
+        "print(main(['gen', '--leaves', '4', '--seed', '1', '-o', sys.argv[3]]),"
+        " 'stc.generator' in sys.modules)\n")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script, files["net_a"], files["tree_d"],
+         str(files["dir"] / "gen")],
+        env=env, capture_output=True, check=True, text=True).stdout
+    assert out == "[]\nYES\n0 []\n0 True\n"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("A a\n")

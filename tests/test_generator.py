@@ -203,22 +203,32 @@ def test_steps_match_their_whole_graph_references():
             ref_arcs = _reference_random_binary_tree(ref_rng, leaves, ref_counter)
             assert arcs == sorted(ref_arcs)
             assert rng.getstate() == ref_rng.getstate() and counter == ref_counter
+            children, network_retics = {}, []
+            for u, v in arcs:
+                children.setdefault(u, []).append(v)
             added = 0
             for _ in range(10 * retics):
                 if added == retics:
                     break
-                before = counter[0]
-                trial = _add_reticulation(rng, arcs, counter)
+                before, kept = counter[0], list(arcs)
+                placed = _add_reticulation(rng, arcs, children, network_retics, counter)
                 ref = _reference_add_reticulation(ref_rng, ref_arcs, ref_counter)
                 assert rng.getstate() == ref_rng.getstate(), (leaves, seed)
                 assert counter == ref_counter, (leaves, seed)
                 if ref is None:
-                    assert trial is None, (leaves, seed)
+                    assert not placed and arcs == kept, (leaves, seed)
                     rejected["cycle" if counter[0] > before else "other"] += 1
                 else:
-                    assert trial == sorted(ref), (leaves, seed)
-                    arcs, ref_arcs = trial, ref
+                    assert placed and arcs == sorted(ref), (leaves, seed)
+                    ref_arcs = ref
                     added += 1
+                # the maps kept across attempts are those of the arcs
+                graph = Digraph(arcs)
+                assert {u: sorted(cs) for u, cs in children.items() if cs} == {
+                    u: list(graph.children(u)) for u in graph.vertices
+                    if graph.children(u)}, (leaves, seed)
+                assert network_retics == [v for v in graph.vertices
+                                          if graph.in_degree(v) >= 2], (leaves, seed)
             tails = {u for u, _ in arcs}
             network = Digraph(arcs, {v: v for _, v in arcs if v not in tails})
             tree = generate(GeneratorParams(leaves, retics, 0.0, seed)).tree

@@ -47,3 +47,62 @@ def test_every_name_the_benchmark_wraps_exists():
     spec.loader.exec_module(layers)
     assert len(layers.LAYERS) >= 19
     assert [name for _, name in layers.LAYERS if layers.resolve(name) is None] == []
+
+
+def _eager_imports(source: str) -> list[tuple[int, str | None, list[str]]]:
+    """(level, module, names) of each import that runs when the module is
+    imported: every import outside a function body."""
+    found = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(0, alias.name, []) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found.append((node.level, node.module, [a.name for a in node.names]))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _loaded_by(module: str) -> dict[str, set[str]]:
+    """Each package module that importing `module` runs, with the modules
+    outside the package that it imports at that time."""
+    loaded, todo = {}, ["stc", module]
+    while todo:
+        name = todo.pop()
+        if name in loaded:
+            continue
+        path = PACKAGE / ("__init__.py" if name == "stc" else name[4:] + ".py")
+        loaded[name] = outside = set()
+        for level, target, names in _eager_imports(path.read_text(encoding="utf-8")):
+            if not level:
+                outside.add(target.split(".")[0])
+            elif target:
+                todo.append(f"stc.{target}")
+            else:
+                todo += [f"stc.{n}" for n in names]
+    return loaded
+
+
+def test_the_eager_import_walk_skips_function_bodies():
+    source = ("import os.path\nfrom . import a, b\nfrom .c import d\n"
+              "class K:\n    import json\n"
+              "if os.sep:\n    from math import pi\n"
+              "def f():\n    from .e import g\n    import typing\n")
+    assert sorted(_eager_imports(source), key=str) == [
+        (0, "json", []), (0, "math", ["pi"]), (0, "os.path", []),
+        (1, "c", ["d"]), (1, None, ["a", "b"])]
+
+
+def test_the_cli_loads_no_generator_oracle_dataclasses_or_typing():
+    # The solve path's start-up: `dataclasses` pulls in `inspect`, `ast` and
+    # `dis`, and `typing` is as dear when no `site` hook has loaded it.
+    loaded = _loaded_by("stc.cli")
+    assert sorted(loaded) == ["stc", "stc.cli", "stc.digraph", "stc.errors",
+                              "stc.extension", "stc.formats", "stc.reduction",
+                              "stc.solver"]
+    assert {name: sorted(outside & {"dataclasses", "typing"})
+            for name, outside in loaded.items()
+            if outside & {"dataclasses", "typing"}} == {}
