@@ -14,6 +14,7 @@ any unexpected exception).
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -352,6 +353,15 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    The cyclic collector is paused for the command and left as it was
+    found.  The solve path makes no reference cycle, so a collector pass
+    would only trace its allocations; reference counting frees them as
+    before.  The few cycles other paths leave, such as the `--jobs` pool's
+    or a first import's, are collected once the collector runs again."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = vars(_PARSER.parse_args(argv))
         return args.pop("run")(**args)
@@ -371,6 +381,9 @@ def main(argv=None) -> int:
 
         sys.stderr.write(f"internal error: {traceback.format_exc()}")
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
@@ -255,8 +256,12 @@ class Digraph:
 
     def fresh_names(self) -> Iterator[str]:
         """A new endless iterator of the ids g<n>, n counting up from past
-        every such id of the graph, so that none collides with a vertex."""
-        used = [int(m[1]) for m in map(_FRESH_ID_RE.match, self._vertices) if m]
+        every such id of the graph, so that none collides with a vertex.
+        The ids that start with `g` are one run of the sorted vertices, and
+        only they are matched."""
+        vertices = self._vertices
+        run = vertices[bisect_left(vertices, "g"):bisect_left(vertices, "h")]
+        used = [int(m[1]) for m in map(_FRESH_ID_RE.match, run) if m]
         return (f"g{n}" for n in itertools.count(max(used, default=-1) + 1))
 
     def fresh_ids(self, count) -> tuple[str, ...]:

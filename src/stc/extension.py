@@ -134,9 +134,10 @@ class TreeExtension:
             link[t] = t
             count = 1 + sum(components[c] for c in gamma_children[t])
             for w in host_children[t]:
-                a, b = _find(link, t), _find(link, w)
-                if a != b:
-                    link[b] = a
+                # Roots are linked only to the vertex being done, so t is its own.
+                b = _find(link, w)
+                if b != t:
+                    link[b] = t
                     count -= 1
             components[t] = count
         out = [f"host below {t} is not weakly connected"
@@ -177,20 +178,16 @@ def _canonical_parent(children, order) -> dict[str, str]:
     topmost vertex in the tree, which is its root whatever the order.
     """
     link: dict[str, str] = {}
-    comp_root: dict[str, str] = {}
     tree_parent: dict[str, str] = {}
     for v in order:
         link[v] = v
-        comp_root[v] = v
-        adopted = []
         for c in children[v]:
-            rep = _find(link, c)
-            root = comp_root[rep]
-            if root != v and root not in adopted:
-                adopted.append(root)
+            # Roots are linked only to the vertex being done, so a root is
+            # its component's top, and a child already adopted finds v.
+            root = _find(link, c)
+            if root != v:
                 tree_parent[root] = v
-                link[rep] = v
-        comp_root[_find(link, v)] = v
+                link[root] = v
     return tree_parent
 
 

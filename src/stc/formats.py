@@ -31,7 +31,41 @@ def _column(line, index):
 
 def parse_edgelist(text: str) -> Digraph:
     """The graph of an edge-list document; its header is checked, and its
-    name is not kept."""
+    name is not kept.
+
+    Each line is split once, and the arcs and labels are checked in bulk,
+    with set operations.  A document that fails any check is parsed again
+    by `_parse_edgelist_lines`, which raises, naming the first fault with
+    its line and column."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = [row for row in map(str.split, lines) if row]
+    if rows and rows[0][0] == "network" and len(rows[0]) == 2:
+        del rows[0]
+    if rows and set(map(len, rows)) == {3}:
+        arcs = [(x, y) for kind, x, y in rows if kind == "A"]
+        labels = {x: y for kind, x, y in rows if kind == "L"}
+        # Every row is an arc or a label, no vertex is labeled twice, and
+        # there is an arc.
+        if arcs and len(arcs) + len(labels) == len(rows):
+            tails, heads = zip(*arcs)
+            mentioned = {*tails, *heads}
+            if (len(set(arcs)) == len(arcs)
+                    and not any(map(str.__eq__, tails, heads))
+                    and len(set(labels.values())) == len(labels)
+                    and mentioned.issuperset(labels)
+                    and labels.keys().isdisjoint(tails)):
+                vertices = tuple(sorted(mentioned))
+                arcs.sort()
+                return Digraph._of(vertices, *_adjacency(vertices, arcs),
+                                   dict(sorted(labels.items())))
+    return _parse_edgelist_lines(text)
+
+
+def _parse_edgelist_lines(text: str) -> Digraph:
+    """`parse_edgelist` line by line: the first fault raises `ParseError`
+    with its line and column."""
     arc_lines: dict = {}       # arc -> line number
     labels: dict = {}         # vertex -> (taxon, line number, line)
     taxa: set = set()

@@ -161,7 +161,8 @@ class AugmentedInstance(_Record):
 
         The extension is checked first: a valid one proves its host
         acyclic, as pre-order numbers increase along every host arc, so the
-        network is classified without a cycle search."""
+        network is classified without a cycle search.  The tree is searched
+        unless it carries a proof, as the one `preprocess` builds does."""
         self.extension.require_valid()
         if _classify_acyclic(self.network).kind is not PhyloKind.ROOTED_DAG_DEG1_ROOT:
             raise InternalError("reduced network misses the degree-1-root form")
@@ -237,14 +238,18 @@ def _require_tree(t: Digraph) -> None:
 
 
 def _with_degree_1_root(t: Digraph) -> Digraph:
-    """`t` with a fresh root above its root, built from `t`'s maps."""
+    """`t` with a fresh root above its root, built from `t`'s maps.  It
+    carries `t`'s acyclicity, which `_require_tree` has proven: an arc
+    into the old root closes no cycle."""
     (root,), rho = t.roots, next(t.fresh_names())
     vertices = tuple(sorted((*t.vertices, rho)))
     parents = {v: t._parents.get(v, ()) for v in vertices}
     parents[root] = (rho,)
     children = {v: t._children.get(v, ()) for v in vertices}
     children[rho] = (root,)
-    return Digraph._of(vertices, parents, children, t._labels)
+    augmented = Digraph._of(vertices, parents, children, t._labels)
+    augmented.__dict__["_acyclic"] = t.is_acyclic()
+    return augmented
 
 
 def preprocess(n: Digraph, t: Digraph,

@@ -270,7 +270,7 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
 
     above: dict[str, dict] = {}
     below: dict[str, dict] = {}
-    stats: list[VertexStats] = []
+    sizes: list[tuple[str, int, int]] = []
 
     for v in reversed(order[1:]):
         qs = gamma_children[v]
@@ -283,8 +283,8 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
             tl = t_leaf_of[taxon]
             (tp,) = t_parents[tl]
             (a,) = ins
-            above[v] = {(tree_id[tp, tl] << shift | a,): ("leaf",)}
-            below[v] = {}
+            above_v = {(tree_id[tp, tl] << shift | a,): ("leaf",)}
+            below_v = {}
         else:
             below_v = above[qs[0]]
             if len(qs) > 1:
@@ -305,49 +305,59 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
 
             outs = n_outs.get(v, ())
             polytomy = len(outs) > 2
-            above_v: dict = {}
+            above_v = {}
             for key, tag in below_v.items():
-                bundle = [p for p in key if p & mask in outs]
+                # The bundle: the pairs on out-arcs of v.
+                bundle, rest = [], []
+                for p in key:
+                    if p & mask in outs:
+                        bundle.append(p)
+                    else:
+                        rest.append(p)
                 if not bundle:
                     above_v.setdefault(key, tag)
                     continue
-                resolve = polytomy and len({p & mask for p in bundle}) > 2
-                if not resolve:
-                    if len(bundle) > 1 and len({t_tail[p >> shift] for p in bundle}) > 1:
-                        continue
-                    # Extend: the bundle's arcs all cross one in-arc of v now.
+                if polytomy and len({p & mask for p in bundle}) > 2:
+                    # Resolve: each outcome of `_resolutions` takes the
+                    # bundle's place.
+                    for ids, plan in _resolutions(bundle, shift, mask, t_tail, t_fanout,
+                                                  t_parent_pair, rho_t):
+                        for a in ins:
+                            new = tuple(sorted(rest + [i << shift | a for i in ids]))
+                            above_v.setdefault(new, ("resolve", v, key, a, plan))
+                    continue
+                # Tree arcs are numbered in sorted order, so the tails along
+                # a key are sorted: the bundle has one tail iff its ends do.
+                y = t_tail[bundle[0] >> shift]
+                if t_tail[bundle[-1] >> shift] != y:
+                    continue
+                # Extend: the bundle's arcs all cross one in-arc of v now.
+                if len(key) == 1:
+                    cleared = key[0] >> shift << shift
+                    for a in ins:
+                        above_v.setdefault((cleared | a,), ("extend", v, key, a))
+                else:
                     for a in ins:
                         extended = tuple([p >> shift << shift | a if p & mask in outs
                                           else p for p in key])
                         above_v.setdefault(extended, ("extend", v, key, a))
-                    y = t_tail[bundle[0] >> shift]
-                    if y == rho_t or len(bundle) != t_fanout[y]:
-                        continue
-                # Grow, or resolve: the bundle leaves the key.  A grow puts
-                # y's parent arc in its place, the bundle being every out-arc
-                # of y; a resolution puts each outcome of `_resolutions` there.
-                rest = [p for p in key if p & mask not in outs]
-                if not resolve:
-                    parent = t_parent_pair[y]
-                    for a in ins:
-                        grown = tuple(sorted(rest + [parent | a]))
-                        above_v.setdefault(grown, ("grow", v, key, parent | a))
+                if y == rho_t or len(bundle) != t_fanout[y]:
                     continue
-                for ids, plan in _resolutions(bundle, shift, mask, t_tail, t_fanout,
-                                              t_parent_pair, rho_t):
-                    for a in ins:
-                        new = tuple(sorted(rest + [i << shift | a for i in ids]))
-                        above_v.setdefault(new, ("resolve", v, key, a, plan))
-            above[v] = above_v
+                # Grow: y's parent arc takes the place of the bundle, which
+                # holds every out-arc of y.
+                parent = t_parent_pair[y]
+                for a in ins:
+                    grown = tuple(sorted(rest + [parent | a])) if rest else (parent | a,)
+                    above_v.setdefault(grown, ("grow", v, key, parent | a))
+
+        above[v] = above_v
+        sizes.append((v, len(above_v), len(below_v)))
+        if keep_tables:
             below[v] = below_v
-
-        stats.append(VertexStats(v, len(above[v]), len(below[v])))
-
-        if not keep_tables:
+        else:
             for q in qs:
-                above.pop(q, None)
-                below.pop(q, None)
-        if not above[v]:
+                del above[q]
+        if not above_v:
             break   # so is every table above it, up to the final one: NO
 
     # The one key that can accept: the tree's root arc on the final vertex's in-arc.
@@ -356,7 +366,7 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     accepting = (tree_id[rho_t, t.children(rho_t)[0]] << shift | a,)
     return SolveResult(
         instance=inst,
-        stats=stats,
+        stats=list(map(VertexStats._make, sizes)),
         tables={"above": above, "below": below} if keep_tables else None,
         accepting_key=accepting if accepting in above.get(final, ()) else None,
     )

@@ -675,6 +675,74 @@ def test_captured_stdout_is_not_kept_alive():
     assert [ref() for ref in refs] == [None, None, None]
 
 
+# -- the cyclic collector is paused for each command --------------------------
+
+
+@pytest.fixture()
+def collector_restored():
+    """Sets the cyclic collector back to its state before the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, files, monkeypatch, capsys,
+                                                  collector_restored):
+    bad = files["dir"] / "bad.network"
+    bad.write_bytes(b"A r x\xff\n")
+    net, yes, no = files["net_a"], files["tree_d"], files["tree_c"]
+    cases = [
+        (["--help"], 0),
+        (["solve", "-n", net, "-t", yes], 0),
+        (["solve", "-n", net, "-t", no], 1),
+        (["solve", "-n", net], 64),
+        (["solve", "-n", str(bad), "-t", yes], 65),
+        (["solve", "-n", net, "-t", str(files["dir"] / "missing")], 66),
+    ]
+    (gc.enable if enabled else gc.disable)()
+    for argv, code in cases:
+        assert main(argv) == code, argv
+        assert gc.isenabled() is enabled, argv
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("stc.cli.solve", crash)
+    assert main(["solve", "-n", net, "-t", yes]) == 70
+    assert gc.isenabled() is enabled
+
+
+def test_commands_leave_no_cycle_for_the_collector(files, capsys, collector_restored):
+    # What `main` allocates is freed by reference counting alone, so pausing
+    # the collector for a command holds no memory past it.
+    batch = files["dir"] / "batch"
+    batch.mkdir()
+    for name, network in (("i1", NET_A), ("i2", None)):
+        if network is None:
+            (batch / f"{name}.network").write_bytes(b"A r x\xff\n")
+        else:
+            (batch / f"{name}.network").write_text(network)
+        (batch / f"{name}.tree").write_text(TREE_D)
+    net, yes, no = files["net_a"], files["tree_d"], files["tree_c"]
+    cases = [
+        (["solve", "-n", net, "-t", yes], 0),
+        (["solve", "-n", net, "-t", no], 1),
+        (["solve", "-n", net, "-t", yes, "--witness"], 0),
+        (["solve", "-n", yes, "-t", yes, "--witness"], 0),  # resolves a polytomy
+        (["solve", "--batch", str(batch)], 66),
+        (["solve", "-n", net], 64),
+        (["frobnicate"], 64),
+    ]
+    gc.disable()
+    for argv, code in cases:
+        gc.collect()
+        assert main(argv) == code, argv
+        assert gc.collect() == 0, argv
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "i1 YES", f"i2 ERROR {batch / 'i2.network'}: byte offset 5: not UTF-8 (byte 0xff)"]
+
+
 # -- fuzzing: every mutated document ends in a documented exit code ------------
 
 

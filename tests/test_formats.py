@@ -12,6 +12,7 @@ import stc
 
 from stc import (
     Digraph,
+    GeneratorParams,
     InputError,
     ParseError,
     default_extension,
@@ -22,6 +23,8 @@ from stc import (
     serialize_extension,
 )
 from stc.digraph import classify
+from stc.formats import _parse_edgelist_lines
+from test_cli import _mutate
 
 DOC = """\
 network demo
@@ -155,6 +158,77 @@ def test_parsing_scales_linearly_in_the_labels(tmp_path):
             [math.log(s) for s in sizes], [math.log(float(t)) for t in out.split()])
         slopes.append(fit.slope)
     assert min(slopes) <= 1.3, slopes
+
+
+def _outcome(parse, text):
+    """The graph that `parse` builds, down to the order of its maps, or the
+    type, message, line and column of the error it raises."""
+    try:
+        g = parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+    return (g.vertices, list(g._parents.items()), list(g._children.items()),
+            list(g._labels.items()))
+
+
+def _dressed(text):
+    """`text` with a new header, comments, blank lines, tabs and CRLF
+    endings, and with its lines reversed and no header."""
+    lines = [line for line in text.splitlines() if not line.startswith("network ")]
+    noisy = ["network  dressed # a header", "", "# a comment"]
+    noisy += [f"\t{line}   # line {i}" if i % 2 else f"{line}\t" for i, line in
+              enumerate(lines)]
+    return ["\r\n".join(noisy) + "\r\n", "\n".join(reversed(lines))]
+
+
+def test_the_bulk_parse_agrees_with_the_line_parser(suite, monkeypatch):
+    # On a valid document the bulk path answers alone; on any other the
+    # line parser names the first fault, so both give the same outcome.
+    line_runs = []
+
+    def lines(text):
+        line_runs.append(text)
+        return _parse_edgelist_lines(text)
+
+    monkeypatch.setattr("stc.formats._parse_edgelist_lines", lines)
+    valid = [DOC, *(doc for _, n, t, _ in suite[::5]
+                    for doc in (serialize_edgelist(n, "n"), serialize_edgelist(t)))]
+    for params in (GeneratorParams(12, 6, 0.5, 2, "yes-biased"),
+                   GeneratorParams(30, 8, 0.3, 5, "unlabeled")):
+        inst = stc.generate(params)
+        valid += [inst.network_doc, inst.tree_doc]
+    valid += [dressed for text in valid[:20] for dressed in _dressed(text)]
+    for text in valid:
+        graph = _outcome(parse_edgelist, text)
+        assert not line_runs, text
+        assert graph == _outcome(_parse_edgelist_lines, text), text
+    for text, *_ in _POSITIONED_ERRORS:
+        assert _outcome(parse_edgelist, text) == _outcome(_parse_edgelist_lines, text)
+    faults = set()
+    for text in valid[:12:3]:
+        graph = parse_edgelist(text)
+        vertices = sorted({*graph.vertices, "zz"})
+        taxa = sorted({*graph.taxa, "tz"})
+        n, m = len(text.splitlines()), len(vertices)
+        mutations = [("drop", i, 0) for i in range(n)]
+        mutations += [("arc", i, j) for i in range(m) for j in range(m)]
+        mutations += [("label", i, j) for i in range(m) for j in range(len(taxa))]
+        mutations += [("swap", i, j) for i in range(n) for j in range(n)]
+        mutations += [("byte", i, j) for i in range(0, len(text), 7) for j in (0, 40)]
+        # The last line labels a leaf: with it dropped, a new label on that
+        # leaf may repeat a taxon and nothing else.
+        for base in (text, _mutate(text, "drop", n - 1, 0, vertices, taxa)):
+            for kind, i, j in mutations:
+                mutated = _mutate(base, kind, i, j, vertices, taxa)
+                outcome = _outcome(parse_edgelist, mutated)
+                assert outcome == _outcome(_parse_edgelist_lines, mutated), mutated
+                if outcome[0] is ParseError:
+                    faults.update(f for f in _FAULTS if f in outcome[1])
+    assert faults == set(_FAULTS), faults
+
+
+_FAULTS = ("duplicate arc", "self-loop", "labeled twice", "used twice",
+           "unknown vertex", "non-leaf vertex", "unknown directive")
 
 
 def test_label_errors():

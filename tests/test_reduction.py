@@ -234,7 +234,8 @@ def test_preprocess_rejects_bad_inputs(net_a, tree_d):
 
 def test_the_default_path_makes_one_kahn_pass(net_a, tree_d, monkeypatch):
     # The sorted order that the default extension is built from also answers
-    # the cycle check, so no stack pass runs on the input network.
+    # the cycle check, so no stack pass runs on the input network; the
+    # augmented tree carries the input tree's proof, so none runs on it.
     acyclic = Digraph.__dict__["_acyclic"]
     compute, stack_passes = acyclic.compute, []
 
@@ -245,9 +246,18 @@ def test_the_default_path_makes_one_kahn_pass(net_a, tree_d, monkeypatch):
 
     monkeypatch.setattr(acyclic, "compute", counted)
     n = Digraph(net_a.arcs, net_a.labels)
-    preprocess(n, tree_d)
-    # the augmented tree still gets one, so the wrapper is seen to count
-    assert stack_passes and all(d is not n for d in stack_passes)
+    t = Digraph(tree_d.arcs, tree_d.labels)
+    inst = preprocess(n, t)
+    # the fresh input tree is searched, so the wrapper is seen to count
+    assert stack_passes == [t]
+    assert inst.tree.is_acyclic() and stack_passes == [t]
+    # A hand-built instance's tree carries no proof: `check` searches it,
+    # so a cyclic tree is still refused.
+    looped = Digraph([("x", "y"), ("y", "z"), ("z", "y"), ("y", "a"), ("z", "b")],
+                     {"a": "a", "b": "b"})
+    with pytest.raises(InternalError, match="^reduced tree misses the degree-1-root form$"):
+        _with(inst, tree=looped).check()
+    assert stack_passes == [t, looped]
     # A given extension needs no sorted order, so the stack pass runs.
     given = Digraph(net_a.arcs, net_a.labels)
     preprocess(given, tree_d,
