@@ -192,7 +192,7 @@ def reduce_cmd(network_path, extension_path, tree_path, prefix):
     n = _load_network(network_path)
     ext = _load_extension(extension_path, n) if extension_path else None
     t = _load_network(tree_path) if tree_path else None
-    _require_network(n, ordered=ext is None)
+    _require_network(n)
     if t is not None:
         _require_tree(t)
     ext, trace = reduce_network(n, ext, taxa=None if t is None else t.taxa)

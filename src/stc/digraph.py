@@ -26,6 +26,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
+from heapq import heappop, heappush
 
 from .errors import InputError
 
@@ -207,42 +208,29 @@ class Digraph:
 
     @_cached
     def _topo_order(self) -> tuple[str, ...] | None:
-        """A sorted-tie-break topological order, or None if cyclic."""
-        import heapq
-        indeg = {v: len(self._parents[v]) for v in self._vertices}
-        heap = [v for v in self._vertices if not indeg[v]]
-        heapq.heapify(heap)
+        """A sorted-tie-break topological order, or None if cyclic: the one
+        Kahn pass, which also answers `is_acyclic`."""
+        children = self._children
+        indeg = {v: len(ps) for v, ps in self._parents.items()}
+        heap = [v for v, d in indeg.items() if not d]  # sorted, so a heap
         order = []
         while heap:
-            v = heapq.heappop(heap)
+            v = heappop(heap)
             order.append(v)
-            for w in self._children[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(heap, w)
+            for w in children[v]:
+                d = indeg[w] - 1
+                indeg[w] = d
+                if not d:
+                    heappush(heap, w)
         if len(order) != len(self._vertices):
             return None
         return tuple(order)
 
     @_cached
     def _acyclic(self) -> bool:
-        """Whether no directed cycle exists: read off the sorted order if it
-        is cached, else found by a Kahn pass on a plain stack, whose
-        visiting order does not matter here."""
-        if "_topo_order" in self.__dict__:
-            return self._topo_order is not None
-        children = self._children
-        indeg = {v: len(ps) for v, ps in self._parents.items()}
-        stack = [v for v, d in indeg.items() if not d]
-        seen = 0
-        while stack:
-            v = stack.pop()
-            seen += 1
-            for w in children[v]:
-                indeg[w] -= 1
-                if not indeg[w]:
-                    stack.append(w)
-        return seen == len(self._vertices)
+        """Whether no directed cycle exists: recorded by `_proven_acyclic`
+        where a proof is at hand, else read off the sorted order."""
+        return self._topo_order is not None
 
     def is_acyclic(self) -> bool:
         return self._acyclic
@@ -335,12 +323,12 @@ def classify(d: Digraph) -> PhyloClass:
     return PhyloClass(PhyloKind.NETWORK, reticulation)
 
 
-def _classify_acyclic(d: Digraph) -> PhyloClass:
-    """`classify(d)` for a graph already proven acyclic, for example by a
-    valid tree extension of it: the fact is recorded, so the cycle search
-    is skipped."""
-    d.__dict__.setdefault("_acyclic", True)
-    return classify(d)
+def _proven_acyclic(d: Digraph) -> Digraph:
+    """`d`, with the record that it is acyclic, for a graph already proven
+    so, for example by a valid tree extension of it: `is_acyclic` then
+    answers without a Kahn pass."""
+    d.__dict__["_acyclic"] = True
+    return d
 
 
 # -- extended reachability -------------------------------------------------

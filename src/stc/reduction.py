@@ -12,7 +12,7 @@ and `AugmentedInstance.check` validates them once.  Vertices of out-degree
 
 from __future__ import annotations
 
-from .digraph import Digraph, PhyloKind, _adjacency, _classify_acyclic, classify
+from .digraph import Digraph, PhyloKind, _adjacency, _proven_acyclic, classify
 from .errors import InputError, InternalError, SemanticError
 from .extension import (
     AttachRootStep,
@@ -164,7 +164,7 @@ class AugmentedInstance(_Record):
         network is classified without a cycle search.  The tree is searched
         unless it carries a proof, as the one `preprocess` builds does."""
         self.extension.require_valid()
-        if _classify_acyclic(self.network).kind is not PhyloKind.ROOTED_DAG_DEG1_ROOT:
+        if classify(_proven_acyclic(self.network)).kind is not PhyloKind.ROOTED_DAG_DEG1_ROOT:
             raise InternalError("reduced network misses the degree-1-root form")
         if classify(self.tree).kind is not PhyloKind.ROOTED_DAG_DEG1_ROOT:
             raise InternalError("reduced tree misses the degree-1-root form")
@@ -216,15 +216,10 @@ def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
     return state.canonical_extension(), trace
 
 
-def _require_network(n: Digraph, *, ordered: bool = False) -> None:
+def _require_network(n: Digraph) -> None:
     """Raise `SemanticError` unless `n` is a phylogenetic network (a tree is
-    one).
-
-    `ordered` says that the default extension of `n` will be built, from
-    its sorted topological order: that order is then found first, and the
-    cycle check of `classify` reads it, so one Kahn pass answers both."""
-    if ordered:
-        n._topo_order  # computed and cached, so `_acyclic` reads it
+    one).  The cycle check caches `n`'s sorted topological order, which the
+    default extension of `n` is built from."""
     n_class = classify(n)
     if n_class.kind not in (PhyloKind.NETWORK, PhyloKind.TREE):
         raise SemanticError(f"not a phylogenetic network: {n_class.reason}")
@@ -247,9 +242,7 @@ def _with_degree_1_root(t: Digraph) -> Digraph:
     parents[root] = (rho,)
     children = {v: t._children.get(v, ()) for v in vertices}
     children[rho] = (root,)
-    augmented = Digraph._of(vertices, parents, children, t._labels)
-    augmented.__dict__["_acyclic"] = t.is_acyclic()
-    return augmented
+    return _proven_acyclic(Digraph._of(vertices, parents, children, t._labels))
 
 
 def preprocess(n: Digraph, t: Digraph,
@@ -258,7 +251,7 @@ def preprocess(n: Digraph, t: Digraph,
 
     The returned instance has passed `AugmentedInstance.check`.
     """
-    _require_network(n, ordered=ext is None)
+    _require_network(n)
     _require_tree(t)
     ext, trace = reduce_network(n, ext, taxa=t.taxa)
     inst = AugmentedInstance(_with_degree_1_root(t), ext, trace)

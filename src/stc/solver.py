@@ -332,22 +332,17 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
                 if t_tail[bundle[-1] >> shift] != y:
                     continue
                 # Extend: the bundle's arcs all cross one in-arc of v now.
-                if len(key) == 1:
-                    cleared = key[0] >> shift << shift
-                    for a in ins:
-                        above_v.setdefault((cleared | a,), ("extend", v, key, a))
-                else:
-                    for a in ins:
-                        extended = tuple([p >> shift << shift | a if p & mask in outs
-                                          else p for p in key])
-                        above_v.setdefault(extended, ("extend", v, key, a))
+                for a in ins:
+                    extended = tuple([p >> shift << shift | a if p & mask in outs
+                                      else p for p in key])
+                    above_v.setdefault(extended, ("extend", v, key, a))
                 if y == rho_t or len(bundle) != t_fanout[y]:
                     continue
                 # Grow: y's parent arc takes the place of the bundle, which
                 # holds every out-arc of y.
                 parent = t_parent_pair[y]
                 for a in ins:
-                    grown = tuple(sorted(rest + [parent | a])) if rest else (parent | a,)
+                    grown = tuple(sorted(rest + [parent | a]))
                     above_v.setdefault(grown, ("grow", v, key, parent | a))
 
         above[v] = above_v
@@ -418,8 +413,9 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
     "resolve" tag does the same at each node of its plan, top-down, with a
     fresh vertex for each node below its own vertex; each out-arc it
     resolves then has that out-arc's node as its tail for the tags below.
-    The fresh ids are the network's `fresh_names()`, taken at the first
-    "resolve" tag, so a run that resolves nothing never scans for them.
+    The fresh ids are the network's `fresh_names()`, which finds its start
+    by bisecting to the ids that begin with `g`, so taking it up front is
+    cheap even for a run that resolves nothing.
     Packed ids are decoded here, by indexing the graphs' sorted `arcs`.
     """
     above, below = result.tables["above"], result.tables["below"]
@@ -434,7 +430,7 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
     overlap: set[Arc] = set()
     tail: dict[int, str] = {}  # network arc id -> its tail in the resolution
     resolution: list[Arc] = []
-    names = None
+    names = network.fresh_names()
 
     stack = [(above[result.final_vertex], result.accepting_key)]
     while stack:
@@ -470,8 +466,6 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
                                                if lo <= pre[n_arcs[p & mask][1]] < hi])))
         elif kind == "resolve":
             _, v, inner, a, plan = tag
-            if names is None:
-                names = network.fresh_names()
             nodes = [(plan, tail.get(a) or n_arcs[a][0], v)]
             while nodes:
                 (ids, grown, *parts), u, w = nodes.pop()

@@ -1,6 +1,9 @@
 """Core digraph invariants, rewrites, classification, reachability, the
 oracle's canonical tree form, and the graphs built by `Digraph._of`."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from stc import (
@@ -61,6 +64,44 @@ def test_topological_order_is_deterministic(net_a):
     assert order == net_a.topological_order()
 
 
+def _smallest_source_order(d):
+    """The vertices of `d`, taking the smallest source of what is left each
+    time, or None once every vertex left has a parent left (a cycle)."""
+    left, order = set(d.vertices), []
+    while left:
+        sources = [v for v in left if left.isdisjoint(d.parents(v))]
+        if not sources:
+            return None
+        order.append(min(sources))
+        left.remove(order[-1])
+    return tuple(order)
+
+
+def test_topological_order_breaks_ties_by_sorted_id(suite):
+    """The default extension is built from this order, so its tie-break
+    decides output bytes.  A random extra arc closes a cycle on some graphs,
+    which `is_acyclic` must tell exactly when the reference gets stuck."""
+    graphs = [g for _, n, t, _ in suite for g in (n, t)]
+    for seed in range(40):
+        for params in (GeneratorParams(12, 6, 0.5, seed, "yes-biased"),
+                       GeneratorParams(30, 8, 0.3, seed, "unlabeled")):
+            inst = generate(params)
+            graphs += [inst.network, inst.tree]
+    for d in graphs:
+        assert d.topological_order() == _smallest_source_order(d)
+    rng, verdicts = random.Random(0), Counter()
+    for d in graphs[::3]:
+        for _ in range(3):
+            u, w = rng.sample(d.vertices, 2)
+            extra = Digraph(d.arcs + ((u, w),))
+            reference = _smallest_source_order(extra)
+            verdicts[reference is None] += 1
+            assert extra.is_acyclic() is (reference is not None)
+            if reference is not None:
+                assert extra.topological_order() == reference
+    assert verdicts[True] > 50 and verdicts[False] > 50, verdicts
+
+
 def test_cycle_detected():
     d = Digraph([("a", "b"), ("b", "c"), ("c", "a"), ("x", "a")])
     assert not d.is_acyclic()
@@ -70,7 +111,7 @@ def test_cycle_detected():
     assert not reaches(d, "a", "x")
     assert not reaches(d, "a", "a")              # strict on vertices
     assert reaches(d, ("a", "b"), ("a", "b"))    # b reaches a round the cycle
-    # read off a cached sorted order instead of a pass of its own
+    # read off the sorted order's pass, whether or not it ran first
     for arcs, acyclic in ((d.arcs, False), (d.arcs[1:], True)):
         fresh = Digraph(arcs)
         fresh._topo_order

@@ -31,6 +31,7 @@ from stc import (
     soft_display,
     update_extension,
 )
+from stc.cli import main
 from stc.extension import AttachRootStep, InSplitStep, RestrictStep
 from test_solver import _reference_preprocess, _reference_stretch
 
@@ -232,43 +233,60 @@ def test_preprocess_rejects_bad_inputs(net_a, tree_d):
         preprocess(net_a, net_a)  # second argument must classify as a tree
 
 
-def test_the_default_path_makes_one_kahn_pass(net_a, tree_d, monkeypatch):
-    # The sorted order that the default extension is built from also answers
-    # the cycle check, so no stack pass runs on the input network; the
-    # augmented tree carries the input tree's proof, so none runs on it.
-    acyclic = Digraph.__dict__["_acyclic"]
-    compute, stack_passes = acyclic.compute, []
+def test_the_default_path_makes_one_kahn_pass(net_a, tree_d, monkeypatch, tmp_path,
+                                             capsys):
+    # The sorted order is the one Kahn pass: the input network's answers its
+    # cycle check and gives the default extension, the input tree's answers
+    # its own, and the reduced network and the augmented tree carry proofs.
+    topo = Digraph.__dict__["_topo_order"]
+    compute, passes = topo.compute, []
 
     def counted(d):
-        if "_topo_order" not in d.__dict__:
-            stack_passes.append(d)
+        passes.append(d)
         return compute(d)
 
-    monkeypatch.setattr(acyclic, "compute", counted)
+    monkeypatch.setattr(topo, "compute", counted)
     n = Digraph(net_a.arcs, net_a.labels)
     t = Digraph(tree_d.arcs, tree_d.labels)
     inst = preprocess(n, t)
-    # the fresh input tree is searched, so the wrapper is seen to count
-    assert stack_passes == [t]
-    assert inst.tree.is_acyclic() and stack_passes == [t]
+    assert len(passes) == 2 and passes[0] is n and passes[1] is t
+    assert inst.network.is_acyclic() and inst.tree.is_acyclic()
+    assert len(passes) == 2  # none on the reduced network or the augmented tree
+    # A given extension (-x) needs no sorted order: still one pass on each.
+    given = Digraph(net_a.arcs, net_a.labels)
+    t = Digraph(tree_d.arcs, tree_d.labels)
+    ext = TreeExtension(given, Digraph(default_extension(net_a).gamma.arcs))
+    passes.clear()
+    preprocess(given, t, ext)
+    assert len(passes) == 2 and passes[0] is given and passes[1] is t
+    # `stc reduce` calls `_require_network` too, with and without -x.
+    (tmp_path / "n").write_text(serialize_edgelist(net_a))
+    (tmp_path / "t").write_text(serialize_edgelist(tree_d))
+    (tmp_path / "x").write_text(serialize_extension(default_extension(net_a)))
+    common = ["reduce", "-n", str(tmp_path / "n"), "-t", str(tmp_path / "t"),
+              "-o", str(tmp_path / "r")]
+    for extra in ([], ["-x", str(tmp_path / "x")]):
+        passes.clear()
+        assert main(common + extra) == 0
+        assert [d.labels for d in passes] == [net_a.labels, tree_d.labels]
+        assert [d.vertices for d in passes] == [net_a.vertices, tree_d.vertices]
+    capsys.readouterr()
     # A hand-built instance's tree carries no proof: `check` searches it,
     # so a cyclic tree is still refused.
     looped = Digraph([("x", "y"), ("y", "z"), ("z", "y"), ("y", "a"), ("z", "b")],
                      {"a": "a", "b": "b"})
+    passes.clear()
     with pytest.raises(InternalError, match="^reduced tree misses the degree-1-root form$"):
         _with(inst, tree=looped).check()
-    assert stack_passes == [t, looped]
-    # A given extension needs no sorted order, so the stack pass runs.
-    given = Digraph(net_a.arcs, net_a.labels)
-    preprocess(given, tree_d,
-               TreeExtension(given, Digraph(default_extension(net_a).gamma.arcs)))
-    assert any(d is given for d in stack_passes)
+    assert len(passes) == 1 and passes[0] is looped
     cyclic = Digraph([("r", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("r", "x"),
                       ("r", "y")], {"x": "x", "y": "y"})
     tree = Digraph([("s", "x"), ("s", "y")], {"x": "x", "y": "y"})
+    passes.clear()
     with pytest.raises(SemanticError,
                        match="^not a phylogenetic network: contains a directed cycle$"):
         preprocess(cyclic, tree)
+    assert len(passes) == 1 and passes[0] is cyclic
 
 
 def test_replay_reproduces_reduced_network(suite):
