@@ -16,11 +16,16 @@ from .extension import TreeExtension
 _TOKEN_RE = re.compile(r"\S+")
 
 
-def _lines(text):
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.split("#", 1)[0]
-        if stripped.strip():
-            yield lineno, stripped
+def _split_lines(text):
+    """The lines of `text`, each cut at its first `#`.  A line ends only at
+    `\\n`, `\\r\\n` or `\\r`: the other breaks of `str.splitlines`, such as
+    `\\f`, `\\v`, `\\x85` and U+2028, are whitespace inside their line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return lines
 
 
 def _column(line, index):
@@ -33,94 +38,70 @@ def parse_edgelist(text: str) -> Digraph:
     """The graph of an edge-list document; its header is checked, and its
     name is not kept.
 
-    Each line is split once, and the arcs and labels are checked in bulk,
-    with set operations.  A document that fails any check is parsed again
-    by `_parse_edgelist_lines`, which raises, naming the first fault with
-    its line and column."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    rows = [row for row in map(str.split, lines) if row]
-    if rows and rows[0][0] == "network" and len(rows[0]) == 2:
-        del rows[0]
-    if rows and set(map(len, rows)) == {3}:
-        arcs = [(x, y) for kind, x, y in rows if kind == "A"]
-        labels = {x: y for kind, x, y in rows if kind == "L"}
-        # Every row is an arc or a label, no vertex is labeled twice, and
-        # there is an arc.
-        if arcs and len(arcs) + len(labels) == len(rows):
-            tails, heads = zip(*arcs)
-            mentioned = {*tails, *heads}
-            if (len(set(arcs)) == len(arcs)
-                    and not any(map(str.__eq__, tails, heads))
-                    and len(set(labels.values())) == len(labels)
-                    and mentioned.issuperset(labels)
-                    and labels.keys().isdisjoint(tails)):
-                vertices = tuple(sorted(mentioned))
-                arcs.sort()
-                return Digraph._of(vertices, *_adjacency(vertices, arcs),
-                                   dict(sorted(labels.items())))
-    return _parse_edgelist_lines(text)
-
-
-def _parse_edgelist_lines(text: str) -> Digraph:
-    """`parse_edgelist` line by line: the first fault raises `ParseError`
-    with its line and column."""
-    arc_lines: dict = {}       # arc -> line number
-    labels: dict = {}         # vertex -> (taxon, line number, line)
-    taxa: set = set()
-    first = True
-    for lineno, line in _lines(text):
+    One pass over the lines takes each valid arc and label line at once and
+    raises `ParseError` at the first faulty line, with its line and column.
+    The labels are checked against the arcs after the pass, and searched for
+    the first faulty one only when those set checks fail."""
+    lines = _split_lines(text)
+    arcs: dict = {}           # arc -> line number
+    labels: dict = {}         # vertex -> taxon
+    taxa: dict = {}           # taxon -> line number
+    header = False
+    for lineno, line in enumerate(lines, 1):
         toks = line.split()
+        if len(toks) == 3:
+            kind, x, y = toks
+            if kind == "A" and x != y and (x, y) not in arcs:
+                arcs[x, y] = lineno
+                continue
+            if kind == "L" and x not in labels and y not in taxa:
+                labels[x] = y
+                taxa[y] = lineno
+                continue
+        elif not toks:
+            continue
+        # A header or a faulty line; `x` and `y` are bound if it has 3 tokens.
         kind = toks[0]
         if kind == "network":
-            if not first:
+            if header or arcs or labels:
                 raise ParseError("header must come first", lineno, _column(line, 0))
             if len(toks) != 2:
                 raise ParseError("header needs exactly one name", lineno,
                                  _column(line, 0))
+            header = True
         elif kind == "A":
             if len(toks) != 3:
                 raise ParseError("arc line needs a tail and a head", lineno,
                                  _column(line, 0))
-            tail, head = toks[1], toks[2]
-            if tail == head:
-                raise ParseError(f"self-loop on {tail!r}", lineno, _column(line, 1))
-            if (tail, head) in arc_lines:
-                raise ParseError(
-                    f"duplicate arc ({tail}, {head}), first seen on line "
-                    f"{arc_lines[(tail, head)]}", lineno, _column(line, 0))
-            arc_lines[(tail, head)] = lineno
+            if x == y:
+                raise ParseError(f"self-loop on {x!r}", lineno, _column(line, 1))
+            raise ParseError(f"duplicate arc ({x}, {y}), first seen on line "
+                             f"{arcs[x, y]}", lineno, _column(line, 0))
         elif kind == "L":
             if len(toks) != 3:
                 raise ParseError("label line needs a vertex and a taxon", lineno,
                                  _column(line, 0))
-            vertex, taxon = toks[1], toks[2]
-            if vertex in labels:
-                raise ParseError(f"vertex {vertex!r} labeled twice", lineno,
-                                 _column(line, 1))
-            if taxon in taxa:
-                raise ParseError(f"taxon {taxon!r} used twice", lineno, _column(line, 2))
-            taxa.add(taxon)
-            labels[vertex] = (taxon, lineno, line)
+            if x in labels:
+                raise ParseError(f"vertex {x!r} labeled twice", lineno, _column(line, 1))
+            raise ParseError(f"taxon {y!r} used twice", lineno, _column(line, 2))
         else:
             raise ParseError(f"unknown directive {kind!r}", lineno, _column(line, 0))
-        first = False
-    if not arc_lines:
+    if not arcs:
         raise ParseError("document contains no arcs", 1, 1)
-    mentioned = {x for a in arc_lines for x in a}
-    out_tails = {a[0] for a in arc_lines}
-    for vertex, (taxon, lineno, line) in labels.items():
-        if vertex not in mentioned:
-            raise ParseError(f"label on unknown vertex {vertex!r}", lineno,
-                             _column(line, 1))
-        if vertex in out_tails:
-            raise ParseError(f"label on non-leaf vertex {vertex!r}", lineno,
-                             _column(line, 1))
+    tails, heads = zip(*arcs)
+    mentioned = {*tails, *heads}
+    if not (mentioned.issuperset(labels) and labels.keys().isdisjoint(tails)):
+        tails = set(tails)
+        for vertex, taxon in labels.items():
+            if vertex not in mentioned or vertex in tails:
+                what = "unknown" if vertex not in mentioned else "non-leaf"
+                lineno = taxa[taxon]
+                raise ParseError(f"label on {what} vertex {vertex!r}", lineno,
+                                 _column(lines[lineno - 1], 1))
     # Every invariant of a `Digraph` is checked above, with its line.
     vertices = tuple(sorted(mentioned))
-    return Digraph._of(vertices, *_adjacency(vertices, sorted(arc_lines)),
-                       {v: labels[v][0] for v in sorted(labels)})
+    return Digraph._of(vertices, *_adjacency(vertices, sorted(arcs)),
+                       dict(sorted(labels.items())))
 
 
 def serialize_edgelist(graph: Digraph, name: str | None = None) -> str:
@@ -138,25 +119,31 @@ def serialize_edgelist(graph: Digraph, name: str | None = None) -> str:
 
 
 def parse_extension(text: str, host: Digraph) -> TreeExtension:
+    known = host._parents
     seen: dict = {}           # arc -> line number
-    for lineno, line in _lines(text):
+    for lineno, line in enumerate(_split_lines(text), 1):
         toks = line.split()
-        kind = toks[0]
-        if kind != "E":
-            raise ParseError(f"unknown directive {kind!r}", lineno, _column(line, 0))
+        if len(toks) == 3:
+            kind, parent, child = toks
+            if (kind == "E" and parent in known and child in known
+                    and parent != child and (parent, child) not in seen):
+                seen[parent, child] = lineno
+                continue
+        elif not toks:
+            continue
+        # A faulty line; `parent` and `child` are bound if it has 3 tokens.
+        if toks[0] != "E":
+            raise ParseError(f"unknown directive {toks[0]!r}", lineno, _column(line, 0))
         if len(toks) != 3:
             raise ParseError("extension line needs a parent and a child", lineno,
                              _column(line, 0))
-        parent, child = toks[1], toks[2]
         for index, v in ((1, parent), (2, child)):
-            if v not in host._parents:
+            if v not in known:
                 raise ParseError(f"unknown vertex {v!r}", lineno, _column(line, index))
         if parent == child:
             raise ParseError(f"self-loop on {parent!r}", lineno, _column(line, 1))
-        if (parent, child) in seen:
-            raise ParseError(f"duplicate line for ({parent}, {child})", lineno,
-                             _column(line, 0))
-        seen[(parent, child)] = lineno
+        raise ParseError(f"duplicate line for ({parent}, {child})", lineno,
+                         _column(line, 0))
     if not seen:
         raise ParseError("extension document contains no lines", 1, 1)
     # The lines are checked above for every invariant of an unlabeled graph.
@@ -195,8 +182,12 @@ class _Newick:
         self.hybrids: dict = {}       # tag -> vertex id
         self.has_children: set = set()
 
-    def error(self, message):
-        raise ParseError(message, 1, self.pos + 1)
+    def error(self, message, pos=None):
+        """Raise `ParseError` at offset `pos` of the text, by default the
+        current one, with the line and column it has in the document."""
+        pos = self.pos if pos is None else pos
+        raise ParseError(message, self.text.count("\n", 0, pos) + 1,
+                         pos - self.text.rfind("\n", 0, pos))
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -239,12 +230,11 @@ class _Newick:
         # subtree whose closing parenthesis is still ahead.
         open_nodes: list = []
         while True:
-            start = self.pos
             if self.peek() == "(":
+                open_nodes.append(([], self.pos))
                 self.pos += 1
-                open_nodes.append(([], start))
                 continue
-            node = self.node([], start)
+            node = self.node([], self.pos)
             while open_nodes:
                 children, start = open_nodes[-1]
                 children.append(node)
@@ -276,8 +266,7 @@ class _Newick:
                     self.hybrids[tag] = self.fresh()
                 vid = self.hybrids[tag]
                 if node["children"] and vid in self.has_children:
-                    raise ParseError(f"hybrid {tag!r} given two child sets",
-                                     1, node["pos"] + 1)
+                    self.error(f"hybrid {tag!r} given two child sets", node["pos"])
                 if not known and node["name"] is not None:
                     self.labels[vid] = node["name"]
             else:
@@ -287,11 +276,10 @@ class _Newick:
             if parent is None:
                 root_id = vid
             elif vid == parent:
-                raise ParseError(f"hybrid {tag!r} is a child of itself",
-                                 1, node["pos"] + 1)
+                self.error(f"hybrid {tag!r} is a child of itself", node["pos"])
             elif (parent, vid) in self.arcs:
-                raise ParseError(f"hybrid {tag!r} is a child of one parent twice",
-                                 1, node["pos"] + 1)
+                self.error(f"hybrid {tag!r} is a child of one parent twice",
+                           node["pos"])
             else:
                 self.arcs.add((parent, vid))
             if node["children"]:
@@ -334,4 +322,4 @@ def parse_enewick(text: str) -> Digraph:
     """
     if not text.strip():
         raise ParseError("empty document", 1, 1)
-    return _Newick(text.strip()).parse()
+    return _Newick(text).parse()

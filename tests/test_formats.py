@@ -1,7 +1,10 @@
 """Edge-list, extension, and eNewick parsing with positional diagnostics."""
 
+import contextlib
+import io
 import math
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -15,6 +18,7 @@ from stc import (
     GeneratorParams,
     InputError,
     ParseError,
+    TreeExtension,
     default_extension,
     parse_edgelist,
     parse_enewick,
@@ -22,9 +26,11 @@ from stc import (
     serialize_edgelist,
     serialize_extension,
 )
-from stc.digraph import classify
-from stc.formats import _parse_edgelist_lines
+from stc.cli import main
+from stc.digraph import _adjacency, classify
+from stc.formats import _column
 from test_cli import _mutate
+from test_reduction import _random_chain
 
 DOC = """\
 network demo
@@ -108,6 +114,28 @@ _POSITIONED_EXTENSION_ERRORS = (
 )
 
 
+def test_a_line_ends_only_at_a_newline(tmp_path):
+    # `str.splitlines` also breaks a line at \f, \v, \x1c-\x1e, \x85, U+2028
+    # and U+2029; here they are whitespace, in a comment or between tokens.
+    for brk in ("\f", "\v", "\x1c", "\x85", "\u2028", "\u2029"):
+        graph = parse_edgelist(f"# note{brk}page two\nA r a\nA r b\nL a x\nL b y\n")
+        assert graph == Digraph([("r", "a"), ("r", "b")], {"a": "x", "b": "y"})
+        ext = parse_extension(f"E r a # note{brk}E r zz\r\nE r b\r", graph)
+        assert ext.gamma.arcs == (("r", "a"), ("r", "b"))
+    for doc, code, message in (
+            ("# note\fpage two\nA r a\nA r b\nA r r\n", 65,
+             "line 4, column 3: self-loop on 'r'"),
+            ("A r a\vA r b\nL a x\nL b y\n", 65,
+             "line 1, column 1: arc line needs a tail and a head"),
+            ("A r a\rA r b\r\nL a x\nL b y\n", 0, "")):
+        path = tmp_path / "F"
+        path.write_bytes(doc.encode())
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["extension", "default", "-n", str(path)]) == code, doc
+        assert message in err.getvalue()
+
+
 def _caterpillar_document(leaves):
     lines = []
     for i in range(leaves - 1):
@@ -160,37 +188,136 @@ def test_parsing_scales_linearly_in_the_labels(tmp_path):
     assert min(slopes) <= 1.3, slopes
 
 
-def _outcome(parse, text):
-    """The graph that `parse` builds, down to the order of its maps, or the
-    type, message, line and column of the error it raises."""
+# -- the line parsers that the one-pass parsers replaced, kept verbatim as
+# the references that the differential tests below compare against.  They
+# split lines with `str.splitlines`, so the documents compared hold no line
+# break but `\n` and `\r\n`.
+
+
+def _lines(text):
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        stripped = raw.split("#", 1)[0]
+        if stripped.strip():
+            yield lineno, stripped
+
+
+def _parse_edgelist_lines(text: str) -> Digraph:
+    """`parse_edgelist` line by line: the first fault raises `ParseError`
+    with its line and column."""
+    arc_lines: dict = {}       # arc -> line number
+    labels: dict = {}         # vertex -> (taxon, line number, line)
+    taxa: set = set()
+    first = True
+    for lineno, line in _lines(text):
+        toks = line.split()
+        kind = toks[0]
+        if kind == "network":
+            if not first:
+                raise ParseError("header must come first", lineno, _column(line, 0))
+            if len(toks) != 2:
+                raise ParseError("header needs exactly one name", lineno,
+                                 _column(line, 0))
+        elif kind == "A":
+            if len(toks) != 3:
+                raise ParseError("arc line needs a tail and a head", lineno,
+                                 _column(line, 0))
+            tail, head = toks[1], toks[2]
+            if tail == head:
+                raise ParseError(f"self-loop on {tail!r}", lineno, _column(line, 1))
+            if (tail, head) in arc_lines:
+                raise ParseError(
+                    f"duplicate arc ({tail}, {head}), first seen on line "
+                    f"{arc_lines[(tail, head)]}", lineno, _column(line, 0))
+            arc_lines[(tail, head)] = lineno
+        elif kind == "L":
+            if len(toks) != 3:
+                raise ParseError("label line needs a vertex and a taxon", lineno,
+                                 _column(line, 0))
+            vertex, taxon = toks[1], toks[2]
+            if vertex in labels:
+                raise ParseError(f"vertex {vertex!r} labeled twice", lineno,
+                                 _column(line, 1))
+            if taxon in taxa:
+                raise ParseError(f"taxon {taxon!r} used twice", lineno, _column(line, 2))
+            taxa.add(taxon)
+            labels[vertex] = (taxon, lineno, line)
+        else:
+            raise ParseError(f"unknown directive {kind!r}", lineno, _column(line, 0))
+        first = False
+    if not arc_lines:
+        raise ParseError("document contains no arcs", 1, 1)
+    mentioned = {x for a in arc_lines for x in a}
+    out_tails = {a[0] for a in arc_lines}
+    for vertex, (taxon, lineno, line) in labels.items():
+        if vertex not in mentioned:
+            raise ParseError(f"label on unknown vertex {vertex!r}", lineno,
+                             _column(line, 1))
+        if vertex in out_tails:
+            raise ParseError(f"label on non-leaf vertex {vertex!r}", lineno,
+                             _column(line, 1))
+    # Every invariant of a `Digraph` is checked above, with its line.
+    vertices = tuple(sorted(mentioned))
+    return Digraph._of(vertices, *_adjacency(vertices, sorted(arc_lines)),
+                       {v: labels[v][0] for v in sorted(labels)})
+
+
+def _parse_extension_lines(text: str, host: Digraph) -> TreeExtension:
+    seen: dict = {}           # arc -> line number
+    for lineno, line in _lines(text):
+        toks = line.split()
+        kind = toks[0]
+        if kind != "E":
+            raise ParseError(f"unknown directive {kind!r}", lineno, _column(line, 0))
+        if len(toks) != 3:
+            raise ParseError("extension line needs a parent and a child", lineno,
+                             _column(line, 0))
+        parent, child = toks[1], toks[2]
+        for index, v in ((1, parent), (2, child)):
+            if v not in host._parents:
+                raise ParseError(f"unknown vertex {v!r}", lineno, _column(line, index))
+        if parent == child:
+            raise ParseError(f"self-loop on {parent!r}", lineno, _column(line, 1))
+        if (parent, child) in seen:
+            raise ParseError(f"duplicate line for ({parent}, {child})", lineno,
+                             _column(line, 0))
+        seen[(parent, child)] = lineno
+    if not seen:
+        raise ParseError("extension document contains no lines", 1, 1)
+    # The lines are checked above for every invariant of an unlabeled graph.
+    vertices = tuple(sorted({v for arc in seen for v in arc}))
+    gamma = Digraph._of(vertices, *_adjacency(vertices, sorted(seen)), {})
+    ext = TreeExtension(host, gamma)
+    ext.require_valid()
+    return ext
+
+
+def _outcome(parse, *args):
+    """The graph that `parse` builds (an extension's `gamma`), down to the
+    order of its maps, or the type, message, line and column of the error
+    it raises."""
     try:
-        g = parse(text)
-    except ParseError as exc:
-        return type(exc), str(exc), exc.line, exc.column
+        g = parse(*args)
+    except (ParseError, InputError) as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    g = getattr(g, "gamma", g)
     return (g.vertices, list(g._parents.items()), list(g._children.items()),
             list(g._labels.items()))
 
 
-def _dressed(text):
-    """`text` with a new header, comments, blank lines, tabs and CRLF
-    endings, and with its lines reversed and no header."""
+def _dressed(text, header="network  dressed"):
+    """`text` with `header` (none if empty), comments, blank lines, tabs and
+    CRLF endings, and with its lines reversed and no header."""
     lines = [line for line in text.splitlines() if not line.startswith("network ")]
-    noisy = ["network  dressed # a header", "", "# a comment"]
+    noisy = [f"{header} # a header", "", "# a comment"]
     noisy += [f"\t{line}   # line {i}" if i % 2 else f"{line}\t" for i, line in
               enumerate(lines)]
     return ["\r\n".join(noisy) + "\r\n", "\n".join(reversed(lines))]
 
 
-def test_the_bulk_parse_agrees_with_the_line_parser(suite, monkeypatch):
-    # On a valid document the bulk path answers alone; on any other the
-    # line parser names the first fault, so both give the same outcome.
-    line_runs = []
-
-    def lines(text):
-        line_runs.append(text)
-        return _parse_edgelist_lines(text)
-
-    monkeypatch.setattr("stc.formats._parse_edgelist_lines", lines)
+def test_parse_edgelist_agrees_with_the_line_parser(suite):
+    # The one-pass parser builds the same graph as the line parser it
+    # replaced, and names the same first fault at the same line and column.
     valid = [DOC, *(doc for _, n, t, _ in suite[::5]
                     for doc in (serialize_edgelist(n, "n"), serialize_edgelist(t)))]
     for params in (GeneratorParams(12, 6, 0.5, 2, "yes-biased"),
@@ -200,7 +327,7 @@ def test_the_bulk_parse_agrees_with_the_line_parser(suite, monkeypatch):
     valid += [dressed for text in valid[:20] for dressed in _dressed(text)]
     for text in valid:
         graph = _outcome(parse_edgelist, text)
-        assert not line_runs, text
+        assert graph[0] is not ParseError, text
         assert graph == _outcome(_parse_edgelist_lines, text), text
     for text, *_ in _POSITIONED_ERRORS:
         assert _outcome(parse_edgelist, text) == _outcome(_parse_edgelist_lines, text)
@@ -229,6 +356,41 @@ def test_the_bulk_parse_agrees_with_the_line_parser(suite, monkeypatch):
 
 _FAULTS = ("duplicate arc", "self-loop", "labeled twice", "used twice",
            "unknown vertex", "non-leaf vertex", "unknown directive")
+
+
+def test_parse_extension_agrees_with_the_line_parser(suite):
+    # Valid, dressed and mutated extension documents over every suite
+    # network: the same `gamma`, or the same error with its position.
+    rng = random.Random(7)
+    faults = set()
+    for _, network, _, _ in suite:
+        docs = [serialize_extension(ext) for ext in
+                (default_extension(network), _random_chain(network, rng))]
+        for text in docs + [d for text in docs for d in _dressed(text, header="")]:
+            outcome = _outcome(parse_extension, text, network)
+            assert outcome[0] is not ParseError, text
+            assert outcome == _outcome(_parse_extension_lines, text, network), text
+        vertices = sorted({*network.vertices, "zz"})
+        m = len(vertices)
+        for text in docs:
+            n = len(text.splitlines())
+            mutations = [("drop", i, 0) for i in range(n)]
+            mutations += [("arc", i, rng.randrange(m)) for i in range(m)]
+            # `swap` exchanges the taxa of `L` lines: none here.
+            mutations += [("swap", i, i + 1) for i in range(n)]
+            mutations += [("byte", i, 40 * (i % 2)) for i in range(0, len(text), 5)]
+            for kind, i, j in mutations:
+                mutated = _mutate(text, kind, i, j, vertices, ["tz"])
+                outcome = _outcome(parse_extension, mutated, network)
+                assert outcome == _outcome(_parse_extension_lines, mutated, network), \
+                    mutated
+                if outcome[0] in (ParseError, InputError):
+                    faults.update(f for f in _EXTENSION_FAULTS if f in outcome[1])
+    assert faults == set(_EXTENSION_FAULTS), faults
+
+
+_EXTENSION_FAULTS = ("duplicate line", "self-loop", "unknown vertex",
+                     "unknown directive", "invalid tree extension")
 
 
 def test_label_errors():
@@ -308,6 +470,20 @@ def test_enewick_errors():
         with pytest.raises(ParseError, match=what) as info:
             parse_enewick(doc)
         assert (info.value.line, info.value.column) == (1, column)
+
+
+def test_enewick_errors_carry_the_document_position():
+    # Leading blanks, and the lines before a fault, count as in the document.
+    for doc, line, column, what in (
+            ("   (a,b;", 1, 8, "expected ')'"),
+            ("\n\n(a,\n b;", 4, 3, "expected ')'"),
+            ("((a,b)c,d)e;\n  x", 2, 3, "trailing characters"),
+            ("\n(#H1, #H1,(a,b)#H1);", 2, 7, "of one parent twice"),
+            ("((#H1,b)\n#H1,\n c);", 1, 3, "of itself")):
+        with pytest.raises(ParseError) as info:
+            parse_enewick(doc)
+        assert (info.value.line, info.value.column) == (line, column), doc
+        assert what in str(info.value)
 
 
 def test_serialize_is_sorted(net_a):
