@@ -407,13 +407,17 @@ def update_extension(ext: TreeExtension, step) -> TreeExtension:
 
 def _restricted_parent(parent, vertices, host: Digraph) -> dict[str, str]:
     """The tree `parent` over `vertices` restricted to the vertices of the
-    pruned `host`."""
+    pruned `host`: each hangs below its nearest surviving ancestor.
+
+    Only the pruned root is left without a parent.  Each arc of the pruned
+    host stands for a host path, whose arcs lie inside the tree's ancestor
+    relation; so the pruned root is an ancestor of every surviving vertex,
+    and none is its ancestor.  A `host` that is no pruning is refused.
+    """
     unknown = [v for v in host.vertices if v not in vertices]
     if unknown:
         raise InputError(f"restricted host has unknown vertices: {unknown}")
-    # Splice every removed vertex's children onto its nearest surviving
-    # ancestor; stray component roots hang under the main component.
-    surviving = host._parents
+    surviving, root = host._parents, host.root()
     new_parent = {}
     for v in host.vertices:
         p = parent.get(v)
@@ -421,11 +425,6 @@ def _restricted_parent(parent, vertices, host: Digraph) -> dict[str, str]:
             p = parent.get(p)
         if p is not None:
             new_parent[v] = p
-    component_roots = [v for v in host.vertices if v not in new_parent]
-    anchor = host.root()
-    while anchor in new_parent:
-        anchor = new_parent[anchor]
-    for r in component_roots:
-        if r != anchor:
-            new_parent[r] = anchor
+        elif v != root:
+            raise InputError(f"restricted host is no pruning: {v!r} keeps no ancestor")
     return new_parent

@@ -178,16 +178,18 @@ class _Newick:
         self.pos = 0
         self.counter = 0
         self.arcs: set = set()
-        self.labels: dict = {}
+        self.labels: dict = {}        # vertex id -> (name, offset)
         self.hybrids: dict = {}       # tag -> vertex id
         self.has_children: set = set()
 
     def error(self, message, pos=None):
         """Raise `ParseError` at offset `pos` of the text, by default the
-        current one, with the line and column it has in the document."""
-        pos = self.pos if pos is None else pos
-        raise ParseError(message, self.text.count("\n", 0, pos) + 1,
-                         pos - self.text.rfind("\n", 0, pos))
+        current one, with the line and column it has in the document, whose
+        lines end at `\\n`, `\\r\\n` or `\\r`, as in `_split_lines`."""
+        head = self.text[:self.pos if pos is None else pos]
+        if "\r" in head:
+            head = head.replace("\r\n", "\n").replace("\r", "\n")
+        raise ParseError(message, head.count("\n") + 1, len(head) - head.rfind("\n"))
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -214,13 +216,14 @@ class _Newick:
         if self.pos != len(self.text):
             self.error("trailing characters after ';'")
         root = self.assign(tree)
-        labels = {v: t for v, t in sorted(self.labels.items())
-                  if v not in self.has_children}
-        seen = set()
-        for t in labels.values():
-            if t in seen:
-                raise ParseError(f"taxon {t!r} on two distinct leaves", 1, 1)
-            seen.add(t)
+        labels, seen = {}, set()
+        for v, (t, pos) in self.labels.items():   # in document order
+            if v not in self.has_children:
+                if t in seen:
+                    self.error(f"taxon {t!r} on two distinct leaves", pos)
+                seen.add(t)
+                labels[v] = t
+        labels = dict(sorted(labels.items()))
         # Every invariant of a `Digraph` is checked here and by `assign`.
         vertices = tuple(sorted({root, *(x for arc in self.arcs for x in arc)}))
         return Digraph._of(vertices, *_adjacency(vertices, sorted(self.arcs)), labels)
@@ -268,11 +271,11 @@ class _Newick:
                 if node["children"] and vid in self.has_children:
                     self.error(f"hybrid {tag!r} given two child sets", node["pos"])
                 if not known and node["name"] is not None:
-                    self.labels[vid] = node["name"]
+                    self.labels[vid] = node["name"], node["pos"]
             else:
                 vid = self.fresh()
                 if node["name"] is not None:
-                    self.labels[vid] = node["name"]
+                    self.labels[vid] = node["name"], node["pos"]
             if parent is None:
                 root_id = vid
             elif vid == parent:

@@ -29,15 +29,25 @@ from .extension import (
 def tidy(d: Digraph, keep_taxa) -> Digraph:
     """Drop everything that serves no kept taxon, then clean up degrees.
 
-    Repeats until stable: remove vertices reaching no kept leaf, suppress
-    in-1/out-1 vertices, collapse duplicate arcs (set semantics), and delete
-    a root of out-degree 1.
+    Removes the vertices that reach no kept leaf, then repeats until stable:
+    suppress in-1/out-1 vertices, collapse duplicate arcs (set semantics),
+    and delete a root of out-degree 1.  One search for useless vertices is
+    enough, as no later step changes a vertex's reach to a kept leaf:
+    labels sit on sinks, which no step removes, and a suppressed vertex's
+    parent reaches through the new arc whatever it reached through it.
     """
     keep_taxa = set(keep_taxa)
-    parents = {v: set(ps) for v, ps in d._parents.items()}
-    children = {v: set(cs) for v, cs in d._children.items()}
     labels = {v: t for v, t in d._labels.items() if t in keep_taxa}
-    alive = set(d.vertices)
+    # Keep the vertices that reach a kept leaf; their parents do too.
+    alive = set(labels)
+    stack = list(alive)
+    while stack:
+        for p in d._parents[stack.pop()]:
+            if p not in alive:
+                alive.add(p)
+                stack.append(p)
+    parents = {v: set(d._parents[v]) for v in alive}
+    children = {v: alive.intersection(d._children[v]) for v in alive}
 
     def drop(v):
         for p in parents[v]:
@@ -45,22 +55,10 @@ def tidy(d: Digraph, keep_taxa) -> Digraph:
         for c in children[v]:
             parents[c].discard(v)
         alive.discard(v)
-        labels.pop(v, None)
 
-    while True:
+    changed = True
+    while changed:
         changed = False
-        # vertices that reach no kept leaf
-        useful = set(labels)
-        stack = list(useful)
-        while stack:
-            v = stack.pop()
-            for p in parents[v]:
-                if p in alive and p not in useful:
-                    useful.add(p)
-                    stack.append(p)
-        for v in sorted(alive - useful):
-            drop(v)
-            changed = True
         # suppress pass-through vertices
         for v in sorted(alive):
             if len(parents[v]) == 1 and len(children[v]) == 1:
@@ -76,8 +74,6 @@ def tidy(d: Digraph, keep_taxa) -> Digraph:
         if len(roots) == 1 and len(children[roots[0]]) == 1:
             drop(roots[0])
             changed = True
-        if not changed:
-            break
     if not alive:
         raise SemanticError("pruning removed the entire graph")
     # Sorted arcs, no self-loop (see `p != c`), and labels of `d`'s leaves.

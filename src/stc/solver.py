@@ -233,10 +233,19 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     in the reverse of its pre-order index (`TreeIndex.order`), children
     first, and per-vertex stats are collected in that order.  A vertex with
     one extension child `q` uses `q`'s above table as its below; with more,
-    the below table joins their above tables.  So every table above an
-    empty one is empty, up to the final one: the sweep stops at the first
-    vertex whose above table is empty, with the answer NO, and `stats` and
-    `tables` run up to and including that vertex.
+    the below table is the plain product of their above tables, each key the
+    union of one key of each.  So every table above an empty one is empty,
+    up to the final one: the sweep stops at the first vertex whose above
+    table is empty, with the answer NO, and `stats` and `tables` run up to
+    and including that vertex.
+
+    The product needs no check that sibling tables share no tree arc: they
+    never do, for any valid extension, canonical or not.  A tree arc enters
+    a table either as a leaf arc, at the network leaf that carries its
+    taxon, or by a grow (or a resolution's grown outcome) from a bundle that
+    holds every child arc of its head.  So every tree arc in a table of `q`
+    has the network leaves of all its taxa in `q`'s extension subtree.
+    Sibling subtrees are disjoint, and each taxon labels one network leaf.
 
     Arcs are numbered by their index in the sorted `arcs` of their graph, and
     a pair is the int `tree_index << shift | network_index`, so a signature is
@@ -288,14 +297,6 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
         else:
             below_v = above[qs[0]]
             if len(qs) > 1:
-                seen: set[int] = set()
-                for q in qs:
-                    arcs_q = {p >> shift for k in above[q] for p in k}
-                    if not seen.isdisjoint(arcs_q):
-                        raise InternalError(
-                            "sibling signatures share a tree arc; "
-                            "the extension cannot be canonical")
-                    seen |= arcs_q
                 # The joined cells share one tag: `_replay` splits a key by subtree.
                 joined = ("join", v)
                 for q in qs[1:]:

@@ -143,6 +143,7 @@ def test_usage_errors(files, capsys):
     (["oracle", "soft", "-n", "NET", "-t", "TREE", "--cap", "1"], 64),
     (["oracle", "firm", "-n", "NET", "-t", "TREE", "--method", "switching",
       "--cap", "1"], 64),
+    (["solve", "--batch", "DIR", "-n", "NET"], 64),
 ])
 def test_bad_command_lines_exit_with_a_message(argv, code, files, capsys):
     where = {"NET": files["net_a"], "TREE": files["tree_d"], "DIR": str(files["dir"])}
@@ -545,6 +546,33 @@ def test_batch_names_why_it_refuses_a_tree(tmp_path, capsys):
     assert capsys.readouterr().out == f"i ERROR {RETICULATE_TREE}\n"
 
 
+# An extension of the tree r -> s -> {a, b}, r -> t -> {c, d} with the one
+# root r, and a cycle t -> c -> d -> t that r does not reach.
+CYCLIC_EXTENSION = "E r s\nE s a\nE s b\nE t c\nE c d\nE d t\n"
+
+
+@pytest.mark.parametrize("argv, docs, code, reason", [
+    (["solve", "--batch", "DIR/gone"], {}, 66,
+     "cannot read DIR/gone: No such file or directory"),
+    (["solve", "--batch", "DIR"], {"x.network": NET_A}, 66,
+     "no NAME.network/NAME.tree pairs in DIR"),
+    (["solve", "-n", "DIR/n", "-t", "DIR/t", "-x", "DIR/x"],
+     {"n": NET_A, "t": TREE_D, "x": "# no lines\n\n"}, 65,
+     "line 1, column 1: extension document contains no lines"),
+    (["extension", "validate", "-n", "DIR/n", "-x", "DIR/x"],
+     {"n": "A r s\nA r t\nA s a\nA s b\nA t c\nA t d\n"
+           "L a a\nL b b\nL c c\nL d d\n", "x": CYCLIC_EXTENSION}, 66,
+     "invalid tree extension: not an out-tree: cyclic"),
+], ids=["batch-missing-dir", "batch-no-pairs", "comment-only-extension",
+        "cyclic-extension"])
+def test_refusals_name_their_reason(argv, docs, code, reason, tmp_path, capsys):
+    for name, text in docs.items():
+        (tmp_path / name).write_text(text)
+    where = str(tmp_path)
+    assert main([arg.replace("DIR", where) for arg in argv]) == code
+    assert capsys.readouterr() == ("", f"error: {reason.replace('DIR', where)}\n")
+
+
 def test_gen_and_import(tmp_path, capsys):
     prefix = str(tmp_path / "inst")
     assert main(["gen", "--leaves", "4", "--reticulations", "1",
@@ -564,10 +592,12 @@ def test_batch_mode(tmp_path, capsys):
     for seed in (1, 2):
         main(["gen", "--leaves", "4", "--reticulations", "1",
               "--seed", str(seed), "-o", str(tmp_path / f"i{seed}")])
+    # A network without its tree beside the pairs is skipped.
+    (tmp_path / "y.network").write_text(NET_A)
     capsys.readouterr()
     assert main(["solve", "--batch", str(tmp_path), "--jobs", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 2
+    assert [line.split()[0] for line in out] == ["i1", "i2"]
     assert all(line.split()[1] in ("YES", "NO") for line in out)
 
 
@@ -823,3 +853,35 @@ def test_mutated_documents_end_in_a_documented_exit_code(fuzz_dir, params, mutat
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1, 64, 65, 66), (argv, docs, err.getvalue())
+
+
+# Valid eNewick networks with hybrids, branch lengths and CR/LF breaks.
+_ENEWICK_SEEDS = (
+    "(((a:1.5,b:2)x,(c)#H1:0.3),(#H1,d));\n",
+    "((a,(b)#H2)\r\n,(#H2:1e-3,c))root;\r\n",
+    "((a:1,((b:2,c:0.5))#LGT1:2E+1)\r,(#LGT1,d):4);",
+)
+
+_edits = st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                            st.integers(0, 60), st.sampled_from("(),;:#H1a.eE+- \t\r\n")),
+                  min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.sampled_from(_ENEWICK_SEEDS), edits=_edits)
+def test_mutated_enewick_imports_end_in_a_documented_exit_code(fuzz_dir, doc, edits):
+    for kind, i, char in edits:
+        k = i % (len(doc) + 1)
+        if kind == "insert":
+            doc = doc[:k] + char + doc[k:]
+        else:
+            doc = doc[:k] + (char if kind == "replace" else "") + doc[k + 1:]
+    path = fuzz_dir / "mutated.nwk"
+    path.write_bytes(doc.encode())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["import", "enewick", str(path)])
+    assert code in (0, 65, 66), (doc, err.getvalue())
+    if code:
+        assert err.getvalue().startswith("error:"), (doc, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -28,6 +28,7 @@ from stc.extension import (
     RestrictStep,
     RewriteState,
     _canonical_parent,
+    _restricted_parent,
     _root_first,
 )
 
@@ -163,6 +164,35 @@ def test_restrict_step(net_a):
     assert out.host == pruned
     assert out.is_valid()
     assert set(out.gamma.vertices) == set(pruned.vertices)
+
+
+def test_a_pruning_leaves_its_root_the_only_root_of_the_restricted_tree():
+    # Every arc of a pruned host stands for a host path, so its root is an
+    # ancestor of every surviving vertex in any valid extension, canonical
+    # or not, and no other vertex is left without a parent.
+    from stc import prune_to_leafset
+
+    rng, kinds = random.Random(17), Counter()
+    for seed in range(150):
+        n = generate(GeneratorParams(rng.randrange(4, 10), rng.randrange(4), 0.3, seed)).network
+        taxa = rng.sample(sorted(n.taxa), rng.randrange(2, len(n.taxa) + 1))
+        pruned, _ = prune_to_leafset(n, taxa)
+        chain = _chain_extension(n, rng)
+        for ext in (default_extension(n), chain, _lifted(chain, rng, 2 * len(n))):
+            parent = {c: p for p, c in ext.gamma.arcs}
+            restricted = _restricted_parent(parent, n._parents, pruned)
+            assert set(pruned.vertices) - set(restricted) == {pruned.root()}
+            gamma = Digraph([(p, c) for c, p in restricted.items()], vertices=pruned.vertices)
+            assert TreeExtension(pruned, gamma).is_valid()
+            kinds["non-canonical" if ext.canonicality_violations() else "canonical"] += 1
+    assert kinds["canonical"] >= 150 and kinds["non-canonical"] >= 200
+
+
+def test_a_restriction_to_a_host_that_is_no_pruning_is_refused(net_a):
+    # `p`'s extension ancestors `s` and `rho` are gone, and `a` is the root.
+    host = Digraph([("a", "p"), ("a", "b")])
+    with pytest.raises(InputError, match="no pruning: 'p' keeps no ancestor"):
+        update_extension(default_extension(net_a), RestrictStep(host))
 
 
 def test_cut_sizes_need_a_valid_extension(net_a):

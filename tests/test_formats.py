@@ -473,10 +473,19 @@ def test_enewick_errors():
 
 
 def test_enewick_errors_carry_the_document_position():
-    # Leading blanks, and the lines before a fault, count as in the document.
+    # Leading blanks, and the lines before a fault, count as in the document;
+    # a line ends at \n, \r\n or a lone \r.  A repeated taxon is reported at
+    # its second leaf.
     for doc, line, column, what in (
             ("   (a,b;", 1, 8, "expected ')'"),
             ("\n\n(a,\n b;", 4, 3, "expected ')'"),
+            ("(a,\r\rb;", 3, 2, "expected ')'"),
+            ("(a,\r\n\rb;", 3, 2, "expected ')'"),
+            ("(a,\n a);", 2, 2, "taxon 'a' on two distinct leaves"),
+            ("((a,b),a);", 1, 8, "taxon 'a' on two distinct leaves"),
+            ("(,a);", 1, 2, "expected a subtree"),
+            ("(a#,b);", 1, 3, "malformed hybrid tag"),
+            ("(a:1e,b);", 1, 4, "bad branch length '1e'"),
             ("((a,b)c,d)e;\n  x", 2, 3, "trailing characters"),
             ("\n(#H1, #H1,(a,b)#H1);", 2, 7, "of one parent twice"),
             ("((#H1,b)\n#H1,\n c);", 1, 3, "of itself")):

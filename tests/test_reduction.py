@@ -32,7 +32,9 @@ from stc import (
     update_extension,
 )
 from stc.cli import main
+from stc.digraph import _adjacency
 from stc.extension import AttachRootStep, InSplitStep, RestrictStep
+from stc.reduction import tidy
 from test_solver import _reference_preprocess, _reference_stretch
 
 
@@ -164,6 +166,90 @@ def test_prune_is_oracle_equivalent(suite):
         assert soft_display(n, t) == soft_display(pruned, t)
         checked += 1
     assert checked >= 10
+
+
+# `tidy` as it was when it searched for useless vertices on every round: the
+# reference for the single search.
+def _reference_tidy(d: Digraph, keep_taxa) -> Digraph:
+    """Drop everything that serves no kept taxon, then clean up degrees.
+
+    Repeats until stable: remove vertices reaching no kept leaf, suppress
+    in-1/out-1 vertices, collapse duplicate arcs (set semantics), and delete
+    a root of out-degree 1.
+    """
+    keep_taxa = set(keep_taxa)
+    parents = {v: set(ps) for v, ps in d._parents.items()}
+    children = {v: set(cs) for v, cs in d._children.items()}
+    labels = {v: t for v, t in d._labels.items() if t in keep_taxa}
+    alive = set(d.vertices)
+
+    def drop(v):
+        for p in parents[v]:
+            children[p].discard(v)
+        for c in children[v]:
+            parents[c].discard(v)
+        alive.discard(v)
+        labels.pop(v, None)
+
+    while True:
+        changed = False
+        # vertices that reach no kept leaf
+        useful = set(labels)
+        stack = list(useful)
+        while stack:
+            v = stack.pop()
+            for p in parents[v]:
+                if p in alive and p not in useful:
+                    useful.add(p)
+                    stack.append(p)
+        for v in sorted(alive - useful):
+            drop(v)
+            changed = True
+        # suppress pass-through vertices
+        for v in sorted(alive):
+            if len(parents[v]) == 1 and len(children[v]) == 1:
+                (p,) = parents[v]
+                (c,) = children[v]
+                drop(v)
+                if p != c:
+                    children[p].add(c)
+                    parents[c].add(p)
+                changed = True
+        # trim a degree-1 root
+        roots = sorted(v for v in alive if not parents[v])
+        if len(roots) == 1 and len(children[roots[0]]) == 1:
+            drop(roots[0])
+            changed = True
+        if not changed:
+            break
+    if not alive:
+        raise SemanticError("pruning removed the entire graph")
+    # Sorted arcs, no self-loop (see `p != c`), and labels of `d`'s leaves.
+    vertices = tuple(sorted(alive))
+    arcs = [(u, v) for u in vertices for v in sorted(children[u])]
+    return Digraph._of(vertices, *_adjacency(vertices, arcs), labels)
+
+
+def _tidy_outcome(tidy_fn, d, keep):
+    try:
+        return tidy_fn(d, keep)
+    except SemanticError as exc:
+        return str(exc)
+
+
+def test_one_search_for_useless_vertices_tidies_as_every_round_did():
+    rng, outcomes = random.Random(23), Counter()
+    for seed in range(200):
+        for params in ((4, 1, 0.0), (7, 3, 0.3), (10, 6, 0.5)):
+            g = generate(GeneratorParams(*params, seed))
+            for d in (g.network, g.tree):
+                taxa = sorted(d.taxa) + ["foreign"]
+                for _ in range(2):
+                    keep = rng.sample(taxa, rng.randrange(len(taxa) + 1))
+                    got = _tidy_outcome(tidy, d, keep)
+                    assert got == _tidy_outcome(_reference_tidy, d, keep), (seed, keep)
+                    outcomes["error" if isinstance(got, str) else "graph"] += 1
+    assert outcomes["graph"] >= 2000 and outcomes["error"] >= 30
 
 
 # -- preprocess --------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stc import (
+    AugmentedInstance,
     Digraph,
     GeneratorParams,
     InputError,
@@ -31,6 +32,7 @@ from stc import (
 )
 from stc.digraph import TreeIndex
 from stc.solver import VertexStats, _require_path, _resolutions
+from test_extension import _chain_extension, _lifted
 
 
 def test_eventually_arc_disjoint_prefix_then_split(net_a):
@@ -748,6 +750,33 @@ def test_the_sweep_stops_at_its_first_empty_table(suite):
                 v = parent[v]
         stopped[early] += 1
     assert stopped[True] >= 340 and stopped[False] >= 150
+
+
+def test_sibling_tables_share_no_tree_arc_on_any_valid_extension():
+    # The join is a plain product because a tree arc enters a table only
+    # above the network leaves of all its taxa.  That needs a valid
+    # extension, not a canonical one: hand-built instances carry lifted
+    # random chains, which are valid and mostly not canonical.
+    rng = random.Random(13)
+    joins, non_canonical = 0, 0
+    for seed in range(120):
+        for params in ((5, 2, 0.3, seed, "yes-biased"), (7, 3, 0.3, seed, "unlabeled"),
+                       (8, 2, 0.5, seed, "yes-biased")):
+            g = generate(GeneratorParams(*params))
+            inst = preprocess(g.network, g.tree)
+            ext = _lifted(_chain_extension(inst.network, rng), rng, 3 * len(inst.network))
+            non_canonical += bool(ext.canonicality_violations())
+            result = solve(AugmentedInstance(inst.tree, ext, inst.trace))
+            above = result.tables["above"]
+            for v, _, _ in result.stats:
+                qs = ext.gamma.children(v)
+                if len(qs) < 2:
+                    continue
+                joins += 1
+                arc_sets = [{a for key in above[q] for a, _ in result.signature(key)}
+                            for q in qs]
+                assert sum(map(len, arc_sets)) == len(set().union(*arc_sets)), v
+    assert joins >= 1000 and non_canonical >= 250
 
 
 # `GeneratorParams(leaves, reticulations, rate, seed, target)` with a raw
