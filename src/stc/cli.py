@@ -1,10 +1,13 @@
 """Command-line interface.
 
-One `argparse` parser, built at import, reads every command line.  The
-solve-path commands reach the library through this module's globals when
-they run, so a caller may replace those (tests do).  `oracle` and `gen`
-import the oracles and the generator when they run instead: neither module
-is on the solve path, so `import stc.cli` does not load them.
+One table, `_COMMANDS`, declares every command line: each command's words
+and function, and its options with their names, types, defaults and help
+lines.  `_parse` reads a command line from it, and `_help` prints it for
+`--help`, so no call imports or builds a parser library.  The solve-path
+commands reach the library through this module's globals when they run, so
+a caller may replace those (tests do).  `oracle` and `gen` import the
+oracles and the generator when they run instead: neither module is on the
+solve path, so `import stc.cli` does not load them.
 
 Exit codes: 0 = yes, 1 = no, 64 = usage error, 65 = parse error,
 66 = semantic error (including oracle caps), 70 = internal error (including
@@ -13,10 +16,11 @@ any unexpected exception).
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
+import re
 import sys
+from collections import namedtuple
 
 from . import formats
 from .digraph import classify
@@ -57,17 +61,7 @@ class UsageError(Exception):
 
 
 class _HelpShown(Exception):
-    """`--help` printed its text: exit code 0."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises where `argparse` would print and exit, so `main` picks the code."""
-
-    def error(self, message):
-        raise UsageError(message)
-
-    def exit(self, status=0, message=None):
-        raise _HelpShown
+    """`--help` after the command words `args[0]`: exit code 0."""
 
 
 def _load_network(path):
@@ -234,6 +228,8 @@ def extension_default(network_path):
 def _oracle_inputs(network_path, tree_path, cap, method):
     if cap is not None and method != "subsets":
         raise UsageError(f"--cap bounds --method subsets only, not {method}")
+    if cap is not None and cap < 0:
+        raise UsageError(f"--cap must be at least 0, not {cap}")
     n = _load_network(network_path)
     t = _load_network(tree_path)
     _require_network(n)
@@ -288,68 +284,212 @@ def import_cmd(fmt, path):
     return EXIT_YES
 
 
-def _build_parser():
-    """The parser of every command line.  It names the command's function as
-    `run`, and that function's parameters as the other attributes."""
-    parser = _Parser(prog="stc", allow_abbrev=False, description=(
-        "Decide whether a phylogenetic network softly displays a tree."))
-    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+# -- the command line: one table that the parser and `--help` read ------------
 
-    def command(group, name, run, required="", optional=""):
-        """A parser for `run`, with the -n/-t/-x file options named by letter."""
-        sub = group.add_parser(name, allow_abbrev=False, description=run.__doc__,
-                               help=(run.__doc__ or "").split("\n")[0])
-        sub.set_defaults(run=run)
-        for letter in required + optional:
-            what = {"n": "network", "t": "tree", "x": "extension"}[letter]
-            sub.add_argument(f"-{letter}", f"--{what}", dest=f"{what}_path",
-                             required=letter in required, help=f"{what} file")
-        return sub
+# An option of a command.  `names` spell it, e.g. ("-n", "--network"); a
+# name without a leading "-" marks a positional argument instead.  `dest`
+# names the command function's parameter.  `type` converts the value, and
+# `bool` marks a flag, which takes no value and reads True when given.
+_Option = namedtuple("_Option", "names dest type default required choices help",
+                     defaults=(str, None, False, None, ""))
+# A command, or with `run` None a group of commands, e.g. `stc extension`.
+_Command = namedtuple("_Command", "run help options")
 
-    def group(name, doc):
-        sub = commands.add_parser(name, allow_abbrev=False, help=doc, description=doc)
-        return sub.add_subparsers(metavar="ACTION", required=True)
+_HELP = _Option(("-h", "--help"), None, bool, help="print this help and exit")
+_NETWORK = _Option(("-n", "--network"), "network_path", help="network file")
+_TREE = _Option(("-t", "--tree"), "tree_path", help="tree file")
+_EXTENSION = _Option(("-x", "--extension"), "extension_path", help="extension file")
+_NEEDS_NETWORK = _NETWORK._replace(required=True)
+_NEEDS_TREE = _TREE._replace(required=True)
+_NEEDS_EXTENSION = _EXTENSION._replace(required=True)
 
-    sub = command(commands, "solve", solve_cmd, optional="ntx")
-    sub.add_argument("--witness", action="store_true", help="print an embedding on yes")
-    sub.add_argument("--decision-only", action="store_true",
-                     help="free tables eagerly, the default without --witness; "
-                          "excludes --witness")
-    sub.add_argument("--batch", dest="batch_dir", metavar="DIR",
-                     help="solve every NAME.network/NAME.tree pair in a directory")
-    sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker processes for --batch (default: 1)")
-    sub = command(commands, "reduce", reduce_cmd, required="n", optional="xt")
-    sub.add_argument("-o", "--output", dest="prefix", required=True,
-                     help="output prefix; writes PREFIX.network and PREFIX.extension")
-    extension = group("extension", "Inspect and transform tree extensions.")
-    command(extension, "validate", extension_validate, required="nx")
-    command(extension, "width", extension_width, required="nx")
-    command(extension, "canonicalize", extension_canonicalize, required="nx")
-    command(extension, "default", extension_default, required="n")
-    oracles = group("oracle", "Brute-force reference answers on small instances.")
-    for name, run, method in (("firm", oracle_firm, "subsets"),
-                              ("soft", oracle_soft, "switching")):
-        sub = command(oracles, name, run, required="nt")
-        sub.add_argument("--cap", type=int, help="arc-count cap of --method subsets")
-        sub.add_argument("--method", choices=("subsets", "switching"), default=method,
-                         help=f"(default: {method})")
-    sub = command(commands, "gen", gen_cmd)
-    sub.add_argument("--leaves", type=int, required=True)
-    sub.add_argument("--reticulations", type=int, default=0)
-    sub.add_argument("--polytomy", dest="polytomy_rate", type=float, default=0.0)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--yes-biased", action="store_true",
-                     help="skip the leaf relabeling that scrambles the answer")
-    sub.add_argument("-o", "--output", dest="prefix", help="write PREFIX.network, "
-                     "PREFIX.tree and PREFIX.extension instead of printing")
-    sub = command(commands, "import", import_cmd)
-    sub.add_argument("fmt", choices=("enewick",))
-    sub.add_argument("path")
-    return parser
+# Each command line, keyed by its command words.
+_COMMANDS = {
+    (): _Command(None, "Decide whether a phylogenetic network softly displays a tree.", ()),
+    ("solve",): _Command(solve_cmd, "Decide soft display; exits 0 on yes and 1 on no.", (
+        _NETWORK, _TREE, _EXTENSION,
+        _Option(("--witness",), "witness", bool, False, help="print an embedding on yes"),
+        _Option(("--decision-only",), "decision_only", bool, False,
+                help="free tables eagerly, the default without --witness; "
+                     "excludes --witness"),
+        _Option(("--batch",), "batch_dir",
+                help="solve every NAME.network/NAME.tree pair in a directory"),
+        _Option(("--jobs",), "jobs", int, 1,
+                help="worker processes for --batch (default: 1)"))),
+    ("reduce",): _Command(reduce_cmd, "Run the reduction pipeline and write the "
+                          "reduced network + extension.", (
+        _NEEDS_NETWORK, _EXTENSION, _TREE,
+        _Option(("-o", "--output"), "prefix", required=True,
+                help="output prefix; writes PREFIX.network and PREFIX.extension"))),
+    ("extension",): _Command(None, "Inspect and transform tree extensions.", ()),
+    ("extension", "validate"): _Command(
+        extension_validate, "Check an extension against its network; prints 'valid'.",
+        (_NEEDS_NETWORK, _NEEDS_EXTENSION)),
+    ("extension", "width"): _Command(
+        extension_width, "Print the width of an extension.",
+        (_NEEDS_NETWORK, _NEEDS_EXTENSION)),
+    ("extension", "canonicalize"): _Command(
+        extension_canonicalize, "Print the canonical form of an extension.",
+        (_NEEDS_NETWORK, _NEEDS_EXTENSION)),
+    ("extension", "default"): _Command(
+        extension_default, "Print the default extension of a network.", (_NEEDS_NETWORK,)),
+    ("oracle",): _Command(None, "Brute-force reference answers on small instances.", ()),
+    ("oracle", "firm"): _Command(
+        oracle_firm, "Decide firm display by brute force; exits 0 on yes and 1 on no.", (
+            _NEEDS_NETWORK, _NEEDS_TREE,
+            _Option(("--cap",), "cap", int, help="arc-count cap of --method subsets"),
+            _Option(("--method",), "method", default="subsets",
+                    choices=("subsets", "switching"), help="(default: subsets)"))),
+    ("oracle", "soft"): _Command(
+        oracle_soft, "Decide soft display by brute force; exits 0 on yes and 1 on no.", (
+            _NEEDS_NETWORK, _NEEDS_TREE,
+            _Option(("--cap",), "cap", int, help="arc-count cap of --method subsets"),
+            _Option(("--method",), "method", default="switching",
+                    choices=("subsets", "switching"), help="(default: switching)"))),
+    ("gen",): _Command(gen_cmd, "Generate a seeded random instance.", (
+        _Option(("--leaves",), "leaves", int, required=True, help="number of taxa"),
+        _Option(("--reticulations",), "reticulations", int, 0,
+                help="number of reticulations (default: 0)"),
+        _Option(("--polytomy",), "polytomy_rate", float, 0.0,
+                help="chance that an inner arc contracts into a polytomy (default: 0.0)"),
+        _Option(("--seed",), "seed", int, 0, help="random seed (default: 0)"),
+        _Option(("--yes-biased",), "yes_biased", bool, False,
+                help="skip the leaf relabeling that scrambles the answer"),
+        _Option(("-o", "--output"), "prefix", help="write PREFIX.network, "
+                "PREFIX.tree and PREFIX.extension instead of printing"))),
+    ("import",): _Command(import_cmd, "Convert an eNewick file to the edge-list format.", (
+        _Option(("FORMAT",), "fmt", required=True, choices=("enewick",),
+                help="input format: enewick"),
+        _Option(("FILE",), "path", required=True, help="the file to convert"))),
+}
+# Each entry's options by name, `-h` and `--help` included.
+_NAMES = {words: {name: option for option in (*command.options, _HELP)
+                  for name in option.names if name[0] == "-"}
+          for words, command in _COMMANDS.items()}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-_PARSER = _build_parser()
+def _option_in(token, names):
+    """How `token` reads among the options `names`: None for a value, else
+    `(option, name, value)`, where `value` is what `--name=VALUE`, `-xVALUE`
+    or `-x=VALUE` attach (None without) and `option` is None for an unknown
+    name.  A token that starts with "-" and names no option is still a value
+    when it reads as a negative number or holds a space."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[1] == "-":
+        name, equals, value = token.partition("=")
+        if not equals:
+            value = None
+    else:
+        name, value = token[:2], token[2:]
+        value = value[1:] if value[:1] == "=" else value or None
+    option = names.get(name)
+    if option is None and (" " in token or _NEGATIVE_NUMBER.match(token)):
+        return None
+    return option, name, value
+
+
+def _converted(option, name, text):
+    try:
+        value = option.type(text)
+    except ValueError:
+        kind = "an integer" if option.type is int else "a number"
+        raise UsageError(f"{name}: not {kind}: {text!r}") from None
+    if option.choices and value not in option.choices:
+        raise UsageError(f"{name}: {text!r} is not one of {', '.join(option.choices)}")
+    return value
+
+
+def _parse(argv):
+    """The command function that `argv` names, and its keyword arguments.
+
+    The command words come first, then options in any order; the last of a
+    repeated option wins.  Raises `_HelpShown` at `-h` or `--help`, and
+    `UsageError` for a line that `_COMMANDS` does not admit: a bad command
+    word or value where it stands, so before a later `--help`, and an
+    unknown option, an extra argument or a missing required option at the
+    end."""
+    words, command, names = (), _COMMANDS[()], _NAMES[()]
+    positionals = iter(())
+    given, extras = {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        found = _option_in(token, names)
+        if found is None:
+            if command.run is None:
+                if (*words, token) not in _COMMANDS:
+                    what = "action" if words else "command"
+                    raise UsageError(f"unknown {what} {token!r}")
+                words += (token,)
+                command, names = _COMMANDS[words], _NAMES[words]
+                positionals = iter([o for o in command.options if o.names[0][0] != "-"])
+                continue
+            option = next(positionals, None)
+            if option is None:
+                extras.append(token)
+            else:
+                given[option.dest] = _converted(option, option.names[0], token)
+            continue
+        option, name, value = found
+        if option is None:
+            extras.append(token)
+        elif option.type is bool:
+            if value is not None:
+                raise UsageError(f"{name} takes no value, not {value!r}")
+            if option is _HELP:
+                raise _HelpShown(words)
+            given[option.dest] = True
+        else:
+            if value is None:
+                value = next(tokens, None)
+                if value is None or _option_in(value, names) is not None:
+                    raise UsageError(f"{name} needs a value")
+            given[option.dest] = _converted(option, name, value)
+    if command.run is None:
+        raise UsageError(f"{' '.join(('stc', *words))} needs "
+                         f"{'an action' if words else 'a command'}")
+    if extras:
+        raise UsageError(f"unrecognized argument {extras[0]!r}")
+    missing = ["/".join(o.names) for o in command.options
+               if o.required and o.dest not in given]
+    if missing:
+        raise UsageError(f"missing {', '.join(missing)}")
+    return command.run, {o.dest: given.get(o.dest, o.default) for o in command.options}
+
+
+def _help(words):
+    """The `--help` text of the command, or group of commands, that `words` name."""
+    command = _COMMANDS[words]
+    prog = " ".join(("stc", *words))
+    usage, sections, rows = [], [], []
+    if command.run is None:
+        what = "action" if words else "command"
+        usage.append(f"{what.upper()} ...")
+        sections.append((f"{what}s:", [
+            (key[-1], entry.help) for key, entry in _COMMANDS.items()
+            if len(key) == len(words) + 1 and key[:-1] == words]))
+    for option in (*command.options, _HELP):
+        spelled, short = ", ".join(option.names), option.names[0]
+        if short[0] == "-" and option.type is not bool:
+            metavar = (f"{{{','.join(option.choices)}}}" if option.choices
+                       else option.names[-1].lstrip("-").upper())
+            spelled, short = f"{spelled} {metavar}", f"{short} {metavar}"
+        if option is not _HELP:
+            usage.append(short if option.required else f"[{short}]")
+        rows.append((spelled, option.help))
+    sections.append(("options:", rows))
+    lines = [f"usage: {prog}"]
+    for item in usage:
+        if len(lines[-1]) + 1 + len(item) > 79:
+            lines.append(" " * len(f"usage: {prog}"))
+        lines[-1] += f" {item}"
+    lines += ["", command.help]
+    width = max(len(name) for _, entries in sections for name, _ in entries)
+    for title, entries in sections:
+        lines += ["", title]
+        lines += [f"  {name:<{width}}  {text}".rstrip() for name, text in entries]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
@@ -363,9 +503,10 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = vars(_PARSER.parse_args(argv))
-        return args.pop("run")(**args)
-    except _HelpShown:
+        run, kwargs = _parse(sys.argv[1:] if argv is None else argv)
+        return run(**kwargs)
+    except _HelpShown as shown:
+        sys.stdout.write(_help(*shown.args))
         return EXIT_YES
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

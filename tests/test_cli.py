@@ -1,10 +1,13 @@
 """End-to-end CLI behaviour including exit codes and witness output."""
 
+import argparse
 import contextlib
 import gc
 import hashlib
 import io
+import itertools
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -28,7 +31,22 @@ from stc import (
     serialize_extension,
     solve,
 )
-from stc.cli import main
+from stc.cli import (
+    UsageError,
+    _HelpShown,
+    _parse,
+    extension_canonicalize,
+    extension_default,
+    extension_validate,
+    extension_width,
+    gen_cmd,
+    import_cmd,
+    main,
+    oracle_firm,
+    oracle_soft,
+    reduce_cmd,
+    solve_cmd,
+)
 
 NET_A = """\
 network a
@@ -144,6 +162,7 @@ def test_usage_errors(files, capsys):
     (["oracle", "firm", "-n", "NET", "-t", "TREE", "--method", "switching",
       "--cap", "1"], 64),
     (["solve", "--batch", "DIR", "-n", "NET"], 64),
+    (["oracle", "firm", "-n", "NET", "-t", "TREE", "--cap", "-1"], 64),
 ])
 def test_bad_command_lines_exit_with_a_message(argv, code, files, capsys):
     where = {"NET": files["net_a"], "TREE": files["tree_d"], "DIR": str(files["dir"])}
@@ -155,14 +174,58 @@ def test_bad_command_lines_exit_with_a_message(argv, code, files, capsys):
 
 
 def test_help_prints_usage_and_exits_0(capsys):
-    for argv in (["--help"], ["solve", "--help"], ["extension", "width", "--help"]):
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        assert captured.out.lower().startswith("usage:")
-        if argv[0] == "solve":
-            for option in ("--network", "--tree", "--extension", "--witness",
-                           "--decision-only", "--batch", "--jobs"):
-                assert option in captured.out
+    table = stc.cli._COMMANDS
+    assert {(), ("solve",), ("extension", "width"), ("extension",), ("oracle",),
+            ("oracle", "soft"), ("reduce",), ("gen",), ("import",)} <= set(table)
+    for words, command in table.items():
+        for flag in ("--help", "-h"):
+            assert main([*words, flag]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert captured.out.startswith(f"usage: {' '.join(['stc', *words])} ")
+            for option in command.options:
+                for name in option.names:
+                    assert name in captured.out
+            for key, entry in table.items():
+                if len(key) == len(words) + 1 and key[:-1] == words:
+                    assert f"{key[-1]}  " in captured.out and entry.help in captured.out
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["frobnicate"], "frobnicate"),
+    (["extension", "wid", "-n", "NET"], "wid"),
+    (["solve", "--bogus"], "--bogus"),
+    (["solve", "-n", "--witness", "-t", "TREE"], "-n"),
+    (["gen", "--leaves", "x"], "x"),
+    (["oracle", "soft", "-n", "NET", "-t", "TREE", "--method", "zzz"], "zzz"),
+    (["reduce", "-n", "NET"], "-o/--output"),
+    (["solve", "-n", "NET", "-t", "TREE", "TREE"], "TREE"),
+    (["solve", "--witness=yes"], "--witness"),
+    (["import", "enewick"], "FILE"),
+])
+def test_usage_errors_name_the_token(argv, named, files, capsys):
+    where = {"NET": files["net_a"], "TREE": files["tree_d"]}
+    assert main([where.get(arg, arg) for arg in argv]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert where.get(named, named) in err
+
+
+def test_every_value_form_reads_alike_and_the_last_repeat_wins(files, capsys):
+    net, tree, missing = files["net_a"], files["tree_d"], str(files["dir"] / "missing")
+    for network in (["-n", net], [f"-n{net}"], [f"-n={net}"], ["--network", net],
+                    [f"--network={net}"], ["-n", missing, "--network", net]):
+        assert main(["solve", *network, f"--tree={tree}"]) == 0, network
+        assert capsys.readouterr().out == "YES\n"
+    assert main(["solve", "-n", net, "-t", tree, "-n", missing]) == 66
+
+
+def test_main_reads_the_command_line_of_the_process(files, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["stc", "solve", "-n", files["net_a"],
+                                      "-t", files["tree_c"]])
+    assert main() == 1
+    assert capsys.readouterr().out == "NO\n"
 
 
 def test_importing_the_cli_loads_no_click():
@@ -180,13 +243,18 @@ def test_the_solve_path_loads_neither_the_generator_nor_dataclasses(files):
     src = os.path.dirname(os.path.dirname(stc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # No parser library either, nor the `gettext` and `locale` that argparse
+    # loads, after `--help` and a usage error as well.
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "from stc.cli import main\n"
         "def loaded():\n"
-        "    return [m for m in ('dataclasses', 'inspect', 'stc.generator',"
-        " 'stc.oracle') if m in sys.modules]\n"
+        "    return [m for m in ('argparse', 'dataclasses', 'gettext', 'inspect',"
+        " 'locale', 'stc.generator', 'stc.oracle') if m in sys.modules]\n"
         "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['--help']), main(['solve', '--bogus'])]\n"
+        "print(codes, loaded())\n"
         "print(main(['solve', '-n', sys.argv[1], '-t', sys.argv[2]]), loaded())\n"
         "print(main(['gen', '--leaves', '4', '--seed', '1', '-o', sys.argv[3]]),"
         " 'stc.generator' in sys.modules)\n")
@@ -194,7 +262,7 @@ def test_the_solve_path_loads_neither_the_generator_nor_dataclasses(files):
         [sys.executable, "-S", "-c", script, files["net_a"], files["tree_d"],
          str(files["dir"] / "gen")],
         env=env, capture_output=True, check=True, text=True).stdout
-    assert out == "[]\nYES\n0 []\n0 True\n"
+    assert out == "[]\n[0, 64] []\nYES\n0 []\n0 True\n"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -885,3 +953,209 @@ def test_mutated_enewick_imports_end_in_a_documented_exit_code(fuzz_dir, doc, ed
     if code:
         assert err.getvalue().startswith("error:"), (doc, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+# -- the command-line table against the argparse parser it replaced ----------
+#
+# `_Parser` and `_build_parser` are the argparse parser that read every
+# command line before `stc.cli._COMMANDS`, kept verbatim as the reference.
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises where `argparse` would print and exit, so `main` picks the code."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        raise _HelpShown
+
+
+def _build_parser():
+    """The parser of every command line.  It names the command's function as
+    `run`, and that function's parameters as the other attributes."""
+    parser = _Parser(prog="stc", allow_abbrev=False, description=(
+        "Decide whether a phylogenetic network softly displays a tree."))
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(group, name, run, required="", optional=""):
+        """A parser for `run`, with the -n/-t/-x file options named by letter."""
+        sub = group.add_parser(name, allow_abbrev=False, description=run.__doc__,
+                               help=(run.__doc__ or "").split("\n")[0])
+        sub.set_defaults(run=run)
+        for letter in required + optional:
+            what = {"n": "network", "t": "tree", "x": "extension"}[letter]
+            sub.add_argument(f"-{letter}", f"--{what}", dest=f"{what}_path",
+                             required=letter in required, help=f"{what} file")
+        return sub
+
+    def group(name, doc):
+        sub = commands.add_parser(name, allow_abbrev=False, help=doc, description=doc)
+        return sub.add_subparsers(metavar="ACTION", required=True)
+
+    sub = command(commands, "solve", solve_cmd, optional="ntx")
+    sub.add_argument("--witness", action="store_true", help="print an embedding on yes")
+    sub.add_argument("--decision-only", action="store_true",
+                     help="free tables eagerly, the default without --witness; "
+                          "excludes --witness")
+    sub.add_argument("--batch", dest="batch_dir", metavar="DIR",
+                     help="solve every NAME.network/NAME.tree pair in a directory")
+    sub.add_argument("--jobs", type=int, default=1, metavar="N",
+                     help="worker processes for --batch (default: 1)")
+    sub = command(commands, "reduce", reduce_cmd, required="n", optional="xt")
+    sub.add_argument("-o", "--output", dest="prefix", required=True,
+                     help="output prefix; writes PREFIX.network and PREFIX.extension")
+    extension = group("extension", "Inspect and transform tree extensions.")
+    command(extension, "validate", extension_validate, required="nx")
+    command(extension, "width", extension_width, required="nx")
+    command(extension, "canonicalize", extension_canonicalize, required="nx")
+    command(extension, "default", extension_default, required="n")
+    oracles = group("oracle", "Brute-force reference answers on small instances.")
+    for name, run, method in (("firm", oracle_firm, "subsets"),
+                              ("soft", oracle_soft, "switching")):
+        sub = command(oracles, name, run, required="nt")
+        sub.add_argument("--cap", type=int, help="arc-count cap of --method subsets")
+        sub.add_argument("--method", choices=("subsets", "switching"), default=method,
+                         help=f"(default: {method})")
+    sub = command(commands, "gen", gen_cmd)
+    sub.add_argument("--leaves", type=int, required=True)
+    sub.add_argument("--reticulations", type=int, default=0)
+    sub.add_argument("--polytomy", dest="polytomy_rate", type=float, default=0.0)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--yes-biased", action="store_true",
+                     help="skip the leaf relabeling that scrambles the answer")
+    sub.add_argument("-o", "--output", dest="prefix", help="write PREFIX.network, "
+                     "PREFIX.tree and PREFIX.extension instead of printing")
+    sub = command(commands, "import", import_cmd)
+    sub.add_argument("fmt", choices=("enewick",))
+    sub.add_argument("path")
+    return parser
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return _build_parser()
+
+
+def _reference_outcome(parser, argv):
+    """What the reference makes of `argv`: ("parsed", run, kwargs),
+    ("help", command words) or ("refused",)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            kwargs = vars(parser.parse_args(argv))
+    except _HelpShown:
+        usage = out.getvalue().split()[2:]  # after "usage: stc"
+        return "help", tuple(itertools.takewhile(lambda w: w.isalpha() and w.islower(), usage))
+    except UsageError:
+        return ("refused",)
+    return "parsed", kwargs.pop("run"), kwargs
+
+
+def _outcome(argv):
+    """What `stc.cli` makes of `argv`, in the terms of `_reference_outcome`."""
+    try:
+        run, kwargs = _parse(argv)
+    except _HelpShown as shown:
+        return "help", shown.args[0]
+    except UsageError:
+        return ("refused",)
+    return "parsed", run, kwargs
+
+
+# Values by option type that parse, then ones that do not: negative numbers,
+# and values that start with "-" but hold a space, are values; "-x" names an
+# option of some commands.
+_VALUES = {str: ["FILE", "dir/a b", "", "-", "-5", "-0.5", "-a b"],
+           int: ["3", "0", "-2", " 7"],
+           float: ["0.5", "-0.5", "-.5", "1e3"]}
+_MALFORMED = {str: ["-x"], int: ["x", "1.5", "", "-1x"], float: ["x", "", "-"]}
+_STRAYS = ["--bogus", "-q", "-Q7", "--decision", "--net", "--witness=yes", "extra", "-3",
+           "frobnicate"]
+
+
+def _spelled(rng, option, noisy):
+    """`option` as command-line tokens, its value in one of the forms a value
+    takes; when `noisy`, the value may be malformed or missing."""
+    kind = str if option.type is bool else option.type
+    values = list(option.choices or _VALUES[kind])
+    if noisy:
+        values += ["zzz"] if option.choices else _MALFORMED[kind]
+    value = rng.choice(values)
+    if option.names[0][0] != "-":
+        return [value]
+    name = rng.choice(option.names)
+    if option.type is bool:
+        return [name]
+    short, long = option.names[0], option.names[-1]
+    forms = [[name, value], [f"{long}={value}"], [f"{short}={value}"], [f"{short}{value}"]]
+    return rng.choice(forms + [[name]] if noisy else forms)
+
+
+def _command_lines(count, seed):
+    """`count` command lines drawn from the table's command words and option
+    names.  Half are noisy: with malformed, missing or stray tokens and
+    options of other commands.  Any line may repeat an option or hold
+    `-h` or `--help`."""
+    rng = random.Random(seed)
+    table = stc.cli._COMMANDS
+    every_option = [option for command in table.values() for option in command.options]
+    lines = []
+    for _ in range(count):
+        noisy = rng.random() < 0.5
+        words = list(rng.choice(list(table)))
+        if noisy and words and rng.random() < 0.2:
+            words[rng.randrange(len(words))] = rng.choice(["frobnicate", "Solve", "wid", "-5"])
+        options = list(table[tuple(words)].options) if tuple(words) in table else []
+        items = [option for option in options if option.required and rng.random() < 0.9]
+        for _ in range(rng.randint(0, 5)):
+            draw = rng.random()
+            if draw < 0.06:
+                items.append(rng.choice(["-h", "--help"]))
+            elif not noisy or draw < 0.6:
+                items.append(rng.choice(options or every_option))
+            elif draw < 0.7:
+                items.append(rng.choice(every_option))
+            else:
+                items.append(rng.choice(_STRAYS))
+        rng.shuffle(items)
+        argv = list(words)
+        if noisy and rng.random() < 0.1:
+            argv.insert(0, rng.choice(_STRAYS))
+        for item in items:
+            argv += [item] if isinstance(item, str) else _spelled(rng, item, noisy)
+        lines.append(argv)
+    return lines
+
+
+def test_the_table_reads_command_lines_as_argparse_did(reference):
+    outcomes = {}
+    runs = set()
+    for argv in _command_lines(3000, seed=27):
+        want = _reference_outcome(reference, argv)
+        got = _outcome(argv)
+        assert got == want, argv
+        outcomes[want[0]] = outcomes.get(want[0], 0) + 1
+        if want[0] == "parsed":
+            runs.add(want[1])
+    assert min(outcomes.values()) >= 300, outcomes
+    assert runs == {command.run for command in stc.cli._COMMANDS.values()} - {None}
+
+
+# Lines that the table reads unlike argparse on purpose, with the reason.
+_DIFFERENCES = [
+    # argparse ends its options at `--`, after which `import` reads a path
+    # that starts with "-"; the table has no `--`, and such a path is given
+    # as `./-f.nwk`.
+    (["import", "--", "enewick", "FILE"], ("refused",)),
+    (["import", "enewick", "--", "-f.nwk"], ("refused",)),
+    # argparse reads `-hx FILE` as `-h -x FILE`; `-h` is the only short flag,
+    # so short options are not bundled.
+    (["solve", "-hx", "FILE"], ("refused",)),
+]
+
+
+@pytest.mark.parametrize("argv, outcome", _DIFFERENCES)
+def test_the_listed_differences_from_argparse(argv, outcome, reference):
+    assert _outcome(argv) == outcome
+    assert _reference_outcome(reference, argv) != outcome
