@@ -382,6 +382,26 @@ def reaches(d: Digraph, a, b) -> bool:
 
 # -- subtree tests on out-trees --------------------------------------------
 
+_CYCLIC_TREE = "not an out-tree: cyclic"
+
+
+def _out_tree_root(tree: Digraph) -> str:
+    """The root of `tree`; raises `InputError` unless `tree` has one root
+    and no vertex with two parents.  Such a graph is an out-tree iff it is
+    acyclic: a vertex that the root does not reach has a parent that the
+    root does not reach, so following parents from it closes a cycle."""
+    if tree.max_in_degree > 1:
+        raise InputError("not an out-tree: a vertex has two parents")
+    return tree.root()
+
+
+def _require_out_tree(tree: Digraph) -> None:
+    """Raise `InputError` unless `tree` is an out-tree, with the message of
+    `TreeIndex(tree)`, from facts that the graph caches."""
+    _out_tree_root(tree)
+    if not tree.is_acyclic():
+        raise InputError(_CYCLIC_TREE)
+
 
 class TreeIndex:
     """Pre-order numbers of an out-tree: `v` lies in the subtree of `t`
@@ -392,9 +412,7 @@ class TreeIndex:
     """
 
     def __init__(self, tree: Digraph):
-        if tree.max_in_degree > 1:
-            raise InputError("not an out-tree: a vertex has two parents")
-        root = tree.root()
+        root = _out_tree_root(tree)
         children = tree._children
         order: list[str] = []
         pre: dict[str, int] = {}
@@ -413,7 +431,7 @@ class TreeIndex:
                 parent[c] = v
                 stack.append((c, False))
         if len(order) != len(tree):
-            raise InputError("not an out-tree: cyclic")
+            raise InputError(_CYCLIC_TREE)
         self.order = tuple(order)
         self.pre = pre
         self.end = end

@@ -8,6 +8,7 @@ there; the maximum cut size is the width driving the dynamic program.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 
 from .digraph import Arc, Digraph, TreeIndex, _adjacency, _cached
@@ -122,7 +123,50 @@ class TreeExtension:
     # -- canonicality ------------------------------------------------------
 
     def canonicality_violations(self) -> list[str]:
-        """Check the four canonical-extension clauses (requires validity)."""
+        """Check the four canonical-extension clauses (requires validity).
+
+        Connectivity is decided by a local test, in one pass with the
+        out-degree and leaf-set clauses.  Lemma: the host below every vertex
+        is weakly connected iff each extension child `c` of each vertex `t`
+        holds a host child of `t` in its subtree.  Every host arc runs from
+        an extension ancestor to a descendant, so none joins two sibling
+        subtrees, and the only arcs between the subtree of `c` and the rest
+        of the subtree of `t` leave `t`.  So the host below `t` is connected
+        if the host below each `c` is and each holds a host child of `t`,
+        and it is not connected if some `c` holds none.  A vertex with one
+        extension child holds all its host children in that child's
+        subtree, so only vertices with two or more need the range test,
+        and a vertex with more extension than host children fails it.
+        Only when the test fails does a union-find name the vertices below
+        which the host is not connected.  A host arc leaves an extension
+        ancestor of its head, so every leaf of the extension is a host
+        leaf, and the leaf sets differ iff a host leaf has extension
+        children, which breaks the out-degree clause.
+        """
+        index = self._valid_index()
+        pre, end = index.pre, index.end
+        host_children = self.host._children
+        connected, over = True, []
+        # Both maps are keyed in the order of the one vertex set.
+        for (t, cs), ws in zip(self.gamma._children.items(), host_children.values()):
+            if len(cs) > len(ws):
+                over.append(t)
+            elif len(cs) > 1 and connected:
+                held = sorted([pre[w] for w in ws])
+                for c in cs:
+                    i = bisect_left(held, pre[c])
+                    if i == len(held) or held[i] >= end[c]:
+                        connected = False
+                        break
+        out = [] if connected and not over else self._disconnected()
+        if any(not host_children[v] for v in over):
+            out.append("leaf sets of extension and host differ")
+        out += [f"extension out-degree exceeds host out-degree at {v}" for v in over]
+        return out
+
+    def _disconnected(self) -> list[str]:
+        """A violation for each vertex below which the host is not weakly
+        connected, in vertex order."""
         index = self._valid_index()
         host_children, gamma_children = self.host._children, self.gamma._children
         # The host arcs inside the subtree of t are the out-arcs of its
@@ -140,13 +184,8 @@ class TreeExtension:
                     link[b] = t
                     count -= 1
             components[t] = count
-        out = [f"host below {t} is not weakly connected"
-               for t in self.gamma.vertices if components[t] != 1]
-        if self.gamma.leaves != self.host.leaves:
-            out.append("leaf sets of extension and host differ")
-        out += [f"extension out-degree exceeds host out-degree at {v}"
-                for v, cs in gamma_children.items() if len(cs) > len(host_children[v])]
-        return out
+        return [f"host below {t} is not weakly connected"
+                for t in self.gamma.vertices if components[t] != 1]
 
 
 # -- canonicalization ------------------------------------------------------
@@ -272,28 +311,35 @@ class RewriteState:
     attachment keep it so; a map given to `take` is not known to be.
     """
 
-    def __init__(self, host: Digraph, parent):
-        self.take(host, parent)
+    def __init__(self, host: Digraph, parent, order=None):
+        self.take(host, parent, order)
 
     @classmethod
     def carrying(cls, host: Digraph, ext: TreeExtension | None = None) -> "RewriteState":
-        """`host` with `ext`, by default `default_extension(host)`."""
+        """`host` with `ext`, by default `default_extension(host)`.
+
+        The default tree is built children first along the reverse of the
+        host's topological order, and a vertex adopts only vertices done
+        before it, so that order lists every parent before its children."""
         if ext is None:
-            state = cls(host, _default_parent(host))
+            state = cls(host, _default_parent(host), host.topological_order())
             state.canonical = True
             return state
-        return cls(host, dict(ext._valid_index().parent))
+        index = ext._valid_index()
+        return cls(host, dict(index.parent), index.order)
 
-    def take(self, host: Digraph, parent) -> None:
+    def take(self, host: Digraph, parent, order=None) -> None:
         """Make `host` the state's host and `parent` its extension, and
-        measure the width; fresh ids are the host's `fresh_names()`."""
+        measure the width; fresh ids are the host's `fresh_names()`.
+        `order`, if given, lists the vertices root first for `parent`."""
         self.parents = dict(host._parents)
         self.children = dict(host._children)
         self.labels = host._labels
         self._names = host.fresh_names()
         self.parent = parent
         self.canonical = False
-        order = _root_first(host.vertices, parent)
+        if order is None:
+            order = _root_first(host.vertices, parent)
         self.width = max(_cut_above(order, parent, host._parents, host._children).values())
 
     def fresh_id(self) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .digraph import Arc, Digraph, TreeIndex
+from .digraph import Arc, Digraph, TreeIndex, _require_out_tree
 from .errors import InputError, InternalError
 from .reduction import AugmentedInstance, _Record
 
@@ -77,28 +77,36 @@ def check_embedding(phi: dict[Arc, tuple[str, ...]], tree: Digraph,
     The checks read the graphs' adjacency and label maps directly.  The
     keys are tested first to be tree arcs; then one pass over `phi` tests
     each path against the network's child map and each domain for
-    downward closure, and indexes each network arc by the tree arcs whose
-    paths use it; a second pass tests leaf taxa and chaining.  So malformed
-    input raises `InputError`, naming the first fault in that order,
-    before any condition is judged.  Two paths that share no network arc
-    meet both pair conditions, so only pairs sharing an arc are compared,
-    each once.  The cost is linear in the total path length and the size
-    of `tree`, plus the pairs that share an arc; valid embeddings share
-    arcs only between siblings.
+    downward closure, and indexes each network arc by its first user, the
+    tree arc whose path uses it first, listing the users only of arcs that
+    a second path uses too; a second pass tests leaf taxa and chaining.
+    So malformed input raises `InputError`, naming the first fault in that
+    order, before any condition is judged; after the second pass, a `tree`
+    that is not an out-tree is refused, as `TreeIndex(tree)` refuses it.
+    Two paths that share no network arc meet both pair conditions, so only
+    pairs sharing an arc are compared, each once.  A valid embedding
+    shares arcs only between siblings, so the pre-order index of `tree`
+    that tells related tails from unrelated ones is built only when a
+    pair with different tails shares an arc.  The cost is linear in the
+    total path length, plus the pairs that share an arc, plus the size of
+    `tree` when such a pair exists or its acyclicity is not yet known.
     """
     tree_arcs = set(tree.arcs)
     if not tree_arcs.issuperset(phi):
         a = next(a for a in phi if a not in tree_arcs)
         raise InputError(f"embedded arc {a!r} is not a tree arc")
     t_children, n_children = tree._children, network._children
-    users: dict[Arc, list[Arc]] = {}
+    first: dict[Arc, Arc] = {}
+    users: dict[Arc, list[Arc]] = {}  # of the arcs that a second path uses
     for a, path in phi.items():
         if not path or path[0] not in n_children:
             _require_path(network, path)  # raises, naming the fault
         for net_arc in zip(path, path[1:]):
             if net_arc[1] not in n_children[net_arc[0]]:
                 _require_path(network, path)  # raises, naming the first fault
-            users.setdefault(net_arc, []).append(a)
+            user = first.setdefault(net_arc, a)
+            if user != a:
+                users.setdefault(net_arc, [user]).append(a)
         y = a[1]
         for c in t_children[y]:
             if (y, c) not in phi:
@@ -112,11 +120,10 @@ def check_embedding(phi: dict[Arc, tuple[str, ...]], tree: Digraph,
         for c in t_children[y]:
             if phi[y, c][0] != end:
                 return False
-    index = TreeIndex(tree)
+    _require_out_tree(tree)
+    index = None
     compared: set[tuple[Arc, Arc]] = set()
     for sharing in users.values():
-        if len(sharing) < 2:
-            continue
         for i, a1 in enumerate(sharing):
             for a2 in sharing[i + 1:]:
                 # a1 == a2 when a path repeats an arc, in a cyclic network
@@ -126,9 +133,12 @@ def check_embedding(phi: dict[Arc, tuple[str, ...]], tree: Digraph,
                 if a1[0] == a2[0]:
                     if not _only_a_common_prefix(phi[a1], phi[a2]):
                         return False
-                elif not (index.in_subtree(a1[1], a2[0])
-                          or index.in_subtree(a2[1], a1[0])):
-                    return False  # unrelated tails, and the paths share an arc
+                else:
+                    if index is None:
+                        index = TreeIndex(tree)
+                    if not (index.in_subtree(a1[1], a2[0])
+                            or index.in_subtree(a2[1], a1[0])):
+                        return False  # unrelated tails, and the paths share an arc
     return True
 
 

@@ -28,6 +28,8 @@ from stc.extension import (
     RestrictStep,
     RewriteState,
     _canonical_parent,
+    _cut_above,
+    _default_parent,
     _restricted_parent,
     _root_first,
 )
@@ -322,6 +324,8 @@ def test_canonical_form_depends_only_on_the_extension(seed, leaves, reticulation
     start = _chain_extension(host, rng) if chain else default_extension(host)
     ext = _lifted(start, rng, lifts)
     assert ext.is_valid()
+    for e in (start, ext):
+        assert e.canonicality_violations() == _reference_canonicality_violations(e)
     first, second = (_canonical_parent(host._children, _children_first(ext.gamma, rng))
                      for _ in range(2))
     assert first == second
@@ -330,6 +334,42 @@ def test_canonical_form_depends_only_on_the_extension(seed, leaves, reticulation
     assert canonical.gamma == Digraph([(p, c) for c, p in first.items()],
                                       vertices=host.vertices)
     assert not canonical.canonicality_violations()
+
+
+@pytest.mark.parametrize("host_arcs, gamma_arcs, problems", [
+    # The chain r -> a -> b puts the host leaf b below the host leaf a.
+    ([("r", "a"), ("r", "b")], [("r", "a"), ("a", "b")],
+     ["host below a is not weakly connected",
+      "leaf sets of extension and host differ",
+      "extension out-degree exceeds host out-degree at a"]),
+    # t has as many children in both graphs, but both of its host children
+    # lie below m: only r feeds t's other extension child d.
+    ([("r", "t"), ("r", "d"), ("t", "m"), ("t", "h"), ("m", "h"), ("m", "b"),
+      ("h", "a")],
+     [("r", "t"), ("t", "m"), ("t", "d"), ("m", "h"), ("m", "b"), ("h", "a")],
+     ["host below t is not weakly connected"]),
+], ids=["host-leaf-with-one-extension-child", "sibling-fed-from-above"])
+def test_canonicality_of_hand_built_extensions(host_arcs, gamma_arcs, problems):
+    host = Digraph(host_arcs)
+    ext = TreeExtension(host, Digraph(gamma_arcs))
+    assert ext.is_valid()
+    assert ext.canonicality_violations() == _reference_canonicality_violations(ext) == problems
+
+
+def test_the_topological_order_lists_the_default_tree_root_first():
+    # `RewriteState.carrying` measures the default extension's width along
+    # the host's topological order instead of a breadth-first walk.
+    for seed in range(40):
+        for leaves, retics, rate in ((4, 1, 0.0), (8, 3, 0.5), (16, 6, 0.3)):
+            host = generate(GeneratorParams(leaves, retics, rate, seed)).network
+            parent = _default_parent(host)
+            topo = host.topological_order()
+            position = {v: i for i, v in enumerate(topo)}
+            assert all(position[p] < position[c] for c, p in parent.items())
+            by_walk = _cut_above(_root_first(host.vertices, parent), parent,
+                                 host._parents, host._children)
+            assert _cut_above(topo, parent, host._parents, host._children) == by_walk
+            assert RewriteState.carrying(host).width == max(by_walk.values())
 
 
 def _generated_extensions():

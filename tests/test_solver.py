@@ -30,6 +30,7 @@ from stc import (
     solve,
     update_extension,
 )
+from stc import solver
 from stc.digraph import TreeIndex
 from stc.solver import VertexStats, _require_path, _resolutions
 from test_extension import _chain_extension, _lifted
@@ -149,17 +150,61 @@ def test_check_embedding_rejects_siblings_that_split_and_rejoin():
     {"x_z": ("rho", "s", "u2", "m", "w", "k"), "x_y": ("rho", "t", "m"),
      "y_a": ("m", "w", "la"), "y_b": ("m", "w", "lb")},
 ], ids=["cousins", "uncle"])
-def test_check_embedding_rejects_unrelated_tails_sharing_an_arc(paths):
+def test_check_embedding_rejects_unrelated_tails_sharing_an_arc(paths, monkeypatch):
+    # Only a pair with different tails that shares an arc builds the index.
+    built = _count_tree_indexes(monkeypatch)
     phi = _pair_phi(**paths)
     assert not check_embedding(phi, _PAIR_TREE, _PAIR_NET)
+    assert built["calls"] == 1
 
 
-def test_check_embedding_requires_an_out_tree():
-    # Unrelated tails are told apart by pre-order numbers of `tree`.
-    two_parents = Digraph(list(_PAIR_TREE.arcs) + [("y", "c")], {"c": "c"})
-    phi = _pair_phi(y_c=("s", "u1", "m", "w", "k", "lc"))
-    with pytest.raises(InputError, match="out-tree"):
-        check_embedding(phi, two_parents, _PAIR_NET)
+def _count_tree_indexes(monkeypatch) -> Counter:
+    """A counter of the `TreeIndex` builds that `check_embedding` makes."""
+    built = Counter()
+
+    def counting(tree):
+        built["calls"] += 1
+        return TreeIndex(tree)
+
+    monkeypatch.setattr(solver, "TreeIndex", counting)
+    return built
+
+
+# A tree whose vertex w has two parents, y and z, over a network in which
+# the paths of (y, w) and (z, w) meet at m without sharing an arc.
+_TWO_PARENTS_NET = Digraph(
+    [("rho", "s"), ("rho", "t"), ("s", "m"), ("t", "m"), ("m", "la"), ("m", "lb")],
+    {"la": "a", "lb": "b"})
+_TWO_PARENTS_TREE = Digraph(
+    [("x", "y"), ("x", "z"), ("y", "w"), ("z", "w"), ("w", "a"), ("w", "b")],
+    {"a": "a", "b": "b"})
+_TWO_PARENTS_PHI = {
+    ("x", "y"): ("rho", "s"), ("x", "z"): ("rho", "t"), ("y", "w"): ("s", "m"),
+    ("z", "w"): ("t", "m"), ("w", "a"): ("m", "la"), ("w", "b"): ("m", "lb")}
+
+
+def test_check_embedding_requires_an_out_tree(monkeypatch):
+    # Refused with `TreeIndex`'s message, even where no pair with different
+    # tails shares an arc, so that the index is never built.
+    built = _count_tree_indexes(monkeypatch)
+    for tree, phi, network, message in [
+        (Digraph(list(_PAIR_TREE.arcs) + [("y", "c")], {"c": "c"}),
+         _pair_phi(y_c=("s", "u1", "m", "w", "k", "lc")), _PAIR_NET,
+         "not an out-tree: a vertex has two parents"),
+        (_TWO_PARENTS_TREE, _TWO_PARENTS_PHI, _TWO_PARENTS_NET,
+         "not an out-tree: a vertex has two parents"),
+        (Digraph(_PAIR_TREE.arcs, _PAIR_TREE.labels, vertices=["lone"]), _pair_phi(),
+         _PAIR_NET, "graph has 2 roots, expected 1"),
+        (Digraph(list(_PAIR_TREE.arcs) + [("p", "q"), ("q", "p")], _PAIR_TREE.labels),
+         _pair_phi(), _PAIR_NET, "not an out-tree: cyclic"),
+    ]:
+        with pytest.raises(InputError) as want:
+            TreeIndex(tree)
+        assert str(want.value) == message
+        with pytest.raises(InputError) as got:
+            check_embedding(phi, tree, network)
+        assert str(got.value) == message
+    assert built["calls"] == 0
 
 
 def _all_pairs_check_embedding(phi, tree, network):
@@ -251,7 +296,10 @@ def _mutations(phi, network, rng):
     return out
 
 
-def test_check_embedding_matches_the_all_pairs_reference(suite):
+def test_check_embedding_matches_the_all_pairs_reference(suite, monkeypatch):
+    # A valid witness shares arcs only between siblings, so checking it
+    # builds no tree index; the mutants do build some.
+    built = _count_tree_indexes(monkeypatch)
     rng = random.Random(5)
     cases = [(n, t, ext) for _, n, t, ext in suite]
     cases += [(g.network, g.tree, None) for g in (
@@ -262,7 +310,9 @@ def test_check_embedding_matches_the_all_pairs_reference(suite):
         result = solve(inst)
         if not result.displayed:
             continue
+        before = built["calls"]
         network, phi = reconstruct_witness(result)
+        assert built["calls"] == before
         for mutant in [phi] + _mutations(phi, network, rng):
             want = _outcome(_all_pairs_check_embedding, mutant, inst.tree, network)
             got = _outcome(check_embedding, mutant, inst.tree, network)
@@ -271,6 +321,7 @@ def test_check_embedding_matches_the_all_pairs_reference(suite):
             rejected += want is False
             raised += type(want) is tuple and want[0] is InputError
     assert checked > 3000 and rejected > 1000 and raised > 100
+    assert built["calls"] > 10
 
 
 def test_solver_matches_hand_answers(net_a, tree_b, tree_c, tree_d):
