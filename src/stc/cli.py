@@ -72,15 +72,23 @@ def _load_extension(path, host):
     return formats.parse_extension(_read(path), host)
 
 
+def _decide(network_path, tree_path, extension_path, keep_tables):
+    """Load one instance, reduce it and solve it: the one solve sequence of
+    `stc solve`, for a single instance and for each of a batch."""
+    n = _load_network(network_path)
+    t = _load_network(tree_path)
+    ext = _load_extension(extension_path, n) if extension_path else None
+    return solve(preprocess(n, t, ext), keep_tables=keep_tables)
+
+
 def _solve_one(paths):
     """Worker for batch mode; returns (name, verdict-or-error string)."""
     name, network_path, tree_path, extension_path = paths
     try:
-        n = _load_network(network_path)
-        t = _load_network(tree_path)
-        ext = _load_extension(extension_path, n) if extension_path else None
-        result = solve(preprocess(n, t, ext), keep_tables=False)
+        result = _decide(network_path, tree_path, extension_path, keep_tables=False)
         return name, "YES" if result.displayed else "NO"
+    except InternalError as exc:
+        return name, f"ERROR internal: {exc}"
     except STCError as exc:
         return name, f"ERROR {exc}"
     except Exception as exc:  # one crashing instance must not end the batch
@@ -98,13 +106,11 @@ def solve_cmd(network_path, tree_path, extension_path, witness, decision_only,
         if network_path or tree_path or extension_path or witness:
             raise UsageError("--batch excludes per-instance options")
         return _solve_batch(batch_dir, jobs)
+    if jobs > 1:
+        raise UsageError("--jobs needs --batch")
     if not network_path or not tree_path:
         raise UsageError("need -n and -t (or --batch)")
-    n = _load_network(network_path)
-    t = _load_network(tree_path)
-    ext = _load_extension(extension_path, n) if extension_path else None
-    inst = preprocess(n, t, ext)
-    result = solve(inst, keep_tables=witness)
+    result = _decide(network_path, tree_path, extension_path, keep_tables=witness)
     if not result.displayed:
         print("NO")
         return EXIT_NO

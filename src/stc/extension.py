@@ -311,7 +311,7 @@ class RewriteState:
     attachment keep it so; a map given to `take` is not known to be.
     """
 
-    def __init__(self, host: Digraph, parent, order=None):
+    def __init__(self, host: Digraph, parent, order):
         self.take(host, parent, order)
 
     @classmethod
@@ -328,18 +328,16 @@ class RewriteState:
         index = ext._valid_index()
         return cls(host, dict(index.parent), index.order)
 
-    def take(self, host: Digraph, parent, order=None) -> None:
+    def take(self, host: Digraph, parent, order) -> None:
         """Make `host` the state's host and `parent` its extension, and
         measure the width; fresh ids are the host's `fresh_names()`.
-        `order`, if given, lists the vertices root first for `parent`."""
+        `order` lists the vertices root first for `parent`."""
         self.parents = dict(host._parents)
         self.children = dict(host._children)
         self.labels = host._labels
         self._names = host.fresh_names()
         self.parent = parent
         self.canonical = False
-        if order is None:
-            order = _root_first(host.vertices, parent)
         self.width = max(_cut_above(order, parent, host._parents, host._children).values())
 
     def fresh_id(self) -> str:
@@ -439,7 +437,8 @@ class RestrictStep(namedtuple("RestrictStep", "new_host")):
         """The one rewrite that can change the width; `take` measures it."""
         # `prune_to_leafset` computed the pruned host from the state's host.
         host = self.new_host
-        state.take(host, _restricted_parent(state.parent, state.parents, host))
+        parent = _restricted_parent(state.parent, state.parents, host)
+        state.take(host, parent, _root_first(host.vertices, parent))
 
 
 def update_extension(ext: TreeExtension, step) -> TreeExtension:

@@ -29,12 +29,24 @@ from .extension import (
 def tidy(d: Digraph, keep_taxa) -> Digraph:
     """Drop everything that serves no kept taxon, then clean up degrees.
 
-    Removes the vertices that reach no kept leaf, then repeats until stable:
-    suppress in-1/out-1 vertices, collapse duplicate arcs (set semantics),
-    and delete a root of out-degree 1.  One search for useless vertices is
-    enough, as no later step changes a vertex's reach to a kept leaf:
-    labels sit on sinks, which no step removes, and a suppressed vertex's
-    parent reaches through the new arc whatever it reached through it.
+    Removes the vertices that reach no kept leaf, then, from a worklist,
+    suppresses in-1/out-1 vertices, collapsing duplicate arcs (set
+    semantics), and deletes a root of out-degree 1 if it is the only root.
+    A removal changes the degrees of its parent and its child only, so only
+    those two go back on the worklist.  One search for useless vertices is
+    enough, as no later removal changes a vertex's reach to a kept leaf:
+    labels sit on sinks, which no removal touches, and a suppressed
+    vertex's parent reaches through the new arc whatever it reached
+    through it.  In a DAG, two lemmas make the worklist exact:
+
+    - A removable vertex stays removable until it is removed, so every
+      removal order reaches the same graph.  No removal raises a degree;
+      a suppression replaces a neighbour by one vertex, and a root's
+      deletion leaves its child the only root, with its out-degree.
+    - Neither removal changes how many roots the kept part has: a
+      suppressed vertex is no root and its child gets its parent, and the
+      only child of the only root has no other parent (that parent would
+      descend from the child).  So "exactly one root" is read once.
     """
     keep_taxa = set(keep_taxa)
     labels = {v: t for v, t in d._labels.items() if t in keep_taxa}
@@ -48,32 +60,23 @@ def tidy(d: Digraph, keep_taxa) -> Digraph:
                 stack.append(p)
     parents = {v: set(d._parents[v]) for v in alive}
     children = {v: alive.intersection(d._children[v]) for v in alive}
-
-    def drop(v):
-        for p in parents[v]:
-            children[p].discard(v)
-        for c in children[v]:
-            parents[c].discard(v)
+    one_root = sum(not ps for ps in parents.values()) == 1
+    work = list(alive)
+    while work:
+        v = work.pop()
+        ps, cs = parents[v], children[v]
+        if v not in alive or len(cs) != 1 or len(ps) > 1 or not (ps or one_root):
+            continue
+        (c,) = cs
         alive.discard(v)
-
-    changed = True
-    while changed:
-        changed = False
-        # suppress pass-through vertices
-        for v in sorted(alive):
-            if len(parents[v]) == 1 and len(children[v]) == 1:
-                (p,) = parents[v]
-                (c,) = children[v]
-                drop(v)
-                if p != c:
-                    children[p].add(c)
-                    parents[c].add(p)
-                changed = True
-        # trim a degree-1 root
-        roots = sorted(v for v in alive if not parents[v])
-        if len(roots) == 1 and len(children[roots[0]]) == 1:
-            drop(roots[0])
-            changed = True
+        parents[c].discard(v)
+        work.append(c)
+        for p in ps:    # a suppression; without a parent, a root's deletion
+            children[p].discard(v)
+            if p != c:
+                children[p].add(c)
+                parents[c].add(p)
+            work.append(p)
     if not alive:
         raise SemanticError("pruning removed the entire graph")
     # Sorted arcs, no self-loop (see `p != c`), and labels of `d`'s leaves.
@@ -187,15 +190,14 @@ def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
     canonical extension of the augmented network (fresh root) and the trace.
 
     `taxa`, if given, must be taxa of `n`: that is checked first, and
-    `ext`, if given, is validated next; the result is not, as
+    `ext`, if given, must belong to `n` and is validated next, by
+    `RewriteState.carrying`; the result is not, as
     `AugmentedInstance.check` does that once."""
     prune = None
     if taxa is not None and set(taxa) != n.taxa:
         _, prune = prune_to_leafset(n, taxa)
-    if ext is not None:
-        if ext.host != n:
-            raise InputError("extension does not belong to the given network")
-        ext.require_valid()
+    if ext is not None and ext.host != n:
+        raise InputError("extension does not belong to the given network")
     state = RewriteState.carrying(n, ext)
     trace = ReductionTrace(widths=[state.width])
     if prune is not None:

@@ -270,9 +270,10 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     """
     n, t, gamma = inst.network, inst.tree, inst.extension.gamma
     rho_n, rho_t = inst.network_root, inst.tree_root
+    # The sweep skips `order[0]`, the extension's root: it has no host
+    # parent, as every host arc runs down the extension, so it is the one
+    # root of the network, which the final vertex below reads.
     order = inst.extension._valid_index().order
-    if order[0] != rho_n:
-        raise InternalError("extension root differs from the network root")
     t_leaf_of = t.leaf_by_taxon
     # The loop reads the maps directly: every vertex it meets is known.
     gamma_children, n_labels, t_parents = gamma._children, n._labels, t._parents

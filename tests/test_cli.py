@@ -20,6 +20,7 @@ import stc
 from stc import (
     Digraph,
     GeneratorParams,
+    InternalError,
     TreeExtension,
     check_embedding,
     default_extension,
@@ -163,6 +164,8 @@ def test_usage_errors(files, capsys):
       "--cap", "1"], 64),
     (["solve", "--batch", "DIR", "-n", "NET"], 64),
     (["oracle", "firm", "-n", "NET", "-t", "TREE", "--cap", "-1"], 64),
+    # --jobs counts the workers of --batch, which a single instance has none of
+    (["solve", "-n", "NET", "-t", "TREE", "--jobs", "2"], 64),
 ])
 def test_bad_command_lines_exit_with_a_message(argv, code, files, capsys):
     where = {"NET": files["net_a"], "TREE": files["tree_d"], "DIR": str(files["dir"])}
@@ -736,6 +739,31 @@ def test_batch_isolates_a_crashing_instance(tmp_path, monkeypatch, capsys):
     assert out[1] == "i2 ERROR internal: RuntimeError: boom"
     assert out[0].split()[1] in ("YES", "NO")
     assert out[2].split()[1] in ("YES", "NO")
+
+
+def test_an_internal_error_reads_as_internal_in_either_mode(tmp_path, monkeypatch,
+                                                           capsys):
+    for seed in (1, 2):
+        main(["gen", "--leaves", "4", "--reticulations", "1",
+              "--seed", str(seed), "-o", str(tmp_path / f"i{seed}")])
+    capsys.readouterr()
+    message = "reduced tree misses the degree-1-root form"
+    i2 = parse_edgelist((tmp_path / "i2.network").read_text())
+
+    def broken_on_i2(n, t, ext=None):
+        if n == i2:
+            raise InternalError(message)
+        return preprocess(n, t, ext)
+
+    monkeypatch.setattr("stc.cli.preprocess", broken_on_i2)
+    name = str(tmp_path / "i2")
+    assert main(["solve", "-n", f"{name}.network", "-t", f"{name}.tree"]) == 70
+    assert capsys.readouterr() == ("", f"internal error: {message}\n")
+    assert main(["solve", "--batch", str(tmp_path)]) == 66
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[0].split()[1] in ("YES", "NO")
+    assert out.splitlines()[1:] == [f"i2 ERROR internal: {message}"]
 
 
 def test_batch_survives_a_dead_worker(tmp_path, monkeypatch, capsys):

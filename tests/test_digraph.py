@@ -48,6 +48,16 @@ def test_duplicate_taxa_rejected():
         Digraph([("a", "b"), ("a", "c")], {"b": "x", "c": "x"})
 
 
+@pytest.mark.parametrize("arcs, labels, vertices, message", [
+    ([], None, (), "a digraph needs at least one vertex"),
+    ([("a", "b")], {"z": "x"}, (), "label on unknown vertex 'z'"),
+], ids=["no-vertex", "label-on-unknown-vertex"])
+def test_construction_refusals_name_their_reason(arcs, labels, vertices, message):
+    with pytest.raises(InputError) as refused:
+        Digraph(arcs, labels, vertices)
+    assert str(refused.value) == message
+
+
 def test_degrees_and_leaves(net_a):
     assert net_a.in_degree("r") == 2
     assert net_a.out_degree("r") == 1
@@ -137,6 +147,13 @@ def test_classify_network_tree_and_near_misses(net_a, tree_b):
 
     unlabeled = Digraph([("r", "a"), ("r", "b")], {"a": "a"})
     assert "unlabeled" in classify(unlabeled).reason
+
+    for near_miss, reason in [
+        (Digraph([("a", "b"), ("b", "a")]), "no root"),
+        (Digraph([], vertices=["a"]), "root out-degree 0"),
+        (Digraph([("r", "a")], {"a": "a"}), "fewer than 2 leaves"),
+    ]:
+        assert classify(near_miss) == (PhyloKind.INVALID, reason)
 
 
 def test_a_network_is_classified_with_its_first_reticulation(net_a, tree_b):

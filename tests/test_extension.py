@@ -13,6 +13,7 @@ from stc import (
     Digraph,
     GeneratorParams,
     InputError,
+    InternalError,
     RewriteError,
     TreeExtension,
     canonicalize,
@@ -195,6 +196,25 @@ def test_a_restriction_to_a_host_that_is_no_pruning_is_refused(net_a):
     host = Digraph([("a", "p"), ("a", "b")])
     with pytest.raises(InputError, match="no pruning: 'p' keeps no ancestor"):
         update_extension(default_extension(net_a), RestrictStep(host))
+
+
+# Two sources, a and b, below one extension root.
+_TWO_SOURCES = TreeExtension(Digraph([("a", "x"), ("b", "y")]),
+                             Digraph([("a", "b"), ("a", "x"), ("b", "y")]))
+
+
+@pytest.mark.parametrize("make, step, error, message", [
+    (lambda net_a: _TWO_SOURCES, AttachRootStep("g0"), InputError,
+     "graph has 2 roots, expected 1"),
+    (default_extension, AttachRootStep("rho"), InputError, "root id 'rho' already present"),
+    (default_extension, "prune", InternalError, "unknown extension update step: 'prune'"),
+    (default_extension, RestrictStep(Digraph([("rho", "a"), ("rho", "zz")])), InputError,
+     "restricted host has unknown vertices: ['zz']"),
+], ids=["two-sources", "root-id-taken", "unknown-step", "unknown-vertices"])
+def test_update_extension_refuses_what_does_not_fit(make, step, error, message, net_a):
+    with pytest.raises(error) as refused:
+        update_extension(make(net_a), step)
+    assert str(refused.value) == message
 
 
 def test_cut_sizes_need_a_valid_extension(net_a):

@@ -10,6 +10,7 @@ from stc import (
     GeneratorParams,
     InputError,
     PhyloKind,
+    SemanticError,
     classify,
     firm_display,
     generate,
@@ -27,6 +28,12 @@ def test_params_validated():
         GeneratorParams(leaves=3, polytomy_rate=1.5)
     with pytest.raises(InputError):
         GeneratorParams(leaves=3, target_answer="maybe")
+
+
+def test_a_network_that_takes_no_reticulation_is_refused(monkeypatch):
+    monkeypatch.setattr("stc.generator._add_reticulation", lambda *args: False)
+    with pytest.raises(SemanticError, match="^could not place 2 reticulations on 3 leaves$"):
+        generate(GeneratorParams(leaves=3, reticulations=2))
 
 
 def test_generation_is_byte_deterministic():

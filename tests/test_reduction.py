@@ -2,9 +2,11 @@
 reference for the fused reduction, and the stretch gadget that `test_solver`
 keeps as the reference for soft polytomies."""
 
+import inspect
 import random
 from collections import Counter
 from functools import reduce
+from types import FunctionType
 
 import pytest
 
@@ -252,6 +254,114 @@ def test_one_search_for_useless_vertices_tidies_as_every_round_did():
     assert outcomes["graph"] >= 2000 and outcomes["error"] >= 30
 
 
+# `tidy` as it was before its worklist, copied verbatim: sorted sweeps and a
+# root rescan, round after round until one changes nothing.
+def _swept_tidy(d: Digraph, keep_taxa) -> Digraph:
+    """Drop everything that serves no kept taxon, then clean up degrees.
+
+    Removes the vertices that reach no kept leaf, then repeats until stable:
+    suppress in-1/out-1 vertices, collapse duplicate arcs (set semantics),
+    and delete a root of out-degree 1.  One search for useless vertices is
+    enough, as no later step changes a vertex's reach to a kept leaf:
+    labels sit on sinks, which no step removes, and a suppressed vertex's
+    parent reaches through the new arc whatever it reached through it.
+    """
+    keep_taxa = set(keep_taxa)
+    labels = {v: t for v, t in d._labels.items() if t in keep_taxa}
+    # Keep the vertices that reach a kept leaf; their parents do too.
+    alive = set(labels)
+    stack = list(alive)
+    while stack:
+        for p in d._parents[stack.pop()]:
+            if p not in alive:
+                alive.add(p)
+                stack.append(p)
+    parents = {v: set(d._parents[v]) for v in alive}
+    children = {v: alive.intersection(d._children[v]) for v in alive}
+
+    def drop(v):
+        for p in parents[v]:
+            children[p].discard(v)
+        for c in children[v]:
+            parents[c].discard(v)
+        alive.discard(v)
+
+    changed = True
+    while changed:
+        changed = False
+        # suppress pass-through vertices
+        for v in sorted(alive):
+            if len(parents[v]) == 1 and len(children[v]) == 1:
+                (p,) = parents[v]
+                (c,) = children[v]
+                drop(v)
+                if p != c:
+                    children[p].add(c)
+                    parents[c].add(p)
+                changed = True
+        # trim a degree-1 root
+        roots = sorted(v for v in alive if not parents[v])
+        if len(roots) == 1 and len(children[roots[0]]) == 1:
+            drop(roots[0])
+            changed = True
+    if not alive:
+        raise SemanticError("pruning removed the entire graph")
+    # Sorted arcs, no self-loop (see `p != c`), and labels of `d`'s leaves.
+    vertices = tuple(sorted(alive))
+    arcs = [(u, v) for u in vertices for v in sorted(children[u])]
+    return Digraph._of(vertices, *_adjacency(vertices, arcs), labels)
+
+
+def _swept_rounds(d, keep):
+    """How many rounds `_swept_tidy` makes on `d` and `keep`, the last of
+    which changes nothing.  It sorts the roots once a round, and that is
+    its only call of `sorted` on a generator."""
+    rounds = []
+
+    def counting(items, **kwargs):
+        if inspect.isgenerator(items):
+            rounds.append(items)
+        return sorted(items, **kwargs)
+
+    swept = FunctionType(_swept_tidy.__code__, {**globals(), "sorted": counting})
+    _tidy_outcome(swept, d, keep)
+    return len(rounds)
+
+
+def _random_dag(rng, size):
+    """A DAG on `size` vertices with arcs from lower to higher numbers and a
+    taxon on every sink; it has many roots more often than not."""
+    names = [f"v{i:02d}" for i in range(size)]
+    arcs = [(u, w) for i, u in enumerate(names) for w in names[i + 1:]
+            if rng.random() < 2.5 / size]
+    tails = {u for u, _ in arcs}
+    return Digraph(arcs, {v: f"t{v}" for v in names if v not in tails}, names)
+
+
+def test_the_worklist_tidies_as_the_sweeps_did():
+    # Generated networks and trees, and random DAGs with several roots,
+    # each restricted to random taxon subsets.
+    rng, outcomes = random.Random(29), Counter()
+    for seed in range(200):
+        graphs = [_random_dag(rng, rng.randrange(4, 16))]
+        for params in ((4, 1, 0.0), (7, 3, 0.3), (10, 6, 0.5)):
+            g = generate(GeneratorParams(*params, seed))
+            graphs += [g.network, g.tree]
+        for d in graphs:
+            taxa = sorted(d.taxa) + ["foreign"]
+            for _ in range(9):
+                keep = rng.sample(taxa, rng.randrange(len(taxa) + 1))
+                got = _tidy_outcome(tidy, d, keep)
+                assert got == _tidy_outcome(_swept_tidy, d, keep), (seed, keep)
+                assert got == _tidy_outcome(_reference_tidy, d, keep), (seed, keep)
+                outcomes["error" if isinstance(got, str) else "graph"] += 1
+                outcomes["several roots"] += len(d.roots) > 1
+                outcomes["2+ productive rounds"] += _swept_rounds(d, keep) >= 3
+    assert sum(outcomes[k] for k in ("error", "graph")) >= 10_000, outcomes
+    assert outcomes["2+ productive rounds"] >= 300, outcomes
+    assert outcomes["several roots"] >= 1000, outcomes
+
+
 # -- preprocess --------------------------------------------------------------
 
 
@@ -317,6 +427,12 @@ def test_preprocess_rejects_bad_inputs(net_a, tree_d):
         preprocess(small, tree_d)
     with pytest.raises(SemanticError):
         preprocess(net_a, net_a)  # second argument must classify as a tree
+    with pytest.raises(InputError, match="^extension does not belong to the given network$"):
+        preprocess(net_a, tree_d, default_extension(tree_d))
+    # `RewriteState.carrying` validates a given extension
+    star = Digraph([("rho", v) for v in net_a.vertices if v != "rho"])
+    with pytest.raises(InputError, match="^invalid tree extension: arc .* not inside "):
+        preprocess(net_a, tree_d, TreeExtension(net_a, star))
 
 
 def test_the_default_path_makes_one_kahn_pass(net_a, tree_d, monkeypatch, tmp_path,
