@@ -38,9 +38,17 @@ EXIT_INTERNAL = 70
 
 
 def _read(path):
+    """The text of the file at `path`: its bytes, read in one unbuffered
+    read to the end (of a pipe too) and decoded as strict UTF-8.
+
+    No line end is translated here: the parsers end lines at `\\n`, `\\r\\n`
+    and `\\r` themselves.  A byte that is no UTF-8 is a `ParseError` that
+    names its offset in the file.  Every command reads its inputs here, and
+    `--batch` reads each file that its one directory listing pairs, so a
+    listed file that cannot be read is that instance's error."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            return fh.read().decode("utf-8")
     except OSError as exc:
         raise SemanticError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
@@ -159,17 +167,20 @@ def _solve_batch(batch_dir, jobs):
         entries = sorted(os.listdir(batch_dir))
     except OSError as exc:
         raise SemanticError(f"cannot read {batch_dir}: {exc.strerror}")
+    # Files pair by name within this one listing: a listed file that cannot
+    # be read is its instance's error, never a file left out.
+    listed = set(entries)
     tasks = []
     for entry in entries:
         if not entry.endswith(".network"):
             continue
         name = entry[:-len(".network")]
-        tree = os.path.join(batch_dir, f"{name}.tree")
-        if not os.path.exists(tree):
+        if f"{name}.tree" not in listed:
             continue
-        ext = os.path.join(batch_dir, f"{name}.extension")
-        tasks.append((name, os.path.join(batch_dir, entry), tree,
-                      ext if os.path.exists(ext) else None))
+        ext = f"{name}.extension"
+        tasks.append((name, os.path.join(batch_dir, entry),
+                      os.path.join(batch_dir, f"{name}.tree"),
+                      os.path.join(batch_dir, ext) if ext in listed else None))
     if not tasks:
         raise SemanticError(f"no NAME.network/NAME.tree pairs in {batch_dir}")
     if jobs > 1:

@@ -290,6 +290,11 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["solve", "--batch", str(batch)]) == 66
     assert capsys.readouterr().out == (
         f"i ERROR {undecodable}: byte offset 5: not UTF-8 (byte 0xff)\n")
+    # The offset counts both bytes of a \r\n line end before it.
+    (batch / "i.network").write_bytes(b"A r s\r\nA s \xff\r\n")
+    assert main(["extension", "default", "-n", undecodable]) == 65
+    assert capsys.readouterr().err == (
+        f"error: {undecodable}: byte offset 11: not UTF-8 (byte 0xff)\n")
 
 
 def test_semantic_error_exit_code(tmp_path, files, capsys):
@@ -670,6 +675,72 @@ def test_batch_mode(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in out] == ["i1", "i2"]
     assert all(line.split()[1] in ("YES", "NO") for line in out)
+
+
+def test_batch_reads_every_file_its_listing_pairs(tmp_path, capsys):
+    # A dangling link is listed, so its instance names the read that fails:
+    # it is neither solved on the default extension nor left out.
+    (tmp_path / "i.network").write_text(NET_A)
+    (tmp_path / "i.tree").write_text(TREE_D)
+    (tmp_path / "i.extension").symlink_to(tmp_path / "gone")
+    (tmp_path / "j.network").write_text(NET_A)
+    (tmp_path / "j.tree").symlink_to(tmp_path / "gone")
+    assert main(["solve", "--batch", str(tmp_path)]) == 66
+    assert capsys.readouterr() == (
+        f"i ERROR cannot read {tmp_path}/i.extension: No such file or directory\n"
+        f"j ERROR cannot read {tmp_path}/j.tree: No such file or directory\n", "")
+
+
+def _dressed(text):
+    """The lines of `text` after a comment and a blank line, each with a
+    trailing comment."""
+    return ["# a dressed copy", "", *(f"{line}   # a comment" for line in text.splitlines())]
+
+
+_NET_LINES = _dressed(NET_A)
+_EXT_LINES = _dressed(serialize_extension(default_extension(parse_edgelist(NET_A))))
+_ENEWICK_LINES = ["(((a,b),", "(c)#H1),", "(#H1,d));"]
+# Each input file of the commands below: its lines, and the lines of its
+# faulty twin with the line that the error must name.
+_LINE_END_DOCS = {
+    "n": (_NET_LINES, [*_NET_LINES[:8], _NET_LINES[4], *_NET_LINES[8:]], 9),
+    "t": (_dressed(TREE_D), None, None),
+    "x": (_EXT_LINES, [*_EXT_LINES[:5], _EXT_LINES[3], *_EXT_LINES[5:]], 6),
+    "w": (_ENEWICK_LINES, [*_ENEWICK_LINES[:2], "(#H1,d)!);"], 3),
+}
+_SOLVE_X = ["solve", "-n", "DIR/n", "-t", "DIR/t", "-x", "DIR/x"]
+_VALIDATE = ["extension", "validate", "-n", "DIR/n", "-x", "DIR/x"]
+_REDUCE = ["reduce", "-n", "DIR/n", "-t", "DIR/t", "-x", "DIR/x", "-o", "DIR/out"]
+
+
+@pytest.mark.parametrize("argv, faulty", [
+    *((argv, faulty) for argv in (_SOLVE_X, _VALIDATE, _REDUCE)
+      for faulty in (None, "n", "x")),
+    (["import", "enewick", "DIR/w"], None),
+    (["import", "enewick", "DIR/w"], "w"),
+])
+def test_line_ends_reach_the_parsers_untranslated(argv, faulty, tmp_path, capsys):
+    # The files are read as bytes: each parser ends lines at \n, \r\n and
+    # a lone \r itself, so the three read alike and name the same line.
+    outcomes = []
+    for kind, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        where = tmp_path / kind
+        where.mkdir()
+        for name, (lines, twin, _) in _LINE_END_DOCS.items():
+            doc = twin if name == faulty else lines
+            (where / name).write_bytes("".join(line + end for line in doc).encode())
+        code = main([arg.replace("DIR", str(where)) for arg in argv])
+        out, err = capsys.readouterr()
+        written = sorted((p.name, p.read_bytes()) for p in where.glob("out.*"))
+        outcomes.append((code, out, err.replace(str(where), "DIR"), written))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    code, out, err, written = outcomes[0]
+    if faulty is None:
+        assert code == 0 and out and err == ""
+        assert len(written) == (2 if argv is _REDUCE else 0)
+    else:
+        assert code == 65 and out == "" and not written
+        assert err.startswith(f"error: line {_LINE_END_DOCS[faulty][2]}, column ")
 
 
 def test_unexpected_exception_exits_internal(files, monkeypatch, capsys):
