@@ -57,9 +57,11 @@ def _read(path):
 
 
 def _write(path, text):
+    """Write `text` to the file at `path` as UTF-8 bytes, in one buffered
+    write: the byte twin of `_read`, so no line end is translated."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
     except OSError as exc:
         raise SemanticError(f"cannot write {path}: {exc.strerror}")
 

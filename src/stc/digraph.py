@@ -209,7 +209,9 @@ class Digraph:
     @_cached
     def _topo_order(self) -> tuple[str, ...] | None:
         """A sorted-tie-break topological order, or None if cyclic: the one
-        Kahn pass, which also answers `is_acyclic`."""
+        Kahn pass, through a heap of sources.  It answers `is_acyclic` for
+        every graph that is not a candidate out-tree (see `_acyclic`), and
+        `topological_order()` for every graph."""
         children = self._children
         indeg = {v: len(ps) for v, ps in self._parents.items()}
         heap = [v for v, d in indeg.items() if not d]  # sorted, so a heap
@@ -229,7 +231,22 @@ class Digraph:
     @_cached
     def _acyclic(self) -> bool:
         """Whether no directed cycle exists: recorded by `_proven_acyclic`
-        where a proof is at hand, else read off the sorted order."""
+        where a proof is at hand, else decided here.
+
+        A graph with one root and no vertex of in-degree 2 or more, as
+        every phylogenetic tree has, is acyclic iff one walk from the root
+        reaches every vertex: the lemma of `_out_tree_root`.  The walk
+        meets each vertex at most once, so it needs no record of what it
+        has seen: what the root reaches holds no cycle, whose first vertex
+        on a path from the root would have two parents, so following the
+        one parent of a met vertex leads back to the root along one path.
+        Every other graph is read off the sorted order of `_topo_order`."""
+        roots = self.roots
+        if len(roots) == 1 and self.max_in_degree <= 1:
+            children, reached = self._children, list(roots)
+            for v in reached:   # the loop meets what it appends
+                reached.extend(children[v])
+            return len(reached) == len(self._vertices)
         return self._topo_order is not None
 
     def is_acyclic(self) -> bool:
@@ -310,11 +327,14 @@ def classify(d: Digraph) -> PhyloClass:
                 return _invalid(f"vertex {v!r} has in-degree {din} and out-degree {dout}")
             if reticulation is None:
                 reticulation = f"vertex {v!r} has in-degree {din}"
-    labels = d._labels
-    for v in d.leaves:
-        if labels.get(v) is None:
-            return _invalid(f"unlabeled leaf {v!r}")
-    if len(d.leaves) < 2:
+    # One test in C decides that every leaf carries a taxon; the loop runs
+    # only to name the first leaf that carries none.  `None` is no taxon.
+    labels, leaves = d._labels, d.leaves
+    if not all(map(labels.__contains__, leaves)) or None in labels.values():
+        for v in leaves:
+            if labels.get(v) is None:
+                return _invalid(f"unlabeled leaf {v!r}")
+    if len(leaves) < 2:
         return _invalid("fewer than 2 leaves")
     if root_out == 1:
         return PhyloClass(PhyloKind.ROOTED_DAG_DEG1_ROOT, "root out-degree 1")

@@ -135,8 +135,10 @@ class TreeExtension:
         if the host below each `c` is and each holds a host child of `t`,
         and it is not connected if some `c` holds none.  A vertex with one
         extension child holds all its host children in that child's
-        subtree, so only vertices with two or more need the range test,
-        and a vertex with more extension than host children fails it.
+        subtree, and a vertex whose extension children are its host
+        children has each child as its own witness, so only the other
+        vertices with two or more need the range test.  A vertex with more
+        extension than host children fails it.
         Only when the test fails does a union-find name the vertices below
         which the host is not connected.  A host arc leaves an extension
         ancestor of its head, so every leaf of the extension is a host
@@ -151,7 +153,7 @@ class TreeExtension:
         for (t, cs), ws in zip(self.gamma._children.items(), host_children.values()):
             if len(cs) > len(ws):
                 over.append(t)
-            elif len(cs) > 1 and connected:
+            elif len(cs) > 1 and connected and cs != ws:
                 held = sorted([pre[w] for w in ws])
                 for c in cs:
                     i = bisect_left(held, pre[c])

@@ -12,6 +12,9 @@ and `AugmentedInstance.check` validates them once.  Vertices of out-degree
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import islice
+
 from .digraph import Digraph, PhyloKind, _adjacency, _proven_acyclic, classify
 from .errors import InputError, InternalError, SemanticError
 from .extension import (
@@ -216,8 +219,11 @@ def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
 
 def _require_network(n: Digraph) -> None:
     """Raise `SemanticError` unless `n` is a phylogenetic network (a tree is
-    one).  The cycle check caches `n`'s sorted topological order, which the
-    default extension of `n` is built from."""
+    one).  The cycle check of a network with a reticulation caches `n`'s
+    sorted topological order, which the default extension of `n` is built
+    from; a network without one is settled by a walk from its root, and
+    its default extension then makes the sorted pass (see
+    `Digraph._acyclic`)."""
     n_class = classify(n)
     if n_class.kind not in (PhyloKind.NETWORK, PhyloKind.TREE):
         raise SemanticError(f"not a phylogenetic network: {n_class.reason}")
@@ -230,16 +236,26 @@ def _require_tree(t: Digraph) -> None:
         raise SemanticError(f"not a phylogenetic tree: {t_class.reason}")
 
 
+def _spliced(m: dict, i: int, key, value) -> dict:
+    """A copy of `m` with `key: value` put in at position `i`."""
+    items = m.items()
+    out = dict(islice(items, i))
+    out[key] = value
+    out.update(islice(items, i, None))
+    return out
+
+
 def _with_degree_1_root(t: Digraph) -> Digraph:
-    """`t` with a fresh root above its root, built from `t`'s maps.  It
-    carries `t`'s acyclicity, which `_require_tree` has proven: an arc
-    into the old root closes no cycle."""
+    """`t` with a fresh root above its root, spliced into `t`'s sorted
+    vertices and maps at its place.  It carries `t`'s acyclicity, which
+    `_require_tree` has proven: an arc into the old root closes no cycle."""
     (root,), rho = t.roots, next(t.fresh_names())
-    vertices = tuple(sorted((*t.vertices, rho)))
-    parents = {v: t._parents.get(v, ()) for v in vertices}
+    vertices = t.vertices
+    i = bisect_left(vertices, rho)
+    parents = _spliced(t._parents, i, rho, ())
     parents[root] = (rho,)
-    children = {v: t._children.get(v, ()) for v in vertices}
-    children[rho] = (root,)
+    children = _spliced(t._children, i, rho, (root,))
+    vertices = (*vertices[:i], rho, *vertices[i:])
     return _proven_acyclic(Digraph._of(vertices, parents, children, t._labels))
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .digraph import Arc, Digraph, TreeIndex, _require_out_tree
+from .digraph import Arc, Digraph, TreeIndex, _cached, _require_out_tree
 from .errors import InputError, InternalError
 from .reduction import AugmentedInstance, _Record
 
@@ -151,6 +151,11 @@ class VertexStats(namedtuple("VertexStats", "vertex cells_above cells_below")):
 
 
 class SolveResult(_Record):
+    """What `solve` found: the answer (`accepting_key`), the tables a
+    witness is replayed from, and `stats`, one `VertexStats` per swept
+    vertex.  `solve` keeps the sweep's `(vertex, above, below)` triples,
+    and `stats` is built from them when first read: a decision reads no
+    stats, so it builds none."""
     _fields = ("instance", "stats", "tables", "accepting_key")
 
     def __init__(self, instance: AugmentedInstance,
@@ -158,9 +163,15 @@ class SolveResult(_Record):
                  tables: dict | None = None,
                  accepting_key: tuple[int, ...] | None = None):
         self.instance = instance
-        self.stats = [] if stats is None else stats
+        self._sizes = ()
+        if stats is not None:
+            self.stats = stats
         self.tables = tables  # "above"/"below" -> vertex -> {signature: tag}
         self.accepting_key = accepting_key
+
+    @_cached
+    def stats(self) -> list[VertexStats]:
+        return list(map(VertexStats._make, self._sizes))
 
     @property
     def displayed(self) -> bool:
@@ -241,7 +252,8 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     as soon as they have been combined, which bounds memory by the tables
     along one root-to-leaf slice.  The sweep visits the extension's vertices
     in the reverse of its pre-order index (`TreeIndex.order`), children
-    first, and per-vertex stats are collected in that order.  A vertex with
+    first, and the per-vertex table sizes are kept in that order, for
+    `SolveResult.stats` to build its records from when read.  A vertex with
     one extension child `q` uses `q`'s above table as its below; with more,
     the below table is the plain product of their above tables, each key the
     union of one key of each.  So every table above an empty one is empty,
@@ -371,12 +383,13 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     final = n.children(rho_n)[0]
     (a,) = n_ins[final]
     accepting = (tree_id[rho_t, t.children(rho_t)[0]] << shift | a,)
-    return SolveResult(
+    result = SolveResult(
         instance=inst,
-        stats=list(map(VertexStats._make, sizes)),
         tables={"above": above, "below": below} if keep_tables else None,
         accepting_key=accepting if accepting in above.get(final, ()) else None,
     )
+    result._sizes = sizes
+    return result
 
 
 # -- witness reconstruction --------------------------------------------------

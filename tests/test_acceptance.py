@@ -7,6 +7,7 @@ in the live pytest output.
 import math
 import random
 import statistics
+import sys
 import time
 from collections import Counter
 
@@ -25,7 +26,7 @@ from stc import (
     update_extension,
 )
 from stc.extension import InSplitStep
-from stc.reduction import tidy
+from stc.reduction import _require_network, _require_tree, tidy
 
 
 def _report(capsys, num, name, ok, detail=""):
@@ -237,3 +238,79 @@ def _timed_solve(inst):
     result = solve(inst, keep_tables=False)
     assert result.displayed
     return time.perf_counter() - start
+
+
+class _Id(str):
+    """A vertex id or taxon whose equality test is a Python call, so that a
+    scan comparing ids one by one in C (`list.index`, `in` on a list)
+    counts one call per comparison."""
+    __slots__ = ()
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        return str.__eq__(self, other)
+
+
+def _with_counted_ids(graph):
+    """The arcs and labels of `graph` with each name one `_Id`."""
+    ids = {}
+
+    def name(s):
+        return ids.setdefault(s, _Id(s))
+
+    return ([(name(u), name(v)) for u, v in graph.arcs],
+            {name(v): name(t) for v, t in graph.labels.items()})
+
+
+def _python_calls(fn, *args):
+    """The number of Python-level calls that `fn(*args)` makes."""
+    calls = 0
+
+    def tally(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(tally)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _layer_calls(network, tree):
+    """The Python calls of each layer of one verdict, each on new graphs,
+    so that nothing is cached from an earlier layer."""
+    def fresh():
+        return Digraph(*_with_counted_ids(network)), Digraph(*_with_counted_ids(tree))
+
+    n, t = fresh()
+    return {"_require_network": _python_calls(_require_network, n),
+            "_require_tree": _python_calls(_require_tree, t),
+            "preprocess": _python_calls(preprocess, *fresh()),
+            "solve": _python_calls(lambda inst: solve(inst, keep_tables=False),
+                                   preprocess(*fresh()))}
+
+
+def _caterpillar(leaves):
+    arcs = [(f"s{i}", f"s{i + 1}") for i in range(leaves - 1)]
+    arcs += [(f"s{i}", f"p{i}") for i in range(leaves - 1)]
+    labels = {f"p{i}": f"t{i}" for i in range(leaves - 1)}
+    labels[f"s{leaves - 1}"] = f"t{leaves - 1}"
+    return Digraph(arcs, labels)
+
+
+def test_the_verdict_layers_make_linearly_many_calls_at_fixed_width():
+    """At fixed width, each layer of a verdict makes at most 4.2 times the
+    Python calls on an instance 4 times the size: a machine-independent
+    check that its work is linear.  Sorting is not counted, as it runs in
+    C; a scan over ids is, as each comparison is a call."""
+    families = {"caterpillar": [(c, c) for c in map(_caterpillar, (250, 1000))],
+                "spine": [_scaling_instance(50), _scaling_instance(200)]}
+    ratios = {}
+    for family, (small, large) in families.items():
+        counts = _layer_calls(*small), _layer_calls(*large)
+        for layer in counts[0]:
+            ratios[family, layer] = counts[1][layer] / counts[0][layer]
+    assert all(r <= 4.2 for r in ratios.values()), ratios

@@ -28,6 +28,7 @@ from stc import (
     parse_edgelist,
     preprocess,
     prune_to_leafset,
+    reduce_network,
     serialize_edgelist,
     serialize_extension,
     solve,
@@ -309,6 +310,35 @@ def test_reduce_writes_files(files, tmp_path, capsys):
     net = parse_edgelist((tmp_path / "out.network").read_text())
     assert net.root().startswith("g")
     assert (tmp_path / "out.extension").read_text().startswith("E ")
+
+
+# A taxon that is no ASCII, whose UTF-8 bytes the written files must hold.
+_WIDE_NET, _WIDE_TREE = (doc.replace("L a a", "L a \u00e4\u03b1")
+                          for doc in (NET_A, TREE_D))
+
+
+def test_gen_files_hold_the_bytes_of_its_stdout(tmp_path, monkeypatch, capsys):
+    docs = {"network_doc": _WIDE_NET, "tree_doc": _WIDE_TREE,
+            "extension_doc": serialize_extension(default_extension(parse_edgelist(_WIDE_NET)))}
+    monkeypatch.setattr("stc.generator.generate", lambda params: argparse.Namespace(**docs))
+    assert main(["gen", "--leaves", "4", "--seed", "1"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert main(["gen", "--leaves", "4", "--seed", "1", "-o", str(tmp_path / "P")]) == 0
+    written = b"".join((tmp_path / f"P.{suffix}").read_bytes()
+                       for suffix in ("network", "tree", "extension"))
+    assert written == out and "\u00e4\u03b1".encode("utf-8") in written
+
+
+def test_reduce_files_are_the_serialized_reduced_instance(tmp_path, capsys):
+    for name, doc in (("n", _WIDE_NET), ("t", _WIDE_TREE)):
+        (tmp_path / name).write_bytes(doc.encode("utf-8"))
+    assert main(["reduce", "-n", str(tmp_path / "n"), "-t", str(tmp_path / "t"),
+                 "-o", str(tmp_path / "P")]) == 0
+    ext, _ = reduce_network(parse_edgelist(_WIDE_NET),
+                            taxa=parse_edgelist(_WIDE_TREE).taxa)
+    assert (tmp_path / "P.network").read_bytes() == serialize_edgelist(ext.host).encode("utf-8")
+    assert (tmp_path / "P.extension").read_bytes() == serialize_extension(ext).encode("utf-8")
+    assert "\u00e4\u03b1".encode("utf-8") in (tmp_path / "P.network").read_bytes()
 
 
 def test_unwritable_output_is_a_semantic_error(files, tmp_path, capsys):

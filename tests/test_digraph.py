@@ -24,6 +24,7 @@ from stc import (
     serialize_extension,
     update_extension,
 )
+from stc.digraph import TreeIndex
 from stc.oracle import _tree_target
 
 
@@ -110,6 +111,34 @@ def test_topological_order_breaks_ties_by_sorted_id(suite):
             if reference is not None:
                 assert extra.topological_order() == reference
     assert verdicts[True] > 50 and verdicts[False] > 50, verdicts
+    # One root and no vertex with two parents: the walk from the root
+    # answers, without the sorted pass.  Its NO answers: a tree with a
+    # detached directed cycle, and a tree with one subtree re-hung below
+    # one of its own vertices, which cuts it off the root into a cycle.
+    trees = [d for d in graphs if len(d.roots) == 1 and d.max_in_degree <= 1]
+    cyclic = []
+    for d in trees:
+        fresh = Digraph(d.arcs, d.labels)
+        assert fresh.is_acyclic() and "_topo_order" not in vars(fresh)
+        ring = d.fresh_ids(3)
+        cyclic.append(Digraph(d.arcs + tuple(zip(ring, ring[1:] + ring[:1])),
+                              d.labels))
+        index = TreeIndex(d)
+        inner = [v for v in d.vertices if d.parents(v) and d.children(v)]
+        u = rng.choice(inner) if inner else d.root()
+        below = [w for w in inner if index.strictly_below(u, w)]
+        if below:
+            w = rng.choice(below)
+            arcs = [a for a in d.arcs if a != (d.parents(u)[0], u)]
+            cyclic.append(Digraph(arcs + [(w, u)], d.labels))
+    assert len(trees) > 50 and len(cyclic) > len(trees) + 50, (len(trees), len(cyclic))
+    for d in cyclic:
+        assert len(d.roots) == 1 and d.max_in_degree <= 1
+        assert _smallest_source_order(d) is None
+        assert d.is_acyclic() is False and "_topo_order" not in vars(d)
+        assert classify(d).reason == "contains a directed cycle"
+        with pytest.raises(InputError, match="^not an out-tree: cyclic$"):
+            TreeIndex(d)
 
 
 def test_cycle_detected():
