@@ -64,12 +64,24 @@ def _adjacency(vertices, arcs) -> tuple[dict, dict]:
             {v: tuple(cs) for v, cs in children.items()})
 
 
+def _walk(children, roots) -> list[str]:
+    """`roots` and the vertices they reach along `children`, breadth first,
+    each after its parent, for a child map in which no vertex has two
+    parents: the walk then meets each vertex at most once, so it keeps no
+    record of what it has seen."""
+    reached = list(roots)
+    for v in reached:   # the loop meets what it appends
+        reached.extend(children[v])
+    return reached
+
+
 class Digraph:
     """A finite digraph with an optional taxon label on each sink vertex.
 
     Arcs are hashable `(tail, head)` pairs.  Invariants enforced at
     construction: no self-loops (arc pairs have distinct endpoints), labels
-    sit only on vertices of out-degree 0, and labels are pairwise distinct.
+    are not None, sit only on vertices of out-degree 0 and are pairwise
+    distinct.
     """
 
     def __init__(self, arcs, labels=None, vertices=()):
@@ -88,6 +100,8 @@ class Digraph:
         for v, taxon in labels.items():
             if v not in children:
                 raise InputError(f"label on unknown vertex {v!r}")
+            if taxon is None:
+                raise InputError(f"label None on vertex {v!r}")
             if children[v]:
                 raise InputError(f"label {taxon!r} on non-leaf vertex {v!r}")
         if len(set(labels.values())) != len(labels):
@@ -243,10 +257,7 @@ class Digraph:
         Every other graph is read off the sorted order of `_topo_order`."""
         roots = self.roots
         if len(roots) == 1 and self.max_in_degree <= 1:
-            children, reached = self._children, list(roots)
-            for v in reached:   # the loop meets what it appends
-                reached.extend(children[v])
-            return len(reached) == len(self._vertices)
+            return len(_walk(self._children, roots)) == len(self._vertices)
         return self._topo_order is not None
 
     def is_acyclic(self) -> bool:
@@ -327,12 +338,12 @@ def classify(d: Digraph) -> PhyloClass:
                 return _invalid(f"vertex {v!r} has in-degree {din} and out-degree {dout}")
             if reticulation is None:
                 reticulation = f"vertex {v!r} has in-degree {din}"
-    # One test in C decides that every leaf carries a taxon; the loop runs
-    # only to name the first leaf that carries none.  `None` is no taxon.
+    # One test in C decides that every leaf carries a taxon (no label is
+    # None); the loop runs only to name the first leaf that carries none.
     labels, leaves = d._labels, d.leaves
-    if not all(map(labels.__contains__, leaves)) or None in labels.values():
+    if not all(map(labels.__contains__, leaves)):
         for v in leaves:
-            if labels.get(v) is None:
+            if v not in labels:
                 return _invalid(f"unlabeled leaf {v!r}")
     if len(leaves) < 2:
         return _invalid("fewer than 2 leaves")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 
-from .digraph import Arc, Digraph, TreeIndex, _adjacency, _cached
+from .digraph import Arc, Digraph, TreeIndex, _adjacency, _cached, _walk
 from .errors import InputError, InternalError, RewriteError
 
 CUT_ABOVE = "above"
@@ -241,23 +241,68 @@ def _extension(host: Digraph, parent) -> TreeExtension:
     return TreeExtension(host, gamma)
 
 
+def _out_tree(host: Digraph) -> bool:
+    """Whether the rooted `host` is an out-tree, read from facts that
+    `classify` caches: one root and no vertex with two parents, and then
+    `is_acyclic()`, which for such a graph is one walk from the root.
+
+    An out-tree is its own canonical extension, whatever extension it is
+    canonicalized from.  In a canonical extension the host below every
+    vertex `v` is weakly connected; it holds every host descendant of `v`,
+    as each host arc points down the extension, and not `v`'s host parent,
+    which lies above `v`.  In an out-tree the only arc between the
+    descendants of `v` and the other vertices is the one from that parent,
+    so the host below `v` is exactly the host subtree of `v`.  Both trees
+    then have the same subtrees, so they are one tree.  Raises
+    `InputError` for a host with other than one root, and for a cyclic
+    one without a vertex of in-degree 2 or more."""
+    if len(host.roots) != 1:
+        raise InputError("need a rooted host")
+    if host.max_in_degree > 1:
+        return False
+    if not host.is_acyclic():
+        raise InputError("graph is not acyclic")
+    return True
+
+
+def _itself(host: Digraph) -> TreeExtension:
+    """An out-tree `host` as its own extension; the tree shares the host's
+    immutable maps."""
+    return TreeExtension(host, Digraph._of(host.vertices, host._parents, host._children, {}))
+
+
 def canonicalize(ext: TreeExtension) -> TreeExtension:
-    """A canonical extension of the same host with no larger width."""
+    """A canonical extension of the same host with no larger width.
+
+    A host with no vertex of in-degree 2 or more, which the valid extension
+    proves acyclic, is an out-tree and its own canonical form (see
+    `_out_tree`): it skips the union-find and the rebuild of the tree."""
     index = ext._valid_index()
-    if len(ext.host.roots) != 1:
+    host = ext.host
+    if len(host.roots) != 1:
         raise InputError("canonicalization needs a rooted host")
+    if host.max_in_degree <= 1:
+        return _itself(host)
     order = reversed(index.order)
-    return _extension(ext.host, _canonical_parent(ext.host._children, order))
+    return _extension(host, _canonical_parent(host._children, order))
 
 
 def _default_parent(host: Digraph) -> dict[str, str]:
-    if len(host.roots) != 1:
-        raise InputError("need a rooted host")
+    """The parent map of `default_extension(host)`.  An out-tree gives its
+    own parent map (see `_out_tree`); any other rooted DAG is built by the
+    union-find of `_canonical_parent` along the reverse of its sorted
+    topological order."""
+    if _out_tree(host):
+        return {v: ps[0] for v, ps in host._parents.items() if ps}
     return _canonical_parent(host._children, reversed(host.topological_order()))
 
 
 def default_extension(host: Digraph) -> TreeExtension:
-    """A canonical extension built from scratch (no width optimality claimed)."""
+    """A canonical extension built from scratch (no width optimality
+    claimed).  An out-tree is its own, with no sorted pass, no union-find
+    and no rebuild (see `_out_tree`)."""
+    if _out_tree(host):
+        return _itself(host)
     return _extension(host, _default_parent(host))
 
 
@@ -265,16 +310,14 @@ def _root_first(vertices, parent) -> list[str]:
     """The vertices of the tree `parent` (child -> parent), breadth first
     from the root."""
     kids: dict[str, list[str]] = {v: [] for v in vertices}
-    order = []
+    roots = []
     for v in vertices:
         p = parent.get(v)
         if p is None:
-            order.append(v)
+            roots.append(v)
         else:
             kids[p].append(v)
-    for v in order:     # the loop meets what it appends
-        order.extend(kids[v])
-    return order
+    return _walk(kids, roots)
 
 
 def _cut_above(order, parent, parents, children) -> dict[str, int]:
@@ -320,11 +363,18 @@ class RewriteState:
     def carrying(cls, host: Digraph, ext: TreeExtension | None = None) -> "RewriteState":
         """`host` with `ext`, by default `default_extension(host)`.
 
-        The default tree is built children first along the reverse of the
-        host's topological order, and a vertex adopts only vertices done
-        before it, so that order lists every parent before its children."""
+        The default tree of an out-tree is the host's own (see `_out_tree`),
+        listed root first by one walk from its root.  Any other default
+        tree is built children first along the reverse of the host's sorted
+        topological order, and a vertex adopts only vertices done before
+        it, so that order lists every parent before its children."""
         if ext is None:
-            state = cls(host, _default_parent(host), host.topological_order())
+            parent = _default_parent(host)
+            if host.max_in_degree <= 1:
+                order = _walk(host._children, host.roots)
+            else:
+                order = host.topological_order()
+            state = cls(host, parent, order)
             state.canonical = True
             return state
         index = ext._valid_index()
@@ -356,11 +406,16 @@ class RewriteState:
 
     def canonical_extension(self) -> TreeExtension:
         """The host, built once, with the canonical form of the carried
-        extension: what `canonicalize` returns for that extension.  When
-        `canonical` holds, that is the carried extension itself: on a
-        canonical extension, the subtrees of a vertex's children are the
-        weak components that `_canonical_parent` meets there."""
+        extension: what `canonicalize` returns for that extension.  A host
+        with one root and no vertex of in-degree 2 or more, which the
+        carried extension proves acyclic, is an out-tree and that form
+        itself (see `_out_tree`).  Otherwise, when `canonical` holds, it is
+        the carried extension: on a canonical extension, the subtrees of a
+        vertex's children are the weak components that `_canonical_parent`
+        meets there."""
         host = self.host()
+        if len(host.roots) == 1 and host.max_in_degree <= 1:
+            return _itself(host)
         parent = self.parent
         if not self.canonical:
             order = reversed(_root_first(host.vertices, parent))

@@ -221,9 +221,9 @@ def _require_network(n: Digraph) -> None:
     """Raise `SemanticError` unless `n` is a phylogenetic network (a tree is
     one).  The cycle check of a network with a reticulation caches `n`'s
     sorted topological order, which the default extension of `n` is built
-    from; a network without one is settled by a walk from its root, and
-    its default extension then makes the sorted pass (see
-    `Digraph._acyclic`)."""
+    from; a network without one is settled by a walk from its root (see
+    `Digraph._acyclic`), and is its own default extension, which needs no
+    sorted order (see `extension._out_tree`)."""
     n_class = classify(n)
     if n_class.kind not in (PhyloKind.NETWORK, PhyloKind.TREE):
         raise SemanticError(f"not a phylogenetic network: {n_class.reason}")

@@ -18,9 +18,11 @@ from stc import (
     check_embedding,
     default_extension,
     firm_display,
+    parse_edgelist,
     preprocess,
     reconstruct_witness,
     reduce_network,
+    serialize_edgelist,
     soft_display,
     solve,
     update_extension,
@@ -262,13 +264,14 @@ def _with_counted_ids(graph):
             {name(v): name(t) for v, t in graph.labels.items()})
 
 
-def _python_calls(fn, *args):
-    """The number of Python-level calls that `fn(*args)` makes."""
+def _python_calls(fn, *args, events=("call",)):
+    """The number of calls of the profile `events` that `fn(*args)` makes:
+    by default, its Python-level calls."""
     calls = 0
 
     def tally(frame, event, arg):
         nonlocal calls
-        if event == "call":
+        if event in events:
             calls += 1
 
     sys.setprofile(tally)
@@ -280,17 +283,27 @@ def _python_calls(fn, *args):
 
 
 def _layer_calls(network, tree):
-    """The Python calls of each layer of one verdict, each on new graphs,
-    so that nothing is cached from an earlier layer."""
+    """The Python calls of each layer of one verdict and its witness, each
+    on new graphs, so that nothing is cached from an earlier layer.
+
+    The parser makes its ids from the text, in C, so they cannot count
+    their comparisons; its C calls (a split and a few dict tests per line)
+    are counted with its Python calls instead."""
     def fresh():
         return Digraph(*_with_counted_ids(network)), Digraph(*_with_counted_ids(tree))
 
     n, t = fresh()
-    return {"_require_network": _python_calls(_require_network, n),
+    witness = solve(preprocess(*fresh()), keep_tables=True)
+    return {"parse_edgelist": _python_calls(parse_edgelist, serialize_edgelist(network),
+                                            events=("call", "c_call")),
+            "_require_network": _python_calls(_require_network, n),
             "_require_tree": _python_calls(_require_tree, t),
             "preprocess": _python_calls(preprocess, *fresh()),
             "solve": _python_calls(lambda inst: solve(inst, keep_tables=False),
-                                   preprocess(*fresh()))}
+                                   preprocess(*fresh())),
+            # The replay, then `check_embedding` on what it built.
+            "reconstruct_witness": _python_calls(reconstruct_witness, witness),
+            "serialize_edgelist": _python_calls(serialize_edgelist, fresh()[0])}
 
 
 def _caterpillar(leaves):
@@ -302,10 +315,11 @@ def _caterpillar(leaves):
 
 
 def test_the_verdict_layers_make_linearly_many_calls_at_fixed_width():
-    """At fixed width, each layer of a verdict makes at most 4.2 times the
-    Python calls on an instance 4 times the size: a machine-independent
-    check that its work is linear.  Sorting is not counted, as it runs in
-    C; a scan over ids is, as each comparison is a call."""
+    """At fixed width, each layer of a verdict and its witness, from parse
+    to serialization, makes at most 4.2 times the Python calls on an
+    instance 4 times the size: a machine-independent check that its work
+    is linear.  Sorting is not counted, as it runs in C; a scan over ids
+    is, as each comparison is a call."""
     families = {"caterpillar": [(c, c) for c in map(_caterpillar, (250, 1000))],
                 "spine": [_scaling_instance(50), _scaling_instance(200)]}
     ratios = {}

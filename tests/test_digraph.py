@@ -52,7 +52,9 @@ def test_duplicate_taxa_rejected():
 @pytest.mark.parametrize("arcs, labels, vertices, message", [
     ([], None, (), "a digraph needs at least one vertex"),
     ([("a", "b")], {"z": "x"}, (), "label on unknown vertex 'z'"),
-], ids=["no-vertex", "label-on-unknown-vertex"])
+    # A None label would put None among the taxa.
+    ([("r", "a"), ("r", "b")], {"a": None, "b": "b"}, (), "label None on vertex 'a'"),
+], ids=["no-vertex", "label-on-unknown-vertex", "none-label"])
 def test_construction_refusals_name_their_reason(arcs, labels, vertices, message):
     with pytest.raises(InputError) as refused:
         Digraph(arcs, labels, vertices)

@@ -356,6 +356,52 @@ def test_canonical_form_depends_only_on_the_extension(seed, leaves, reticulation
     assert not canonical.canonicality_violations()
 
 
+def _caterpillar(leaves):
+    arcs = [(f"s{i}", f"s{i + 1}") for i in range(leaves - 1)]
+    arcs += [(f"s{i}", f"p{i}") for i in range(leaves - 1)]
+    labels = {f"p{i}": f"t{i}" for i in range(leaves - 1)}
+    labels[f"s{leaves - 1}"] = f"t{leaves - 1}"
+    return Digraph(arcs, labels)
+
+
+def _union_find_tree(host, order):
+    """The tree that the union-find `_canonical_parent` builds for `host`
+    over the children-first `order`: the reference for an out-tree host."""
+    parent = _canonical_parent(host._children, order)
+    return Digraph([(p, c) for c, p in parent.items()], vertices=host.vertices)
+
+
+def test_an_out_tree_is_its_own_canonical_extension():
+    # The lemma of `extension._out_tree`: whatever valid extension of a tree
+    # host is canonicalized, the union-find gives the host itself, so the
+    # shortcut that returns the host agrees with it.
+    rng, pruned = random.Random(11), 0
+    hosts = [generate(GeneratorParams(leaves, 0, rate, seed)).network
+             for seed in range(20) for leaves in (3, 9, 24) for rate in (0.0, 0.3)]
+    hosts.append(_caterpillar(2000))
+    for host in hosts:
+        assert len(host.roots) == 1 and host.max_in_degree == 1
+        default = default_extension(host)
+        assert default.gamma == Digraph(host.arcs)
+        assert default.gamma == _union_find_tree(host, reversed(host.topological_order()))
+        assert default.gamma._children is host._children
+        chain = _chain_extension(host, rng)
+        for ext in (default, chain, _lifted(chain, rng, 12)):
+            assert ext.is_valid()
+            got = canonicalize(ext)
+            assert got.host is host
+            assert got.gamma == _union_find_tree(host, _children_first(ext.gamma, rng))
+        taxa = sorted(host.taxa)
+        for given, keep in ((None, None), (chain, None),
+                            (chain, taxa[:max(2, len(taxa) // 2)])):
+            reduced, trace = reduce_network(host, given, taxa=keep)
+            pruned += trace.steps[0].kind == "prune"
+            order = reversed(reduced.host.topological_order())
+            assert reduced.gamma == _union_find_tree(reduced.host, order)
+            assert not reduced.canonicality_violations()
+    assert pruned >= 100
+
+
 @pytest.mark.parametrize("host_arcs, gamma_arcs, problems", [
     # The chain r -> a -> b puts the host leaf b below the host leaf a.
     ([("r", "a"), ("r", "b")], [("r", "a"), ("a", "b")],

@@ -495,6 +495,56 @@ def test_the_default_path_makes_one_kahn_pass(net_a, tree_d, monkeypatch, tmp_pa
     assert len(passes) == 1 and passes[0] is cyclic
 
 
+def test_a_tree_shaped_network_makes_no_heap_pass(monkeypatch, tmp_path, capsys):
+    # A network without a reticulation is its own default extension: a
+    # walk from its root settles its cycle check, and no graph of the
+    # reduction needs the sorted order, with or without -x or a prune.
+    topo = Digraph.__dict__["_topo_order"]
+    compute, passes = topo.compute, []
+
+    def counted(d):
+        passes.append(d)
+        return compute(d)
+
+    monkeypatch.setattr(topo, "compute", counted)
+    inst = generate(GeneratorParams(12, 0, 0.3, 5))
+    n, t = inst.network, inst.tree
+    assert n.max_in_degree == 1 and classify(n).kind is PhyloKind.TREE
+    half = prune_to_leafset(t, sorted(t.taxa)[:6])[0]
+    passes.clear()
+    for tree in (t, half):
+        preprocess(Digraph(n.arcs, n.labels), Digraph(tree.arcs, tree.labels))
+        fresh = Digraph(n.arcs, n.labels)
+        preprocess(fresh, Digraph(tree.arcs, tree.labels), default_extension(fresh))
+    assert passes == []
+    (tmp_path / "n").write_text(serialize_edgelist(n))
+    (tmp_path / "t").write_text(serialize_edgelist(half))
+    (tmp_path / "x").write_text(serialize_extension(default_extension(n)))
+    reduce_args = ["reduce", "-n", str(tmp_path / "n"), "-t", str(tmp_path / "t"),
+                   "-o", str(tmp_path / "r")]
+    for argv in (reduce_args, reduce_args + ["-x", str(tmp_path / "x")],
+                 ["extension", "default", "-n", str(tmp_path / "n")]):
+        assert main(argv) == 0
+    assert passes == []
+    capsys.readouterr()
+
+
+def test_a_detached_cycle_beside_a_tree_is_still_refused(capsys, tmp_path):
+    # One root and no vertex with two parents, beside a cycle that the root
+    # does not reach: the walk that settles the cycle check guards the
+    # default extension's shortcut for out-trees.
+    ring = Digraph([("r", "a"), ("r", "b"), ("c", "d"), ("d", "c")],
+                   {"a": "a", "b": "b"})
+    assert ring.roots == ("r",) and ring.max_in_degree == 1
+    with pytest.raises(InputError, match="^graph is not acyclic$"):
+        default_extension(ring)
+    with pytest.raises(InputError, match="^graph is not acyclic$"):
+        reduce_network(ring)
+    (tmp_path / "ring").write_text("A r a\nA r b\nA c d\nA d c\nL a a\nL b b\n")
+    assert main(["extension", "default", "-n", str(tmp_path / "ring")]) == 66
+    assert capsys.readouterr() == ("", "error: graph is not acyclic\n")
+
+
 def test_replay_reproduces_reduced_network(suite):
     for _, n, t, ext in suite[:40]:
         inst = preprocess(n, t, ext)
