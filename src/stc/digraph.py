@@ -186,19 +186,25 @@ class Digraph:
 
     @_cached
     def max_out_degree(self) -> int:
-        return max(len(cs) for cs in self._children.values())
+        """The largest out-degree: one pass in C over the child map."""
+        return max(map(len, self._children.values()))
 
     @_cached
     def max_in_degree(self) -> int:
-        return max(len(ps) for ps in self._parents.values())
+        """The largest in-degree: one pass in C over the parent map."""
+        return max(map(len, self._parents.values()))
 
     @_cached
     def leaves(self) -> tuple[str, ...]:
-        return tuple(v for v in self._vertices if not self._children[v])
+        """The vertices without children, in vertex order, as the child map
+        is keyed."""
+        return tuple([v for v, cs in self._children.items() if not cs])
 
     @_cached
     def roots(self) -> tuple[str, ...]:
-        return tuple(v for v in self._vertices if not self._parents[v])
+        """The vertices without parents, in vertex order, as the parent map
+        is keyed."""
+        return tuple([v for v, ps in self._parents.items() if not ps])
 
     def root(self) -> str:
         if len(self.roots) != 1:
@@ -225,10 +231,11 @@ class Digraph:
         """A sorted-tie-break topological order, or None if cyclic: the one
         Kahn pass, through a heap of sources.  It answers `is_acyclic` for
         every graph that is not a candidate out-tree (see `_acyclic`), and
-        `topological_order()` for every graph."""
-        children = self._children
-        indeg = {v: len(ps) for v, ps in self._parents.items()}
-        heap = [v for v, d in indeg.items() if not d]  # sorted, so a heap
+        `topological_order()` for every graph.  The heap starts from the
+        cached `roots`, which are sorted, so already a heap."""
+        parents, children = self._parents, self._children
+        indeg = dict(zip(parents, map(len, parents.values())))
+        heap = list(self.roots)
         order = []
         while heap:
             v = heappop(heap)
@@ -315,6 +322,15 @@ def classify(d: Digraph) -> PhyloClass:
     deterministic: multiple roots, cycle, root degree, degree pattern,
     label placement, leaf count.  The reason names the violation, and for a
     network its first reticulation.
+
+    The per-vertex degree loop runs only when some vertex can fail its
+    degree rule or be a reticulation: one of in-degree 2 or more, or one of
+    in-degree 1 and out-degree 1.  Both are read in C, from the cached
+    `max_in_degree` and one zip of the two adjacency maps, which are keyed
+    in the same vertex order, so each pair is one vertex's degrees.
+    Without such a vertex, as in every tree, the loop would return nothing
+    and find no reticulation, so skipping it is exact, and every degree
+    message still comes from the loop.
     """
     roots = d.roots
     if len(roots) == 0:
@@ -329,15 +345,17 @@ def classify(d: Digraph) -> PhyloClass:
     if root_out == 0:
         return _invalid("root out-degree 0")
     reticulation = None     # the first, named as the reason of a network
-    for v, ps in parents.items():
-        din, dout = len(ps), len(children[v])
-        if din == 1 and dout == 1:
-            return _invalid(f"vertex {v!r} has in-degree 1 and out-degree 1")
-        if din >= 2:
-            if dout != 1:
-                return _invalid(f"vertex {v!r} has in-degree {din} and out-degree {dout}")
-            if reticulation is None:
-                reticulation = f"vertex {v!r} has in-degree {din}"
+    if d.max_in_degree >= 2 or (1, 1) in zip(map(len, parents.values()),
+                                             map(len, children.values())):
+        for v, ps in parents.items():
+            din, dout = len(ps), len(children[v])
+            if din == 1 and dout == 1:
+                return _invalid(f"vertex {v!r} has in-degree 1 and out-degree 1")
+            if din >= 2:
+                if dout != 1:
+                    return _invalid(f"vertex {v!r} has in-degree {din} and out-degree {dout}")
+                if reticulation is None:
+                    reticulation = f"vertex {v!r} has in-degree {din}"
     # One test in C decides that every leaf carries a taxon (no label is
     # None); the loop runs only to name the first leaf that carries none.
     labels, leaves = d._labels, d.leaves

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 
-from .digraph import Arc, Digraph, TreeIndex, _adjacency, _cached, _walk
+from .digraph import Arc, Digraph, TreeIndex, _cached, _walk
 from .errors import InputError, InternalError, RewriteError
 
 CUT_ABOVE = "above"
@@ -234,10 +234,24 @@ def _canonical_parent(children, order) -> dict[str, str]:
 
 def _extension(host: Digraph, parent) -> TreeExtension:
     """The extension of `host` whose tree is `parent` (child -> parent), a
-    tree over the host's vertices."""
+    tree over the host's vertices.
+
+    Both maps of the tree are built in one pass over the sorted vertices,
+    each vertex appended to its parent's child list as it comes, so every
+    child list comes out sorted and nothing is sorted: the build is linear
+    in the number of vertices."""
     vertices = host.vertices
-    arcs = [(parent[v], v) for v in vertices if v in parent]
-    gamma = Digraph._of(vertices, *_adjacency(vertices, arcs), {})
+    parents: dict = {}
+    children: dict = {v: [] for v in vertices}
+    for v in vertices:
+        p = parent.get(v)
+        if p is None:
+            parents[v] = ()
+        else:
+            parents[v] = (p,)
+            children[p].append(v)
+    gamma = Digraph._of(vertices, parents,
+                        {v: tuple(cs) for v, cs in children.items()}, {})
     return TreeExtension(host, gamma)
 
 

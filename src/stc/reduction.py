@@ -196,9 +196,9 @@ def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
     `ext`, if given, must belong to `n` and is validated next, by
     `RewriteState.carrying`; the result is not, as
     `AugmentedInstance.check` does that once."""
-    prune = None
+    host, prune = n, None
     if taxa is not None and set(taxa) != n.taxa:
-        _, prune = prune_to_leafset(n, taxa)
+        host, prune = prune_to_leafset(n, taxa)
     if ext is not None and ext.host != n:
         raise InputError("extension does not belong to the given network")
     state = RewriteState.carrying(n, ext)
@@ -208,11 +208,14 @@ def reduce_network(n: Digraph, ext: TreeExtension | None = None, *,
     # An in-split lowers only its target's in-degree, and the new vertex has
     # in-degree 2, so one sorted pass meets the targets in the same order as
     # a rescan for the first in-degree-3+ vertex before every split would.
-    high = sorted(v for v, ps in state.parents.items() if len(ps) >= 3)
-    for v in high:
-        while len(state.parents[v]) >= 3:
-            pair = state.parents[v][:2]
-            _carry(state, InSplitStep(v, pair, state.fresh_id()), trace)
+    # The host being split (the pruned one, after a prune) tells from its
+    # cached `max_in_degree` whether there is a target at all.
+    if host.max_in_degree >= 3:
+        high = sorted(v for v, ps in state.parents.items() if len(ps) >= 3)
+        for v in high:
+            while len(state.parents[v]) >= 3:
+                pair = state.parents[v][:2]
+                _carry(state, InSplitStep(v, pair, state.fresh_id()), trace)
     _carry(state, AttachRootStep(state.fresh_id()), trace)
     return state.canonical_extension(), trace
 

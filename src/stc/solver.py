@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .digraph import Arc, Digraph, TreeIndex, _cached, _require_out_tree
+from .digraph import Arc, Digraph, TreeIndex, _adjacency, _cached, _require_out_tree
 from .errors import InputError, InternalError
 from .reduction import AugmentedInstance, _Record
 
@@ -271,7 +271,10 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
 
     Arcs are numbered by their index in the sorted `arcs` of their graph, and
     a pair is the int `tree_index << shift | network_index`, so a signature is
-    a sorted tuple of ints in the order of its pairs.  Tables keep insertion
+    a sorted tuple of ints in the order of its pairs.  The reduced tree is an
+    out-tree, so each of its vertices but the root has one parent, and the
+    tree arc into `y` is named by its head alone (`t_parent_pair[y]`): a
+    leaf's arc, a grown arc, and the root arc of the accepting key.  Tables keep insertion
     order.  A tag records only how a step changed its cell's key: its kind,
     then what `_replay` needs to unfold that step.  A key that passes a
     vertex unchanged keeps its tag, and the cells of a join share one.
@@ -288,12 +291,12 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     order = inst.extension._valid_index().order
     t_leaf_of = t.leaf_by_taxon
     # The loop reads the maps directly: every vertex it meets is known.
-    gamma_children, n_labels, t_parents = gamma._children, n._labels, t._parents
+    gamma_children, n_labels = gamma._children, n._labels
     shift, mask = _pair_bits(n)
-    tree_id = {a: i for i, a in enumerate(t.arcs)}
-    t_tail = [x for x, _ in t.arcs]
+    t_arcs = t.arcs
+    t_tail = [x for x, _ in t_arcs]
     t_fanout = {y: len(cs) for y, cs in t._children.items()}
-    t_parent_pair = {y: i << shift for (_, y), i in tree_id.items()}
+    t_parent_pair = {y: i << shift for i, (_, y) in enumerate(t_arcs)}
     n_outs: dict[str, set[int]] = {}
     n_ins: dict[str, list[int]] = {}  # in sorted(parents) order, as arcs are
     for i, (u, v) in enumerate(n.arcs):
@@ -312,10 +315,8 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
             taxon = n_labels.get(v)
             if taxon is None or taxon not in t_leaf_of:
                 raise InternalError(f"network leaf {v!r} has no matching tree leaf")
-            tl = t_leaf_of[taxon]
-            (tp,) = t_parents[tl]
             (a,) = ins
-            above_v = {(tree_id[tp, tl] << shift | a,): ("leaf",)}
+            above_v = {(t_parent_pair[t_leaf_of[taxon]] | a,): ("leaf",)}
             below_v = {}
         else:
             below_v = above[qs[0]]
@@ -382,7 +383,7 @@ def solve(inst: AugmentedInstance, *, keep_tables: bool = True) -> SolveResult:
     # The one key that can accept: the tree's root arc on the final vertex's in-arc.
     final = n.children(rho_n)[0]
     (a,) = n_ins[final]
-    accepting = (tree_id[rho_t, t.children(rho_t)[0]] << shift | a,)
+    accepting = (t_parent_pair[t.children(rho_t)[0]] | a,)
     result = SolveResult(
         instance=inst,
         tables={"above": above, "below": below} if keep_tables else None,
@@ -455,6 +456,7 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
     overlap: set[Arc] = set()
     tail: dict[int, str] = {}  # network arc id -> its tail in the resolution
     resolution: list[Arc] = []
+    made: list[str] = []    # the fresh vertices of the resolution
     names = network.fresh_names()
 
     stack = [(above[result.final_vertex], result.accepting_key)]
@@ -509,6 +511,7 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
                         resolution.append((w, n_arcs[part][1]))
                     else:
                         fresh = next(names)
+                        made.append(fresh)
                         resolution.append((w, fresh))
                         nodes.append((part, w, fresh))
             stack.append((below[v], inner))
@@ -517,6 +520,10 @@ def _replay(result: SolveResult) -> tuple[Digraph, dict[Arc, tuple[str, ...]]]:
     if overlap:
         raise InternalError(f"joined embeddings overlap on {sorted(overlap)}")
     if resolution:
+        # The kept arcs and the network's vertices are sorted runs, so each
+        # sort below merges them with the new ones: no full sort of either.
         kept = [arc for b, arc in enumerate(n_arcs) if b not in tail]
-        network = Digraph(kept + resolution, network.labels)
+        arcs = sorted(kept + sorted(resolution))
+        vertices = tuple(sorted([*network.vertices, *made]))
+        network = Digraph._of(vertices, *_adjacency(vertices, arcs), network._labels)
     return network, {a: tuple(path) for a, path in paths.items()}

@@ -314,6 +314,29 @@ def _caterpillar(leaves):
     return Digraph(arcs, labels)
 
 
+def _blob_chain(blobs):
+    """A spine of `blobs` copies of one YES blob, at width 3.  In the network
+    the blob's reticulation `h` has three parents (so it takes an in-split)
+    and its child `x` is a soft polytomy over four leaves, which the tree
+    resolves as two cherries (so the sweep takes `_resolutions`, and the
+    witness replays a "resolve" tag)."""
+    n_arcs, t_arcs, labels = [], [], {}
+    for i in range(blobs):
+        s, b, x = f"s{i}", f"b{i}", f"x{i}"
+        u, w, h, y, z = f"u{i}", f"w{i}", f"h{i}", f"y{i}", f"z{i}"
+        p, a, c, d, e = (f"{leaf}{i}" for leaf in "pacde")
+        labels.update((v, v) for v in (p, a, c, d, e))
+        n_arcs += [(s, f"s{i + 1}"), (s, b), (b, u), (b, h), (u, w), (u, h), (w, h),
+                   (w, p), (h, x), (x, a), (x, c), (x, d), (x, e)]
+        t_arcs += [(s, f"s{i + 1}"), (s, b), (b, p), (b, x), (x, y), (x, z),
+                   (y, a), (y, c), (z, d), (z, e)]
+    for leaf in (f"q{blobs}", f"r{blobs}"):
+        labels[leaf] = leaf
+        n_arcs.append((f"s{blobs}", leaf))
+        t_arcs.append((f"s{blobs}", leaf))
+    return Digraph(n_arcs, labels), Digraph(t_arcs, labels)
+
+
 def test_the_verdict_layers_make_linearly_many_calls_at_fixed_width():
     """At fixed width, each layer of a verdict and its witness, from parse
     to serialization, makes at most 4.2 times the Python calls on an
@@ -321,10 +344,19 @@ def test_the_verdict_layers_make_linearly_many_calls_at_fixed_width():
     is linear.  Sorting is not counted, as it runs in C; a scan over ids
     is, as each comparison is a call."""
     families = {"caterpillar": [(c, c) for c in map(_caterpillar, (250, 1000))],
-                "spine": [_scaling_instance(50), _scaling_instance(200)]}
+                "spine": [_scaling_instance(50), _scaling_instance(200)],
+                "blobs": [_blob_chain(25), _blob_chain(100)]}
+    # Each blob takes one in-split, and its witness one resolution of two
+    # fresh vertices: the family reaches what the other two never do.
+    inst = preprocess(*families["blobs"][0])
+    assert inst.extension.width() == 3
+    assert [step.kind for step in inst.trace.steps].count("insplit") == 25
+    network, _ = reconstruct_witness(solve(inst))
+    assert len(network.arcs) == len(inst.network.arcs) + 2 * 25
     ratios = {}
     for family, (small, large) in families.items():
         counts = _layer_calls(*small), _layer_calls(*large)
         for layer in counts[0]:
             ratios[family, layer] = counts[1][layer] / counts[0][layer]
-    assert all(r <= 4.2 for r in ratios.values()), ratios
+    too_many = {key: r for key, r in ratios.items() if r > 4.2}
+    assert not too_many, too_many

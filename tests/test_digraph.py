@@ -5,6 +5,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stc import (
     Digraph,
@@ -190,6 +192,133 @@ def test_classify_network_tree_and_near_misses(net_a, tree_b):
 def test_a_network_is_classified_with_its_first_reticulation(net_a, tree_b):
     assert classify(net_a).reason == "vertex 'r' has in-degree 2"
     assert classify(tree_b).reason is None
+
+
+# -- classification against its full degree loop -------------------------------
+
+
+def _generator_facts(d):
+    """`roots`, `leaves`, `max_in_degree` and `max_out_degree`, each read by
+    a generator over the vertices."""
+    return (tuple(v for v in d.vertices if not d._parents[v]),
+            tuple(v for v in d.vertices if not d._children[v]),
+            max(len(ps) for ps in d._parents.values()),
+            max(len(cs) for cs in d._children.values()))
+
+
+def _classify_by_the_full_loop(d):
+    """`classify` as it was before it skipped the degree loop: every vertex
+    is visited, whatever the degrees, and the facts are read by generators."""
+    roots, leaves, _, _ = _generator_facts(d)
+    if len(roots) == 0:
+        return (PhyloKind.INVALID, "no root")
+    if len(roots) > 1:
+        return (PhyloKind.INVALID, f"multiple roots: {', '.join(roots)}")
+    if not d.is_acyclic():
+        return (PhyloKind.INVALID, "contains a directed cycle")
+    root = roots[0]
+    root_out = len(d._children[root])
+    if root_out == 0:
+        return (PhyloKind.INVALID, "root out-degree 0")
+    reticulation = None
+    for v in d.vertices:
+        din, dout = len(d._parents[v]), len(d._children[v])
+        if din == 1 and dout == 1:
+            return (PhyloKind.INVALID, f"vertex {v!r} has in-degree 1 and out-degree 1")
+        if din >= 2:
+            if dout != 1:
+                return (PhyloKind.INVALID,
+                        f"vertex {v!r} has in-degree {din} and out-degree {dout}")
+            if reticulation is None:
+                reticulation = f"vertex {v!r} has in-degree {din}"
+    for v in leaves:
+        if v not in d._labels:
+            return (PhyloKind.INVALID, f"unlabeled leaf {v!r}")
+    if len(leaves) < 2:
+        return (PhyloKind.INVALID, "fewer than 2 leaves")
+    if root_out == 1:
+        return (PhyloKind.ROOTED_DAG_DEG1_ROOT, "root out-degree 1")
+    if reticulation is None:
+        return (PhyloKind.TREE, None)
+    return (PhyloKind.NETWORK, reticulation)
+
+
+def _assert_classified_as_by_the_full_loop(d):
+    fresh = Digraph._of(d.vertices, d._parents, d._children, d._labels)
+    assert tuple(classify(fresh)) == _classify_by_the_full_loop(d), d.arcs
+    assert (fresh.roots, fresh.leaves, fresh.max_in_degree,
+            fresh.max_out_degree) == _generator_facts(d), d.arcs
+
+
+@st.composite
+def _small_digraphs(draw):
+    """A random phylogenetic tree on v0, v1, ... (v0 its root), then:
+    reticulations, each a fresh vertex below two inner vertices (one, if
+    both draws agree) above one, none or two fresh leaves; extra arcs,
+    which make more reticulations and cycles (from below); an arc
+    subdivided by an in-1/out-1 vertex; a second root `z`; an isolated
+    vertex `y`; and leaves left unlabeled."""
+    arcs, leaves, count = set(), ["v0"], 1
+    for _ in range(draw(st.integers(0, 4))):
+        v = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
+        for _ in range(draw(st.integers(2, 3))):
+            arcs.add((v, f"v{count}"))
+            leaves.append(f"v{count}")
+            count += 1
+    vertices = [f"v{i}" for i in range(count)]
+    pick = st.sampled_from(vertices)
+    inner = st.sampled_from(sorted({u for u, _ in arcs}) or vertices)
+    for k in range(draw(st.integers(0, 2))):
+        arcs |= {(draw(inner), f"h{k}"), (draw(inner), f"h{k}")}
+        arcs |= {(f"h{k}", f"x{k}{j}") for j in range(draw(st.sampled_from((1, 0, 2))))}
+    for u, w in draw(st.lists(st.tuples(pick, pick), max_size=2)):
+        if u != w:
+            arcs.add((u, w))
+    if arcs and draw(st.integers(0, 3)) == 3:
+        u, w = draw(st.sampled_from(sorted(arcs)))
+        arcs -= {(u, w)}
+        arcs |= {(u, "m"), ("m", w)}
+    if draw(st.integers(0, 5)) == 5:
+        arcs.add(("z", draw(pick)))
+    if draw(st.integers(0, 5)) == 5:
+        vertices.append("y")
+    tails = {u for u, _ in arcs}
+    sinks = sorted({*vertices, *(w for _, w in arcs)} - tails)
+    labels = {v: f"t{v}" for v in sinks if draw(st.integers(0, 11)) < 11}
+    return Digraph(arcs, labels, vertices)
+
+
+@settings(max_examples=400, deadline=None)
+@given(d=_small_digraphs())
+def test_classify_agrees_with_its_full_degree_loop_on_small_digraphs(d):
+    """`classify` runs its degree loop only where a vertex can fail it or be
+    a reticulation; on every other graph, skipping the loop is exact."""
+    _assert_classified_as_by_the_full_loop(d)
+
+
+def test_classify_agrees_with_its_full_degree_loop_on_the_suite(suite):
+    """Every suite input, and the graphs `preprocess` builds from it: the
+    pruned network, the reduced network, its extension tree and the tree
+    with its degree-1 root; plus near-misses that only the loop names."""
+    kinds = Counter()
+    for _, n, t, ext in suite:
+        inst = preprocess(n, t, ext)
+        steps = inst.trace.steps
+        built = [steps[0].new_host] if steps[0].kind == "prune" else []
+        for d in (n, t, *built, inst.network, inst.extension.gamma, inst.tree):
+            _assert_classified_as_by_the_full_loop(d)
+            kinds[classify(d).kind] += 1
+    assert all(kinds[kind] > 50 for kind in PhyloKind), kinds
+    for arcs, labels in (
+        ([("r", "a"), ("r", "b"), ("a", "c")], {"c": "c", "b": "b"}),
+        ([("r", "a"), ("r", "b"), ("a", "h"), ("a", "x"), ("b", "h"), ("b", "y"),
+          ("h", "z"), ("h", "w")], {v: v for v in "xyzw"}),
+        ([("r", "a"), ("r", "b"), ("a", "h"), ("a", "x"), ("b", "h"), ("b", "y")],
+         {v: v for v in "hxy"}),
+    ):
+        d = Digraph(arcs, labels)
+        assert classify(d).kind is PhyloKind.INVALID
+        _assert_classified_as_by_the_full_loop(d)
 
 
 def test_reaches_vertices_and_arcs(net_a):

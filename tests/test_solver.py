@@ -843,6 +843,16 @@ _DIFFERENTIAL_CASES = (
 )
 
 
+def _assert_built_as_checked(g):
+    """`g`, a witness network built from sorted maps, is the graph that the
+    checking constructor builds from its arcs, down to the order of every
+    map."""
+    checked = Digraph(g.arcs, g.labels, g.vertices)
+    assert g == checked
+    for field in ("_parents", "_children", "_labels"):
+        assert list(getattr(g, field).items()) == list(getattr(checked, field).items())
+
+
 def test_native_polytomies_match_the_gadget():
     degrees, verdicts = Counter(), Counter()
     for params in _DIFFERENTIAL_CASES:
@@ -858,6 +868,7 @@ def test_native_polytomies_match_the_gadget():
                 network, phi = reconstruct_witness(result)
                 assert check_embedding(phi, result.instance.tree, network)
                 assert all(len(path) > 1 for path in phi.values())
+                _assert_built_as_checked(network)
     assert set(degrees) == {3, 4, 5, 6}
     assert verdicts[True] >= 8 and verdicts[False] >= 6
 
@@ -1098,6 +1109,7 @@ def test_a_200_leaf_star_resolves_into_any_tree(tree):
     assert result.displayed
     network, phi = reconstruct_witness(result)
     assert check_embedding(phi, inst.tree, network)
+    _assert_built_as_checked(network)
     # the attached root g0 and the 198 inner nodes of the resolution below
     # the polytomy itself
     fresh = set(network.vertices) - set(inst.network.vertices)
